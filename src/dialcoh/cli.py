@@ -255,32 +255,6 @@ def cmd_eval_rating(args) -> int:
     return EXIT_OK
 
 
-def _parse_rate_input(obj: dict):
-    """Accept either the rated-instance schema or bare candidates without
-    ratings (provenance defaults to external)."""
-    try:
-        inst = swapgen.rated_instance_from_dict(obj)
-        return inst.context, inst.candidates
-    except CorpusFormatError:
-        pass
-    from .corpus import turn_from_dict
-
-    try:
-        context = tuple(
-            turn_from_dict(t, f"context[{i}]") for i, t in enumerate(obj["context"])
-        )
-        candidates = tuple(
-            swapgen.Candidate(
-                turn=turn_from_dict(c["turn"], f"candidates[{i}].turn"),
-                provenance=c.get("provenance", "external"),
-            )
-            for i, c in enumerate(obj["candidates"])
-        )
-    except KeyError as exc:
-        raise DataError(f"rate input missing field {exc}") from exc
-    return context, candidates
-
-
 def cmd_rate(args) -> int:
     model = load_checkpoint(args.checkpoint)
     raw = sys.stdin.read() if args.input == "-" else Path(args.input).read_text(encoding="utf-8")
@@ -288,7 +262,7 @@ def cmd_rate(args) -> int:
         obj = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise DataError(f"invalid JSON input: {exc.msg}") from exc
-    context, candidates = _parse_rate_input(obj)
+    context, candidates = swapgen.parse_record(obj, default_provenance="external")
     ranked = rank_candidates(context, candidates, model)
     print("rank\tscore\tprovenance\trating\tsummary")
     for rc in ranked:
@@ -451,7 +425,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rate", help="score and rank candidates for one context")
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--input", default="-", help="JSON instance file, or - for stdin")
+    p.add_argument(
+        "--input", default="-",
+        help="JSON record (context and candidates) file, or - for stdin; provenance "
+             "defaults to external, ratings and mean_rating are optional but validated",
+    )
     p.set_defaults(func=cmd_rate)
 
     p = sub.add_parser("analyze", help="regression study and group statistics")

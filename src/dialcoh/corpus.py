@@ -23,7 +23,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 from .errors import CorpusFormatError, DataError
 
@@ -37,6 +37,8 @@ UNK = "<unk>"
 NO_ENT = "<no_ent>"
 
 TURN_TAGS = ("B-A", "B-B", "I-A", "I-B")
+
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -80,86 +82,88 @@ Corpus = list[Dialogue]
 # -- parsing --------------------------------------------------------------
 
 
-def _require(obj: dict, key: str, where: str):
-    if key not in obj:
-        raise CorpusFormatError(f"{where}: missing field '{key}'")
-    return obj[key]
+REQUIRED = object()  # typed_field default: the field must be present
+
+
+def typed_field(obj: dict, key: str, kind, where: str, default=REQUIRED):
+    """obj[key], type-checked against kind (bool never counts as a number).
+    Without a default the field is required; with one, an absent or null
+    field gives the default."""
+    value = obj.get(key)
+    if type(value) is kind:
+        return value
+    if value is None:
+        if default is not REQUIRED:
+            return default
+        if key not in obj:
+            raise CorpusFormatError(f"{where}: missing field '{key}'")
+    if isinstance(value, bool) or not isinstance(value, kind):
+        expected = kind.__name__ if isinstance(kind, type) else "number"
+        raise CorpusFormatError(f"{where}.{key}: expected {expected}, got {type(value).__name__}")
+    return value
+
+
+def expect_object(obj, where: str) -> dict:
+    if not isinstance(obj, dict):
+        raise CorpusFormatError(f"{where}: expected an object, got {type(obj).__name__}")
+    return obj
 
 
 def mention_from_dict(obj, where: str) -> EntityMention:
-    if not isinstance(obj, dict):
-        raise CorpusFormatError(f"{where}: entity must be an object")
-    head = _require(obj, "head", where)
-    role = _require(obj, "role", where)
-    if not isinstance(head, str):
-        raise CorpusFormatError(f"{where}.head: expected string")
-    if not isinstance(role, str):
-        raise CorpusFormatError(f"{where}.role: expected string")
-    return EntityMention(head=head.lower(), role=role)
+    obj = expect_object(obj, where)
+    head = typed_field(obj, "head", str, where)
+    return EntityMention(head=head.lower(), role=typed_field(obj, "role", str, where))
 
 
 def segment_from_dict(obj, where: str) -> Segment:
-    if not isinstance(obj, dict):
-        raise CorpusFormatError(f"{where}: segment must be an object")
-    da = _require(obj, "da", where)
-    if not isinstance(da, str):
-        raise CorpusFormatError(f"{where}.da: expected string")
-    raw_entities = obj.get("entities", [])
-    if not isinstance(raw_entities, list):
-        raise CorpusFormatError(f"{where}.entities: expected list")
+    obj = expect_object(obj, where)
+    da = typed_field(obj, "da", str, where)
     entities = tuple(
-        mention_from_dict(e, f"{where}.entities[{i}]") for i, e in enumerate(raw_entities)
+        mention_from_dict(e, f"{where}.entities[{i}]")
+        for i, e in enumerate(typed_field(obj, "entities", list, where, []))
     )
-    text = obj.get("text")
-    if text is not None and not isinstance(text, str):
-        raise CorpusFormatError(f"{where}.text: expected string")
-    return Segment(da=da, entities=entities, text=text)
+    return Segment(da=da, entities=entities, text=typed_field(obj, "text", str, where, None))
 
 
 def turn_from_dict(obj, where: str) -> Turn:
-    if not isinstance(obj, dict):
-        raise CorpusFormatError(f"{where}: turn must be an object")
-    speaker = _require(obj, "speaker", where)
-    if not isinstance(speaker, str):
-        raise CorpusFormatError(f"{where}.speaker: expected string")
-    raw_segments = _require(obj, "segments", where)
-    if not isinstance(raw_segments, list):
-        raise CorpusFormatError(f"{where}.segments: expected list")
+    obj = expect_object(obj, where)
+    speaker = typed_field(obj, "speaker", str, where)
     segments = tuple(
-        segment_from_dict(s, f"{where}.segments[{i}]") for i, s in enumerate(raw_segments)
+        segment_from_dict(s, f"{where}.segments[{i}]")
+        for i, s in enumerate(typed_field(obj, "segments", list, where))
     )
     return Turn(speaker=speaker, segments=segments)
 
 
 def dialogue_from_dict(obj) -> Dialogue:
     """Parse one JSON record structurally; enum values are checked by validate_dialogue."""
-    if not isinstance(obj, dict):
-        raise CorpusFormatError("record must be an object")
-    did = _require(obj, "id", "record")
-    if not isinstance(did, str) or not did:
+    obj = expect_object(obj, "record")
+    did = typed_field(obj, "id", str, "record")
+    if not did:
         raise CorpusFormatError("record.id: expected nonempty string")
-    raw_turns = _require(obj, "turns", "record")
-    if not isinstance(raw_turns, list):
-        raise CorpusFormatError("record.turns: expected list")
-    turns = tuple(turn_from_dict(t, f"turns[{i}]") for i, t in enumerate(raw_turns))
+    turns = tuple(
+        turn_from_dict(t, f"turns[{i}]")
+        for i, t in enumerate(typed_field(obj, "turns", list, "record"))
+    )
     return Dialogue(id=did, turns=turns)
 
 
+def turn_to_dict(turn: Turn) -> dict:
+    """Canonical dict form of a turn: fixed key order, text omitted when absent."""
+    segments = []
+    for seg in turn.segments:
+        s: dict = {
+            "da": seg.da,
+            "entities": [{"head": m.head, "role": m.role} for m in seg.entities],
+        }
+        if seg.text is not None:
+            s["text"] = seg.text
+        segments.append(s)
+    return {"speaker": turn.speaker, "segments": segments}
+
+
 def dialogue_to_dict(d: Dialogue) -> dict:
-    """Canonical dict form: fixed key order, text omitted when absent."""
-    turns = []
-    for turn in d.turns:
-        segments = []
-        for seg in turn.segments:
-            s: dict = {
-                "da": seg.da,
-                "entities": [{"head": m.head, "role": m.role} for m in seg.entities],
-            }
-            if seg.text is not None:
-                s["text"] = seg.text
-            segments.append(s)
-        turns.append({"speaker": turn.speaker, "segments": segments})
-    return {"id": d.id, "turns": turns}
+    return {"id": d.id, "turns": [turn_to_dict(t) for t in d.turns]}
 
 
 def canonical_json(d: Dialogue) -> str:
@@ -167,6 +171,27 @@ def canonical_json(d: Dialogue) -> str:
 
 
 # -- validation ------------------------------------------------------------
+
+
+def turn_problems(turn: Turn, where: str) -> list[str]:
+    """Enum and content invariants of one turn; empty when valid."""
+    problems: list[str] = []
+    if turn.speaker not in SPEAKERS:
+        problems.append(f"{where}.speaker: invalid speaker {turn.speaker!r}")
+    if not turn.segments:
+        problems.append(f"{where}.segments: turn has no segments")
+    for si, seg in enumerate(turn.segments):
+        if not seg.da:
+            problems.append(f"{where}.segments[{si}].da: empty DA label")
+        for ei, m in enumerate(seg.entities):
+            at = f"{where}.segments[{si}].entities[{ei}]"
+            if not m.head:
+                problems.append(f"{at}.head: empty head")
+            elif m.head.split() != [m.head]:
+                problems.append(f"{at}.head: head contains whitespace ({m.head!r})")
+            if m.role not in MENTION_ROLES:
+                problems.append(f"{at}.role: invalid role {m.role!r}")
+    return problems
 
 
 def validate_dialogue(d: Dialogue) -> list[str]:
@@ -177,21 +202,7 @@ def validate_dialogue(d: Dialogue) -> list[str]:
     if not d.turns:
         problems.append("turns: empty turn list")
     for ti, turn in enumerate(d.turns):
-        if turn.speaker not in SPEAKERS:
-            problems.append(f"turns[{ti}].speaker: invalid speaker {turn.speaker!r}")
-        if not turn.segments:
-            problems.append(f"turns[{ti}].segments: turn has no segments")
-        for si, seg in enumerate(turn.segments):
-            if not seg.da:
-                problems.append(f"turns[{ti}].segments[{si}].da: empty DA label")
-            for ei, m in enumerate(seg.entities):
-                where = f"turns[{ti}].segments[{si}].entities[{ei}]"
-                if not m.head:
-                    problems.append(f"{where}.head: empty head")
-                elif any(c.isspace() for c in m.head):
-                    problems.append(f"{where}.head: head contains whitespace ({m.head!r})")
-                if m.role not in MENTION_ROLES:
-                    problems.append(f"{where}.role: invalid role {m.role!r}")
+        problems.extend(turn_problems(turn, f"turns[{ti}]"))
     return problems
 
 
@@ -207,6 +218,20 @@ def iter_corpus_records(path) -> Iterator[tuple[int, dict]]:
             except json.JSONDecodeError as exc:
                 raise CorpusFormatError(f"invalid JSON ({exc.msg})", line=line_no) from exc
             yield line_no, obj
+
+
+def load_records(path, parse: Callable[[object], T], what: str) -> list[T]:
+    """Parse every JSONL record with `parse`, tagging any CorpusFormatError
+    with its line number. A file without records is an error."""
+    records = []
+    for line_no, obj in iter_corpus_records(path):
+        try:
+            records.append(parse(obj))
+        except CorpusFormatError as exc:
+            raise CorpusFormatError(str(exc), line=line_no) from exc
+    if not records:
+        raise DataError(f"empty {what}: {path}")
+    return records
 
 
 def load_tagset(path) -> tuple[str, ...]:
@@ -225,32 +250,27 @@ def load_corpus(path, tagset: Sequence[str] | None = None) -> Corpus:
     invariant violation, duplicate dialogue id, or (when a tagset is given)
     unknown DA label. An empty file is an error.
     """
-    corpus: Corpus = []
     seen_ids: set[str] = set()
     allowed = set(tagset) if tagset is not None else None
-    for line_no, obj in iter_corpus_records(path):
-        try:
-            d = dialogue_from_dict(obj)
-        except CorpusFormatError as exc:
-            raise CorpusFormatError(str(exc), line=line_no) from exc
+
+    def parse(obj) -> Dialogue:
+        d = dialogue_from_dict(obj)
         problems = validate_dialogue(d)
         if problems:
-            raise CorpusFormatError(problems[0], line=line_no)
+            raise CorpusFormatError(problems[0])
         if d.id in seen_ids:
-            raise CorpusFormatError(f"duplicate dialogue id {d.id!r}", line=line_no)
+            raise CorpusFormatError(f"duplicate dialogue id {d.id!r}")
         seen_ids.add(d.id)
         if allowed is not None:
             for ti, turn in enumerate(d.turns):
                 for si, seg in enumerate(turn.segments):
                     if seg.da not in allowed:
                         raise CorpusFormatError(
-                            f"turns[{ti}].segments[{si}].da: unknown DA tag {seg.da!r}",
-                            line=line_no,
+                            f"turns[{ti}].segments[{si}].da: unknown DA tag {seg.da!r}"
                         )
-        corpus.append(d)
-    if not corpus:
-        raise DataError(f"empty corpus: {path}")
-    return corpus
+        return d
+
+    return load_records(path, parse, "corpus")
 
 
 def save_corpus(corpus: Iterable[Dialogue], path) -> None:
@@ -326,16 +346,12 @@ class Vocabularies:
         }
 
     @classmethod
-    def from_dict(cls, obj: dict) -> "Vocabularies":
-        try:
-            return cls(
-                words=Vocab(tuple(obj["words"])),
-                roles=Vocab(tuple(obj["roles"])),
-                da=Vocab(tuple(obj["da"])),
-                turn=Vocab(tuple(obj["turn"])),
-            )
-        except KeyError as exc:
-            raise DataError(f"vocabulary file missing section {exc}") from exc
+    def from_dict(cls, obj) -> "Vocabularies":
+        obj = expect_object(obj, "vocabularies")
+        return cls(**{
+            name: Vocab(tuple(typed_field(obj, name, list, "vocabularies")))
+            for name in ("words", "roles", "da", "turn")
+        })
 
 
 def derive_vocabularies(

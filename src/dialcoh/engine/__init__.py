@@ -3,7 +3,7 @@ losses, Adam, and finite-difference gradient verification."""
 
 from .autodiff import Tensor, no_grad
 from .gradcheck import GradCheckReport, grad_check
-from .losses import MarginLossInputs, margin_ranking_loss, pairwise_hinge
+from .losses import pairwise_hinge
 from .optim import AdamState, adam_step
 from .rnn import GruCellParams, gru_cell_step, run_gru
 
@@ -11,12 +11,10 @@ __all__ = [
     "AdamState",
     "GradCheckReport",
     "GruCellParams",
-    "MarginLossInputs",
     "Tensor",
     "adam_step",
     "grad_check",
     "gru_cell_step",
-    "margin_ranking_loss",
     "no_grad",
     "pairwise_hinge",
     "run_gru",

@@ -1,26 +1,8 @@
 """Ranking losses."""
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import autodiff as ad
 from .autodiff import Tensor
-
-
-@dataclass(frozen=True)
-class MarginLossInputs:
-    """Scores of the original (x1) and adversarial (x2) items; y is +1 when
-    x1 should rank higher."""
-
-    x1: float
-    x2: float
-    y: float = 1.0
-    margin: float = 0.5
-
-
-def margin_ranking_loss(inputs: MarginLossInputs) -> float:
-    """max(0, -y*(x1-x2) + margin)."""
-    return max(0.0, -inputs.y * (inputs.x1 - inputs.x2) + inputs.margin)
 
 
 def pairwise_hinge(s_pos: Tensor, s_neg: Tensor, margin: float = 0.5) -> Tensor:

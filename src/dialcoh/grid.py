@@ -3,16 +3,12 @@
 A dialogue becomes a turn-by-entity grid of grammatical roles. Counting the
 length-k windows down each column (roles) or along the flat DA sequence
 yields normalized transition-frequency vectors, the classic grid features.
-The same window statistics, estimated with add-one smoothing over a training
-corpus, back a generative per-dialogue coherence score (mean log conditional
-probability of each symbol given its history).
 """
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -35,9 +31,9 @@ class TransitionConfig:
 
     def __post_init__(self):
         if self.k < 2:
-            raise ValueError("transition length k must be >= 2")
+            raise DataError("transition length k must be >= 2")
         if self.saliency < 1:
-            raise ValueError("saliency must be >= 1")
+            raise DataError("saliency must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -158,101 +154,3 @@ def joint_features(ev: TransitionVector, dv: TransitionVector) -> np.ndarray:
     if ev.k != dv.k:
         raise DataError(f"transition length mismatch: {ev.k} vs {dv.k}")
     return np.concatenate([ev.values, dv.values])
-
-
-# -- generative coherence scores --------------------------------------------
-
-
-@dataclass(frozen=True)
-class TransitionStats:
-    """Smoothed next-symbol conditionals given a length-(k-1) history.
-
-    table[h, s] = p(symbol s | history h), rows summing to 1; histories are
-    indexed lexicographically like transition windows.
-    """
-
-    k: int
-    n_symbols: int
-    table: np.ndarray  # (n_symbols**(k-1), n_symbols)
-
-
-def _count_conditionals(
-    columns: Iterable[np.ndarray], k: int, n_symbols: int, alpha: float
-) -> TransitionStats:
-    h = k - 1
-    counts = np.zeros((n_symbols**h, n_symbols), dtype=np.float64)
-    for codes in columns:
-        n = len(codes)
-        for t in range(n - h):
-            counts[_window_index(codes, t, h, n_symbols), codes[t + h]] += 1.0
-    if alpha <= 0:
-        raise DataError("smoothing alpha must be > 0 (no conditional may be zero)")
-    table = (counts + alpha) / (counts.sum(axis=1, keepdims=True) + alpha * n_symbols)
-    return TransitionStats(k=k, n_symbols=n_symbols, table=table)
-
-
-def estimate_entity_transitions(
-    corpus: Sequence[Dialogue], cfg: TransitionConfig, alpha: float = 1.0
-) -> TransitionStats:
-    """Estimate role conditionals from every kept grid column in the corpus."""
-
-    def columns():
-        for d in corpus:
-            yield from _kept_columns(build_grid(d), cfg.saliency)
-
-    return _count_conditionals(columns(), cfg.k, len(ROLE_SYMBOLS), alpha)
-
-
-def estimate_da_transitions(
-    corpus: Sequence[Dialogue], cfg: TransitionConfig, vocab: Vocab, alpha: float = 1.0
-) -> TransitionStats:
-    def sequences():
-        for d in corpus:
-            yield np.array([vocab.id(t) for t in da_sequence(d)], dtype=np.int64)
-
-    return _count_conditionals(sequences(), cfg.k, len(vocab), alpha)
-
-
-def _mean_log_conditional(columns: Iterable[np.ndarray], stats: TransitionStats) -> float:
-    h = stats.k - 1
-    total = 0.0
-    terms = 0
-    for codes in columns:
-        n = len(codes)
-        for t in range(n - h):
-            p = stats.table[_window_index(codes, t, h, stats.n_symbols), codes[t + h]]
-            total += math.log(p)
-            terms += 1
-    return total / terms if terms else 0.0
-
-
-def entity_coherence_score(d: Dialogue, cfg: TransitionConfig, stats: TransitionStats) -> float:
-    """Log-domain generative coherence of the entity grid: the mean log
-    conditional over all column windows (0 when no window exists)."""
-    if stats.n_symbols != len(ROLE_SYMBOLS) or stats.k != cfg.k:
-        raise DataError("stats do not match the entity-grid configuration")
-    return _mean_log_conditional(_kept_columns(build_grid(d), cfg.saliency), stats)
-
-
-def da_coherence_score(
-    d: Dialogue, cfg: TransitionConfig, stats: TransitionStats, vocab: Vocab
-) -> float:
-    """Log-domain generative coherence of the DA sequence (0 for sequences
-    shorter than k)."""
-    if stats.n_symbols != len(vocab) or stats.k != cfg.k:
-        raise DataError("stats do not match the DA configuration")
-    codes = np.array([vocab.id(t) for t in da_sequence(d)], dtype=np.int64)
-    return _mean_log_conditional([codes], stats)
-
-
-# -- export ------------------------------------------------------------------
-
-
-def features_to_tsv(rows: Sequence[tuple[str, np.ndarray]], labels: Sequence[str]) -> str:
-    """One dialogue per row, fixed column order, header naming each transition."""
-    lines = ["dialogue_id\t" + "\t".join(labels)]
-    for did, vec in rows:
-        if len(vec) != len(labels):
-            raise DataError(f"feature vector for {did!r} has {len(vec)} values, expected {len(labels)}")
-        lines.append(did + "\t" + "\t".join(repr(float(v)) for v in vec))
-    return "\n".join(lines) + "\n"

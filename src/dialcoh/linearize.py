@@ -150,7 +150,8 @@ def linearize(turns: Sequence[Turn], cfg: EncodingConfig) -> TokenStream:
     lengths = {len(c) for c in (words, roles, das, tags) if c}
     if not lengths:
         raise DataError("no positions emitted (turns without segments?)")
-    assert len(lengths) == 1, "channel lengths diverged"
+    if len(lengths) != 1:
+        raise DataError(f"channel lengths diverged: {sorted(lengths)}")
     (length,) = lengths
 
     def arr(xs: list[int]) -> np.ndarray | None:

@@ -17,7 +17,6 @@ from .neural import (
     forward_score,
     forward_scores,
     train_neural,
-    train_seeds,
 )
 from .ranking import RankedCandidate, rank_candidates
 
@@ -40,5 +39,4 @@ __all__ = [
     "summarize_runs",
     "train_linear_ranker",
     "train_neural",
-    "train_seeds",
 ]

@@ -18,11 +18,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
-from ..corpus import Vocabularies
+from ..corpus import Vocabularies, expect_object, typed_field
 from ..engine.autodiff import Tensor
 from ..errors import ChecksumError, DataError
 from .linear import LinearRanker, LinearRankerConfig
@@ -30,6 +32,7 @@ from .neural import NeuralConfig, NeuralScorer
 
 MAGIC = b"DLGCOH01"
 FORMAT_VERSION = 1
+_HEADER = "checkpoint header"
 
 
 def save_checkpoint(model, path) -> None:
@@ -72,8 +75,41 @@ def save_checkpoint(model, path) -> None:
         f.write(payload)
 
 
+def _read_arrays(entries: list, payload: bytes) -> dict[str, np.ndarray]:
+    arrays: dict[str, np.ndarray] = {}
+    for i, entry in enumerate(entries):
+        if not (
+            isinstance(entry, dict)
+            and isinstance(entry.get("name"), str)
+            and isinstance(entry.get("shape"), list)
+            and all(type(n) is int and n >= 0 for n in entry["shape"])
+            and all(type(entry.get(k)) is int for k in ("offset", "nbytes"))
+            and entry["nbytes"] == 4 * math.prod(entry["shape"])
+            and 0 <= entry["offset"] <= len(payload) - entry["nbytes"]
+        ):
+            raise DataError(f"{_HEADER}.arrays[{i}]: malformed entry")
+        lo = entry["offset"]
+        arrays[entry["name"]] = (
+            np.frombuffer(payload[lo : lo + entry["nbytes"]], dtype="<f4")
+            .reshape(entry["shape"])
+            .copy()
+        )
+    return arrays
+
+
+def _config(cls, obj: dict):
+    unknown = sorted(set(obj) - {f.name for f in fields(cls)})
+    if unknown:
+        raise DataError(f"{_HEADER}.config: unknown key {unknown[0]!r}")
+    try:
+        return cls.from_dict(obj)
+    except (KeyError, TypeError) as exc:
+        raise DataError(f"{_HEADER}.config: {exc!r}") from exc
+
+
 def load_checkpoint(path):
-    """Reconstruct the saved model; raises ChecksumError on corruption."""
+    """Reconstruct the saved model; raises ChecksumError on corruption and
+    DataError naming the field on a malformed header."""
     blob = Path(path).read_bytes()
     if len(blob) < 16 or blob[:8] != MAGIC:
         raise DataError(f"not a checkpoint file: {path}")
@@ -84,33 +120,28 @@ def load_checkpoint(path):
         header = json.loads(blob[16 : 16 + header_len].decode("utf-8"))
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise DataError(f"unreadable checkpoint header: {exc}") from exc
+    header = expect_object(header, _HEADER)
     if header.get("format_version") != FORMAT_VERSION:
         raise DataError(
             f"unsupported checkpoint format version {header.get('format_version')!r}"
         )
     payload = blob[16 + header_len :]
-    digest = hashlib.sha256(payload).hexdigest()
-    if digest != header["payload_sha256"]:
+    if hashlib.sha256(payload).hexdigest() != typed_field(header, "payload_sha256", str, _HEADER):
         raise ChecksumError(
             "checkpoint payload checksum mismatch (truncated or corrupt file)"
         )
-    arrays: dict[str, np.ndarray] = {}
-    for entry in header["arrays"]:
-        lo = entry["offset"]
-        hi = lo + entry["nbytes"]
-        arrays[entry["name"]] = (
-            np.frombuffer(payload[lo:hi], dtype="<f4").reshape(entry["shape"]).copy()
-        )
-    vocabularies = Vocabularies.from_dict(header["vocabularies"])
+    arrays = _read_arrays(typed_field(header, "arrays", list, _HEADER), payload)
+    vocabularies = Vocabularies.from_dict(typed_field(header, "vocabularies", dict, _HEADER))
     manifest = header.get("manifest", {})
-    if header["model_type"] == "neural":
-        config = NeuralConfig.from_dict(header["config"])
+    model_type = typed_field(header, "model_type", str, _HEADER)
+    config = typed_field(header, "config", dict, _HEADER)
+    if model_type == "neural":
         params = {name: Tensor(a, requires_grad=True) for name, a in arrays.items()}
-        model = NeuralScorer(config, vocabularies, params, manifest=manifest)
-        return model
-    if header["model_type"] == "linear":
-        config = LinearRankerConfig.from_dict(header["config"])
-        model = LinearRanker(config, vocabularies, arrays["weights"])
+        return NeuralScorer(_config(NeuralConfig, config), vocabularies, params, manifest=manifest)
+    if model_type == "linear":
+        if "weights" not in arrays:
+            raise DataError(f"{_HEADER}.arrays: no 'weights' array")
+        model = LinearRanker(_config(LinearRankerConfig, config), vocabularies, arrays["weights"])
         model.manifest = manifest
         return model
-    raise DataError(f"unknown model type {header['model_type']!r}")
+    raise DataError(f"unknown model type {model_type!r}")

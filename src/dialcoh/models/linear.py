@@ -25,7 +25,6 @@ from ..grid import (
     da_transition_features,
     entity_transition_features,
     joint_features,
-    transition_labels,
 )
 from ..swapgen import RankingInstance
 
@@ -45,6 +44,7 @@ class LinearRankerConfig:
     def __post_init__(self):
         if self.features not in FEATURE_SETS:
             raise DataError(f"unknown feature set {self.features!r}")
+        TransitionConfig(k=self.k, saliency=self.saliency)  # raises on k < 2, saliency < 1
 
     def to_dict(self) -> dict:
         return {
@@ -95,12 +95,6 @@ class LinearRanker:
 def feature_dim(config: LinearRankerConfig, vocabularies: Vocabularies) -> int:
     ent = len(ROLE_SYMBOLS) ** config.k
     da = len(vocabularies.da) ** config.k
-    return {"entity": ent, "da": da, "joint": ent + da}[config.features]
-
-
-def feature_names(config: LinearRankerConfig, vocabularies: Vocabularies) -> tuple[str, ...]:
-    ent = transition_labels(ROLE_SYMBOLS, config.k)
-    da = transition_labels(vocabularies.da.tokens, config.k, sep=">")
     return {"entity": ent, "da": da, "joint": ent + da}[config.features]
 
 

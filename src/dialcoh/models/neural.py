@@ -8,13 +8,14 @@ original/adversarial score pairs with Adam, early-stopping on development
 MRR.
 
 Scores depend only on a stream's own ids, so streams of equal length are
-evaluated together as one (batch, length) graph for speed; batch composition
-cannot leak between instances.
+evaluated together as one (batch, length) graph for speed (`_grouped_scores`,
+shared by evaluation and training); batch composition cannot leak between
+instances.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -203,6 +204,23 @@ def forward_score(
     return ad.reshape(forward_scores(ids, params, config), ())
 
 
+def _grouped_scores(
+    scorer: "NeuralScorer", streams: Sequence[TokenStream], sids: Sequence[int]
+) -> tuple[Tensor, list[int]]:
+    """Score streams[sids], one forward pass per stream length in ascending
+    order. Returns the score tensor and the stream ids in its order."""
+    groups: dict[int, list[int]] = {}
+    for sid in sids:
+        groups.setdefault(streams[sid].length, []).append(sid)
+    parts = []
+    order: list[int] = []
+    for _, group in sorted(groups.items()):
+        ids = _stack_streams([streams[s] for s in group], scorer.config.channels)
+        parts.append(forward_scores(ids, scorer.params, scorer.config))
+        order.extend(group)
+    return (parts[0] if len(parts) == 1 else ad.concat(parts, axis=0)), order
+
+
 def _stack_streams(
     streams: Sequence[TokenStream], channels: tuple[str, ...]
 ) -> dict[str, np.ndarray]:
@@ -241,14 +259,10 @@ class NeuralScorer:
     def score_streams(self, streams: Sequence[TokenStream]) -> np.ndarray:
         """Evaluation-mode scores; streams are grouped by length internally."""
         out = np.zeros(len(streams), dtype=np.float64)
-        groups: dict[int, list[int]] = {}
-        for i, s in enumerate(streams):
-            groups.setdefault(s.length, []).append(i)
-        with no_grad():
-            for _, idx in sorted(groups.items()):
-                ids = _stack_streams([streams[i] for i in idx], self.config.channels)
-                scores = forward_scores(ids, self.params, self.config)
-                out[idx] = scores.data
+        if streams:
+            with no_grad():
+                scores, order = _grouped_scores(self, streams, range(len(streams)))
+            out[order] = scores.data
         return out
 
     def score_stream(self, stream: TokenStream) -> float:
@@ -399,29 +413,11 @@ def _batch_step(
     state: AdamState,
 ) -> float:
     """One Adam step on a batch of (positive, negative) stream-index pairs."""
-    unique: list[int] = []
-    position: dict[int, int] = {}
-    for pair in chunk:
-        for sid in pair:
-            if sid not in position:
-                position[sid] = len(unique)
-                unique.append(sid)
-    groups: dict[int, list[int]] = {}
-    for sid in unique:
-        groups.setdefault(streams[sid].length, []).append(sid)
-
+    unique = list(dict.fromkeys(sid for pair in chunk for sid in pair))
     for t in scorer.params.values():
         t.zero_grad()
-
-    score_parts = []
-    slot: dict[int, int] = {}
-    for _, sids in sorted(groups.items()):
-        ids = _stack_streams([streams[s] for s in sids], scorer.config.channels)
-        part = forward_scores(ids, scorer.params, scorer.config)
-        for s in sids:
-            slot[s] = len(slot)
-        score_parts.append(part)
-    all_scores = score_parts[0] if len(score_parts) == 1 else ad.concat(score_parts, axis=0)
+    all_scores, order = _grouped_scores(scorer, streams, unique)
+    slot = {sid: i for i, sid in enumerate(order)}
     pos_idx = np.array([slot[p] for p, _ in chunk])
     neg_idx = np.array([slot[n] for _, n in chunk])
     loss = pairwise_hinge(
@@ -438,19 +434,3 @@ def _batch_step(
         scorer.config.lr,
     )
     return value
-
-
-def train_seeds(
-    train: Sequence[RankingInstance],
-    dev: Sequence[RankingInstance],
-    config: NeuralConfig,
-    vocabularies: Vocabularies,
-    seeds: Sequence[int],
-    pretrained_words: str | None = None,
-) -> list[tuple[NeuralScorer, TrainHistory]]:
-    """Train one model per seed (the multi-run averaging protocol)."""
-    runs = []
-    for seed in seeds:
-        cfg = replace(config, seed=seed)
-        runs.append(train_neural(train, dev, cfg, vocabularies, pretrained_words))
-    return runs

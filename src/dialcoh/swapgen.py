@@ -10,25 +10,43 @@ and per-point substreams of numpy's default PCG64 generator, and output order
 is canonical (dialogue id, then point index), so the dataset is a pure
 function of (dialogue set, seed).
 
-This module also loads graded turn-coherence test sets: JSONL instances whose
-candidates carry either raw per-worker ratings (integers 1..3, averaged on
-load) or a precomputed mean rating, plus a provenance label.
+Selection datasets, graded turn-coherence test sets and `rate` requests share
+one record schema, parsed by `parse_record`::
+
+    {"context": [turn, ...],
+     "candidates": [{"turn": turn,
+                     "provenance": "original"|"internal"|"external",
+                     "ratings": [int in 1..3, ...]?,
+                     "mean_rating": number in [1, 3]?}]}
+
+Turns use the corpus turn format and invariants. `ratings` and
+`mean_rating` are validated whenever present; per-worker ratings are averaged
+on load and take precedence over a mean_rating. A dataset record adds
+`dialogue_id`, `point_index` and `positive_position` (the one original
+candidate). A rated record may add an `id` and needs a rating on every
+candidate. In a `rate` request `provenance` is optional and defaults to
+external.
 """
 from __future__ import annotations
 
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .corpus import (
+    REQUIRED,
     CorpusFormatError,
     Dialogue,
     Turn,
-    dialogue_to_dict,
+    expect_object,
+    load_records,
     turn_from_dict,
+    turn_problems,
+    turn_to_dict,
+    typed_field,
 )
 from .errors import DataError, InsufficientPoolError
 
@@ -315,47 +333,123 @@ def build_selection_dataset(
     return instances, manifest
 
 
+# -- records ---------------------------------------------------------------------
+
+
+def _turn(obj, where: str) -> Turn:
+    turn = turn_from_dict(obj, where)
+    problems = turn_problems(turn, where)
+    if problems:
+        raise CorpusFormatError(problems[0])
+    return turn
+
+
+def _candidate(obj, where: str, default_provenance) -> Candidate:
+    obj = expect_object(obj, where)
+    turn = _turn(typed_field(obj, "turn", dict, where), f"{where}.turn")
+    provenance = typed_field(obj, "provenance", str, where, default_provenance)
+    if provenance not in PROVENANCES:
+        raise CorpusFormatError(f"{where}: unknown provenance {provenance!r}")
+    mean = typed_field(obj, "mean_rating", (int, float), where, None)
+    if mean is not None and not RATING_SCALE[0] <= mean <= RATING_SCALE[-1]:
+        raise CorpusFormatError(f"{where}.mean_rating: {mean} outside [1, 3]")
+    ratings = typed_field(obj, "ratings", list, where, None)
+    if ratings is not None:
+        if not ratings:
+            raise CorpusFormatError(f"{where}.ratings: expected nonempty list")
+        for r in ratings:
+            if isinstance(r, bool) or r not in RATING_SCALE:
+                raise CorpusFormatError(f"{where}.ratings: rating {r!r} outside {{1,2,3}}")
+        ratings = tuple(ratings)
+        mean = sum(ratings) / len(ratings)
+    return Candidate(turn, provenance, ratings, None if mean is None else float(mean))
+
+
+def parse_record(
+    obj, default_provenance=REQUIRED
+) -> tuple[tuple[Turn, ...], tuple[Candidate, ...]]:
+    """The type-checked context and candidates of one record (see the module
+    docstring); a candidate without a provenance takes default_provenance,
+    which by default is required."""
+    obj = expect_object(obj, "record")
+    context = tuple(
+        _turn(t, f"context[{i}]") for i, t in enumerate(typed_field(obj, "context", list, "record"))
+    )
+    candidates = tuple(
+        _candidate(c, f"candidates[{i}]", default_provenance)
+        for i, c in enumerate(typed_field(obj, "candidates", list, "record"))
+    )
+    return context, candidates
+
+
+def instance_from_dict(obj) -> RankingInstance:
+    context, candidates = parse_record(obj)
+    if not context:
+        raise CorpusFormatError("record.context: expected at least one turn")
+    position = typed_field(obj, "positive_position", int, "record")
+    if not 0 <= position < len(candidates):
+        raise CorpusFormatError(
+            f"record.positive_position: {position} outside the {len(candidates)} candidates"
+        )
+    n_orig = sum(1 for c in candidates if c.provenance == "original")
+    if n_orig != 1 or candidates[position].provenance != "original":
+        raise CorpusFormatError(
+            f"instance has {n_orig} original candidates; the positive must be the only one"
+        )
+    return RankingInstance(
+        dialogue_id=typed_field(obj, "dialogue_id", str, "record"),
+        point_index=typed_field(obj, "point_index", int, "record", 0),
+        context=context,
+        candidates=candidates,
+        positive_position=position,
+    )
+
+
+def rated_instance_from_dict(obj) -> RatedInstance:
+    context, candidates = parse_record(obj)
+    for i, c in enumerate(candidates):
+        if c.mean_rating is None:
+            raise CorpusFormatError(f"candidates[{i}]: needs either 'ratings' or 'mean_rating'")
+    return RatedInstance(context, candidates, instance_id=typed_field(obj, "id", str, "record", None))
+
+
+def load_instances(path) -> list[RankingInstance]:
+    return load_records(path, instance_from_dict, "dataset")
+
+
+def load_rated_testset(path, strict_swbd: bool = False) -> list[RatedInstance]:
+    """Load a graded turn-coherence test set.
+
+    With strict_swbd=True every instance must follow the 7-candidate format
+    (1 original, 3 internal, 3 external).
+    """
+
+    def parse(obj) -> RatedInstance:
+        inst = rated_instance_from_dict(obj)
+        if strict_swbd:
+            counts = {p: sum(1 for c in inst.candidates if c.provenance == p) for p in PROVENANCES}
+            if counts != {"original": 1, "internal": 3, "external": 3}:
+                raise CorpusFormatError(
+                    f"expected 7 candidates (1 original, 3 internal, 3 external), got {counts}"
+                )
+        return inst
+
+    return load_records(path, parse, "rated test set")
+
+
 # -- serialization -----------------------------------------------------------
-
-
-def _turn_dict(turn: Turn) -> dict:
-    return dialogue_to_dict(Dialogue(id="_", turns=(turn,)))["turns"][0]
 
 
 def instance_to_dict(inst: RankingInstance) -> dict:
     return {
         "dialogue_id": inst.dialogue_id,
         "point_index": inst.point_index,
-        "context": [_turn_dict(t) for t in inst.context],
+        "context": [turn_to_dict(t) for t in inst.context],
         "candidates": [
-            {"provenance": c.provenance, "turn": _turn_dict(c.turn)} for c in inst.candidates
+            {"provenance": c.provenance, "turn": turn_to_dict(c.turn)} for c in inst.candidates
         ],
         "positive_position": inst.positive_position,
     }
-
-
-def instance_from_dict(obj: dict) -> RankingInstance:
-    try:
-        context = tuple(
-            turn_from_dict(t, f"context[{i}]") for i, t in enumerate(obj["context"])
-        )
-        candidates = []
-        for i, c in enumerate(obj["candidates"]):
-            prov = c["provenance"]
-            if prov not in PROVENANCES:
-                raise CorpusFormatError(f"candidates[{i}]: unknown provenance {prov!r}")
-            candidates.append(
-                Candidate(turn=turn_from_dict(c["turn"], f"candidates[{i}].turn"), provenance=prov)
-            )
-        return RankingInstance(
-            dialogue_id=obj["dialogue_id"],
-            point_index=int(obj.get("point_index", 0)),
-            context=context,
-            candidates=tuple(candidates),
-            positive_position=int(obj["positive_position"]),
-        )
-    except KeyError as exc:
-        raise CorpusFormatError(f"instance record missing field {exc}") from exc
 
 
 def save_instances(instances: Sequence[RankingInstance], path) -> None:
@@ -365,117 +459,14 @@ def save_instances(instances: Sequence[RankingInstance], path) -> None:
             f.write("\n")
 
 
-def _iter_jsonl(path) -> Iterator[tuple[int, dict]]:
-    with open(path, encoding="utf-8") as f:
-        for line_no, line in enumerate(f, start=1):
-            stripped = line.strip()
-            if not stripped:
-                continue
-            try:
-                yield line_no, json.loads(stripped)
-            except json.JSONDecodeError as exc:
-                raise CorpusFormatError(f"invalid JSON ({exc.msg})", line=line_no) from exc
-
-
-def load_instances(path) -> list[RankingInstance]:
-    instances = []
-    for line_no, obj in _iter_jsonl(path):
-        try:
-            inst = instance_from_dict(obj)
-        except CorpusFormatError as exc:
-            raise CorpusFormatError(str(exc), line=line_no) from exc
-        n_orig = sum(1 for c in inst.candidates if c.provenance == "original")
-        if n_orig != 1:
-            raise CorpusFormatError(f"instance has {n_orig} original candidates", line=line_no)
-        instances.append(inst)
-    if not instances:
-        raise DataError(f"empty dataset: {path}")
-    return instances
-
-
-def rated_instance_from_dict(obj: dict) -> RatedInstance:
-    try:
-        context = tuple(
-            turn_from_dict(t, f"context[{i}]") for i, t in enumerate(obj["context"])
-        )
-        candidates = []
-        for i, c in enumerate(obj["candidates"]):
-            prov = c["provenance"]
-            if prov not in PROVENANCES:
-                raise CorpusFormatError(f"candidates[{i}]: unknown provenance {prov!r}")
-            turn = turn_from_dict(c["turn"], f"candidates[{i}].turn")
-            if "ratings" in c:
-                ratings = c["ratings"]
-                if not isinstance(ratings, list) or not ratings:
-                    raise CorpusFormatError(f"candidates[{i}].ratings: expected nonempty list")
-                for r in ratings:
-                    if r not in RATING_SCALE:
-                        raise CorpusFormatError(
-                            f"candidates[{i}].ratings: rating {r!r} outside {{1,2,3}}"
-                        )
-                mean = float(sum(ratings)) / len(ratings)
-                candidates.append(
-                    Candidate(turn=turn, provenance=prov, ratings=tuple(ratings), mean_rating=mean)
-                )
-            elif "mean_rating" in c:
-                mean = float(c["mean_rating"])
-                if not RATING_SCALE[0] <= mean <= RATING_SCALE[-1]:
-                    raise CorpusFormatError(
-                        f"candidates[{i}].mean_rating: {mean} outside [1, 3]"
-                    )
-                candidates.append(Candidate(turn=turn, provenance=prov, mean_rating=mean))
-            else:
-                raise CorpusFormatError(
-                    f"candidates[{i}]: needs either 'ratings' or 'mean_rating'"
-                )
-        return RatedInstance(
-            context=context,
-            candidates=tuple(candidates),
-            instance_id=obj.get("id"),
-        )
-    except KeyError as exc:
-        raise CorpusFormatError(f"rated record missing field {exc}") from exc
-
-
-def load_rated_testset(path, strict_swbd: bool = False) -> list[RatedInstance]:
-    """Load a graded turn-coherence test set.
-
-    With strict_swbd=True every instance must follow the 7-candidate format
-    (1 original, 3 internal, 3 external).
-    """
-    instances = []
-    for line_no, obj in _iter_jsonl(path):
-        try:
-            inst = rated_instance_from_dict(obj)
-        except CorpusFormatError as exc:
-            raise CorpusFormatError(str(exc), line=line_no) from exc
-        if strict_swbd:
-            counts = {p: 0 for p in PROVENANCES}
-            for c in inst.candidates:
-                counts[c.provenance] += 1
-            if len(inst.candidates) != 7 or counts != {
-                "original": 1,
-                "internal": 3,
-                "external": 3,
-            }:
-                raise CorpusFormatError(
-                    f"expected 7 candidates (1 original, 3 internal, 3 external), got {counts}",
-                    line=line_no,
-                )
-        instances.append(inst)
-    if not instances:
-        raise DataError(f"empty rated test set: {path}")
-    return instances
-
-
 def rated_instance_to_dict(inst: RatedInstance) -> dict:
     obj: dict = {}
     if inst.instance_id is not None:
         obj["id"] = inst.instance_id
-    obj["context"] = [_turn_dict(t) for t in inst.context]
+    obj["context"] = [turn_to_dict(t) for t in inst.context]
     cands = []
     for c in inst.candidates:
-        rec: dict = {"provenance": c.provenance, "turn": _turn_dict(c.turn)}
+        rec: dict = {"provenance": c.provenance, "turn": turn_to_dict(c.turn)}
         if c.ratings is not None:
             rec["ratings"] = list(c.ratings)
         else:

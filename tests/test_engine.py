@@ -4,12 +4,10 @@ import pytest
 from dialcoh.engine import (
     AdamState,
     GruCellParams,
-    MarginLossInputs,
     Tensor,
     adam_step,
     grad_check,
     gru_cell_step,
-    margin_ranking_loss,
     no_grad,
     pairwise_hinge,
 )
@@ -62,23 +60,31 @@ class TestGruCell:
             gru_cell_step(Tensor(np.zeros(5)), Tensor(np.zeros(4)), p)
 
 
+def hinge(pos, neg, margin=0.5) -> np.ndarray:
+    """Per-pair pairwise_hinge values: a batch of one pair at a time."""
+    return np.array([
+        pairwise_hinge(Tensor(np.array([p])), Tensor(np.array([n])), margin).item()
+        for p, n in zip(np.atleast_1d(pos), np.atleast_1d(neg))
+    ])
+
+
 class TestMarginLoss:
+    """pairwise_hinge on one-element score vectors is max(0, margin - (pos - neg))."""
+
     def test_satisfied_margin(self):
-        assert margin_ranking_loss(MarginLossInputs(x1=1.0, x2=0.0)) == 0.0
+        assert hinge(1.0, 0.0) == 0.0
 
     def test_tie_returns_margin(self):
-        assert margin_ranking_loss(MarginLossInputs(x1=0.5, x2=0.5)) == 0.5
+        assert hinge(0.5, 0.5) == 0.5
 
     def test_violated(self):
-        assert margin_ranking_loss(MarginLossInputs(x1=0.2, x2=0.4)) == pytest.approx(0.7)
+        assert hinge(0.2, 0.4) == pytest.approx(0.7)
 
     def test_nonnegative_and_zero_iff_margin_met(self):
-        rng = np.random.default_rng(0)
-        for _ in range(200):
-            x1, x2 = rng.normal(size=2)
-            loss = margin_ranking_loss(MarginLossInputs(x1=x1, x2=x2))
-            assert loss >= 0.0
-            assert (loss == 0.0) == (x1 - x2 >= 0.5)
+        pos, neg = np.random.default_rng(0).normal(size=(2, 200))
+        loss = hinge(pos, neg)
+        assert (loss >= 0.0).all()
+        np.testing.assert_array_equal(loss == 0.0, pos - neg >= 0.5)
 
 
 class TestAdam:

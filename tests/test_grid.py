@@ -1,5 +1,4 @@
 import itertools
-import math
 
 import numpy as np
 import pytest
@@ -13,14 +12,9 @@ from dialcoh.grid import (
     EntityGrid,
     TransitionConfig,
     build_grid,
-    da_coherence_score,
     da_sequence,
     da_transition_features,
-    entity_coherence_score,
     entity_transition_features,
-    estimate_da_transitions,
-    estimate_entity_transitions,
-    features_to_tsv,
     joint_features,
     transition_labels,
 )
@@ -210,102 +204,3 @@ class TestJointFeatures:
         dv = da_transition_features(["sd", "qy"], TransitionConfig(k=3), Vocab(("qy", "sd")))
         with pytest.raises(DataError):
             joint_features(ev, dv)
-
-
-class TestGenerativeScores:
-    def test_uniform_conditionals_give_log_p(self):
-        # With every conditional equal, the mean log conditional is log p
-        # regardless of column count or length.
-        corpus = [
-            Dialogue(
-                id="train",
-                turns=(turn("A", seg("sd", [("movie", "S")])), turn("B", seg("sd"))),
-            )
-        ]
-        cfg = TransitionConfig(k=2)
-        stats = estimate_entity_transitions(corpus, cfg, alpha=1e9)  # huge alpha -> uniform
-        d = Dialogue(
-            id="test",
-            turns=(
-                turn("A", seg("sd", [("movie", "S")])),
-                turn("B", seg("sd", [("movie", "O")])),
-                turn("A", seg("sd")),
-            ),
-        )
-        assert entity_coherence_score(d, cfg, stats) == pytest.approx(math.log(0.25), rel=1e-6)
-
-    def test_single_da_sequence_scores_zero(self, corpus):
-        cfg = TransitionConfig(k=2)
-        vocab = Vocab(("b", "qy", "sd"))
-        stats = estimate_da_transitions(corpus, cfg, vocab)
-        d = Dialogue(id="one", turns=(turn("A", seg("sd")),))
-        assert da_coherence_score(d, cfg, stats, vocab) == 0.0
-
-    def test_empty_grid_scores_zero(self, corpus):
-        cfg = TransitionConfig(k=2)
-        stats = estimate_entity_transitions(corpus, cfg)
-        d = Dialogue(id="none", turns=(turn("A", seg("sd")), turn("B", seg("qy"))))
-        assert entity_coherence_score(d, cfg, stats) == 0.0
-
-    def test_matches_direct_product_evaluation(self):
-        """Oracle: evaluate the per-column product of conditionals directly,
-        then take log and divide by the number of factors."""
-        train = [
-            Dialogue(
-                id="t0",
-                turns=(
-                    turn("A", seg("sd", [("movie", "O"), ("plot", "X")])),
-                    turn("B", seg("qy", [("movie", "S")])),
-                    turn("A", seg("sd", [("plot", "S")])),
-                ),
-            )
-        ]
-        cfg = TransitionConfig(k=2)
-        stats = estimate_entity_transitions(train, cfg, alpha=1.0)
-        d = Dialogue(
-            id="probe",
-            turns=(
-                turn("A", seg("sd", [("movie", "S"), ("plot", "O")])),
-                turn("B", seg("b")),
-                turn("A", seg("sd", [("movie", "X")])),
-            ),
-        )
-        code = {r: i for i, r in enumerate(ROLE_SYMBOLS)}
-        columns = [["S", "-", "X"], ["O", "-", "-"]]  # movie, plot (appearance order)
-        product = 1.0
-        factors = 0
-        for col in columns:
-            for t in range(1, len(col)):
-                product *= stats.table[code[col[t - 1]], code[col[t]]]
-                factors += 1
-        expected = math.log(product) / factors
-        assert entity_coherence_score(d, cfg, stats) == pytest.approx(expected, rel=1e-12)
-
-    def test_da_score_matches_direct_product(self, corpus):
-        cfg = TransitionConfig(k=2)
-        vocab = Vocab(("b", "qy", "sd"))
-        stats = estimate_da_transitions(corpus, cfg, vocab)
-        d = corpus[0]
-        seq = [vocab.id(t) for t in da_sequence(d)]
-        product = 1.0
-        for i in range(1, len(seq)):
-            product *= stats.table[seq[i - 1], seq[i]]
-        expected = math.log(product) / (len(seq) - 1)
-        assert da_coherence_score(d, cfg, stats, vocab) == pytest.approx(expected, rel=1e-12)
-
-    def test_smoothed_table_is_a_distribution(self, corpus):
-        cfg = TransitionConfig(k=2)
-        stats = estimate_entity_transitions(corpus, cfg)
-        assert (stats.table > 0).all()
-        np.testing.assert_allclose(stats.table.sum(axis=1), 1.0)
-
-
-class TestExport:
-    def test_tsv_shape(self):
-        labels = transition_labels(ROLE_SYMBOLS, 2)
-        vec = np.zeros(16)
-        text = features_to_tsv([("d1", vec)], labels)
-        lines = text.strip().split("\n")
-        assert lines[0].startswith("dialogue_id\tSS\tSO")
-        assert len(lines) == 2
-        assert len(lines[1].split("\t")) == 17

@@ -1,0 +1,132 @@
+"""Malformed dataset records, `rate` payloads and checkpoint headers reach the
+user through `cli.main` as data errors (exit 2), never as tracebacks."""
+import json
+
+import numpy as np
+import pytest
+
+from dialcoh.cli import main
+from dialcoh.corpus import derive_vocabularies
+from dialcoh.models import LinearRanker, LinearRankerConfig, save_checkpoint
+from dialcoh.models.checkpoint import MAGIC
+from dialcoh.models.linear import feature_dim
+from dialcoh.swapgen import build_selection_dataset, instance_to_dict
+
+from conftest import synthetic_corpus
+
+
+@pytest.fixture(scope="module")
+def setup(tmp_path_factory):
+    """A linear checkpoint and one valid dataset record."""
+    root = tmp_path_factory.mktemp("malformed")
+    corpus = synthetic_corpus(4, 10, seed=3)
+    vocabs = derive_vocabularies(corpus)
+    config = LinearRankerConfig()
+    ranker = LinearRanker(config, vocabs, np.linspace(-1, 1, feature_dim(config, vocabs)))
+    save_checkpoint(ranker, root / "model.ckpt")
+    instances, _ = build_selection_dataset(corpus, points_per_dialogue=1, n_neg=3, seed=0)
+    return root, instance_to_dict(instances[0])
+
+
+def run(*argv):
+    return main([str(a) for a in argv])
+
+
+def _candidate(rec, **changes):
+    return {**rec, "candidates": [{**rec["candidates"][0], **changes}, *rec["candidates"][1:]]}
+
+
+DATASET_CASES = {
+    "not_an_object": lambda rec: [1],
+    "string_candidate": lambda rec: {**rec, "candidates": ["turn", *rec["candidates"][1:]]},
+    "position_string": lambda rec: {**rec, "positive_position": "x"},
+    "position_past_end": lambda rec: {**rec, "positive_position": 99},
+    "position_negative": lambda rec: {**rec, "positive_position": -1},
+    "dialogue_id_number": lambda rec: {**rec, "dialogue_id": 7},
+    "empty_context": lambda rec: {**rec, "context": []},
+    "positive_not_original": lambda rec: {
+        **rec, "positive_position": (rec["positive_position"] + 1) % len(rec["candidates"])},
+    "invalid_role": lambda rec: {**rec, "context": [
+        {"speaker": "A", "segments": [{"da": "sd", "entities": [{"head": "x", "role": "Q"}]}]}]},
+}
+
+RATE_CASES = {
+    "json_list": lambda rec: [rec["context"], rec["candidates"]],
+    "context_number": lambda rec: {**rec, "context": 3},
+    "string_candidate": lambda rec: {**rec, "candidates": ["turn", *rec["candidates"][1:]]},
+    "rating_outside_scale": lambda rec: _candidate(rec, ratings=[7]),
+    "unknown_provenance": lambda rec: _candidate(rec, provenance="bogus"),
+}
+
+CASES = [("dataset", name, make) for name, make in DATASET_CASES.items()] + [
+    ("rate", name, make) for name, make in RATE_CASES.items()
+]
+
+
+@pytest.mark.parametrize("kind,name,make", CASES, ids=[f"{k}-{n}" for k, n, _ in CASES])
+def test_malformed_record_is_a_data_error(setup, tmp_path, capsys, kind, name, make):
+    root, record = setup
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(make(record)) + "\n", encoding="utf-8")
+    if kind == "dataset":
+        code = run("eval-selection", "--checkpoint", root / "model.ckpt", "--data", path)
+    else:
+        code = run("rate", "--checkpoint", root / "model.ckpt", "--input", path)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error:")
+    if kind == "dataset":
+        assert "line 1" in err
+
+
+def test_valid_inputs_pass(setup, tmp_path):
+    root, record = setup
+    data = tmp_path / "data.jsonl"
+    data.write_text(json.dumps(record) + "\n", encoding="utf-8")
+    assert run("eval-selection", "--checkpoint", root / "model.ckpt", "--data", data) == 0
+    bare = {"context": record["context"],
+            "candidates": [{"turn": c["turn"]} for c in record["candidates"]]}
+    request = tmp_path / "request.json"
+    request.write_text(json.dumps(bare), encoding="utf-8")
+    assert run("rate", "--checkpoint", root / "model.ckpt", "--input", request) == 0
+
+
+def _entry(header, **changes):
+    return {**header, "arrays": [{**header["arrays"][0], **changes}]}
+
+
+def _without(key):
+    return lambda h: {k: v for k, v in h.items() if k != key}
+
+
+HEADER_CASES = {
+    "not_an_object": (lambda h: [h], "header"),
+    "no_payload_sha256": (_without("payload_sha256"), "payload_sha256"),
+    "no_arrays": (_without("arrays"), "arrays"),
+    "no_model_type": (_without("model_type"), "model_type"),
+    "no_config": (_without("config"), "config"),
+    "array_entry_not_object": (lambda h: {**h, "arrays": ["weights"]}, "arrays"),
+    "array_shape_not_ints": (lambda h: _entry(h, shape=["x"]), "arrays"),
+    "array_nbytes_mismatch": (lambda h: _entry(h, nbytes=4), "arrays"),
+    "array_offset_past_payload": (lambda h: _entry(h, offset=10**9), "arrays"),
+    "unknown_config_key": (lambda h: {**h, "config": {**h["config"], "bogus": 1}}, "bogus"),
+    "config_k_below_2": (lambda h: {**h, "config": {**h["config"], "k": 1}}, "k must be"),
+    "vocabulary_not_a_list": (
+        lambda h: {**h, "vocabularies": {**h["vocabularies"], "words": 3}}, "words"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HEADER_CASES))
+def test_malformed_checkpoint_header_is_a_data_error(setup, tmp_path, capsys, name):
+    root, record = setup
+    mutate, field = HEADER_CASES[name]
+    blob = (root / "model.ckpt").read_bytes()
+    n = int.from_bytes(blob[8:16], "little")
+    header = json.dumps(mutate(json.loads(blob[16 : 16 + n]))).encode("utf-8")
+    ckpt = tmp_path / "bad.ckpt"
+    ckpt.write_bytes(MAGIC + len(header).to_bytes(8, "little") + header + blob[16 + n :])
+    request = tmp_path / "request.json"
+    request.write_text(json.dumps(record), encoding="utf-8")
+    assert run("rate", "--checkpoint", ckpt, "--input", request) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and field in err
