@@ -2,9 +2,10 @@
 
 Covers exactly the operations the coherence scorers need: elementwise
 arithmetic, matrix products, gate nonlinearities, embedding lookup, gather,
-concatenation, and mean reduction. Tensors wrap a numpy array; operations on
-tensors that require gradients record their parents, and backward() on a
-scalar accumulates gradients into every reachable leaf.
+concatenation, and mean reductions. Tensors wrap a numpy array; operations
+on tensors that require gradients record their parents, and backward() on a
+scalar accumulates gradients into every reachable leaf. A GRU layer is one
+such node with a hand-written backward pass (`engine/rnn.py`).
 
 Works at any float precision: training runs in float32, gradient checking in
 float64. The same code paths handle single vectors and (batch, dim) matrices;
@@ -61,6 +62,14 @@ class Tensor:
     def backward(self):
         if self.data.size != 1:
             raise NumericError("backward() requires a scalar output")
+        topo = self.graph()
+        self.grad = np.ones_like(self.data)
+        for node in reversed(topo):
+            if node._bwd is not None and node.grad is not None:
+                node._bwd(node.grad)
+
+    def graph(self) -> list["Tensor"]:
+        """Every node backward() visits, in topological order (parents first)."""
         topo: list[Tensor] = []
         seen: set[int] = set()
         stack: list[tuple[Tensor, bool]] = [(self, False)]
@@ -76,10 +85,7 @@ class Tensor:
             for p in node._parents:
                 if p.requires_grad and id(p) not in seen:
                     stack.append((p, False))
-        self.grad = np.ones_like(self.data)
-        for node in reversed(topo):
-            if node._bwd is not None and node.grad is not None:
-                node._bwd(node.grad)
+        return topo
 
     # operator sugar; numbers are treated as constants (no graph node for them)
     def __add__(self, other):
@@ -131,8 +137,14 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     return g
 
 
+def recording(parents) -> bool:
+    """Whether an op over these parents joins the graph (so must keep what
+    its backward pass needs)."""
+    return _GRAD_ENABLED and any(p.requires_grad for p in parents)
+
+
 def _node(data: np.ndarray, parents: tuple, bwd) -> Tensor:
-    if _GRAD_ENABLED and any(p.requires_grad for p in parents):
+    if recording(parents):
         out = Tensor(data, requires_grad=True)
         out._parents = parents
         out._bwd = bwd
@@ -185,13 +197,18 @@ def mul_const(a: Tensor, c) -> Tensor:
     return _node(a.data * c, (a,), lambda g: _accumulate(a, g * c))
 
 
-def sigmoid(x: Tensor) -> Tensor:
-    d = x.data
-    out_data = np.empty_like(d)
+def logistic(d: np.ndarray) -> np.ndarray:
+    """Overflow-free 1 / (1 + exp(-d)); the one sigmoid formula of the engine."""
+    out = np.empty_like(d)
     pos = d >= 0
-    out_data[pos] = 1.0 / (1.0 + np.exp(-d[pos]))
+    out[pos] = 1.0 / (1.0 + np.exp(-d[pos]))
     ex = np.exp(d[~pos])
-    out_data[~pos] = ex / (1.0 + ex)
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def sigmoid(x: Tensor) -> Tensor:
+    out_data = logistic(x.data)
 
     def bwd(g):
         _accumulate(x, g * out_data * (1.0 - out_data))
@@ -270,21 +287,16 @@ def concat(tensors, axis: int = -1) -> Tensor:
     return _node(out_data, tensors, bwd)
 
 
-def average(tensors) -> Tensor:
-    """Elementwise mean of same-shaped tensors (mean pooling over positions)."""
-    tensors = tuple(tensors)
-    k = len(tensors)
-    out_data = tensors[0].data.copy()
-    for t in tensors[1:]:
-        out_data += t.data
+def mean(x: Tensor, axis: int) -> Tensor:
+    """Mean over one axis (mean pooling of (batch, time, dim) over time)."""
+    k = x.data.shape[axis]
+    out_data = x.data.sum(axis=axis)
     out_data /= k
 
     def bwd(g):
-        share = g / k
-        for t in tensors:
-            _accumulate(t, share)
+        _accumulate(x, np.expand_dims(g / k, axis))
 
-    return _node(out_data, tensors, bwd)
+    return _node(out_data, (x,), bwd)
 
 
 def reduce_mean(x: Tensor) -> Tensor:

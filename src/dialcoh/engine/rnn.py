@@ -1,4 +1,4 @@
-"""Gated recurrent unit cell and sequence runner.
+"""Gated recurrent unit: the single-step cell and the fused layer.
 
 Standard reset-before-candidate formulation:
 
@@ -7,15 +7,24 @@ Standard reset-before-candidate formulation:
     c = tanh(W_h x + U_h (r * h) + b_h)
     h' = (1 - z) * h + z * c
 
-Weight matrices are stored (hidden, input) and (hidden, hidden). The cell is
-shape-agnostic: x may be a single (input,) vector or a (batch, input) matrix.
+Weight matrices are stored (hidden, input) and (hidden, hidden), one tensor
+per gate. `gru_cell_step` builds one step from autodiff ops; it is shape-
+agnostic (x may be (input,) or (batch, input)) and serves as the reference
+that the fused layer is tested against.
+
+`run_gru` runs a whole layer in one direction as ONE graph node, after
+Appleyard, Kocisky & Blunsom 2016 (arXiv:1604.01946): x is (batch, time,
+input) and the result (batch, time, hidden). The input projection of every
+timestep is one product against the three W stacked at call time; each step
+then does one h @ [U_r; U_z]^T and one (r * h) @ U_h^T. The backward pass is
+hand-written BPTT: a reverse walk over time fills the (batch, time, 3 hidden)
+pre-activation gradients, from which dx, dW, dU and db are a few products
+over the flattened (batch * time) rows.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
-
 import numpy as np
 
 from . import autodiff as ad
@@ -103,21 +112,70 @@ def gru_cell_step(x: Tensor, h_prev: Tensor, p: GruCellParams) -> Tensor:
     return (1.0 - z) * h_prev + z * c
 
 
-def run_gru(
-    xs: Sequence[Tensor], p: GruCellParams, reverse: bool = False
-) -> list[Tensor]:
-    """Run the cell over a position sequence from a zero initial state.
+def run_gru(x: Tensor, p: GruCellParams, reverse: bool = False) -> Tensor:
+    """Run the cell over every position of a (batch, time, input) tensor from
+    a zero initial state; returns the (batch, time, hidden) states aligned
+    with input positions. reverse=True scans right to left (the backward
+    direction of a biGRU)."""
+    if x.data.ndim != 3 or x.shape[2] != p.input_size:
+        raise ValueError(f"input shape {x.shape} is not (batch, time, {p.input_size})")
+    batch, steps, _ = x.shape
+    hid = p.hidden_size
+    parents = (x, *vars(p).values())
+    keep = ad.recording(parents)
+    xw = x.data.reshape(batch * steps, -1) @ _stacked(p, "w", GATES).T
+    xw = xw.reshape(batch, steps, 3 * hid)
+    u_rz = _stacked(p, "u", GATES[:2])
+    out = np.empty((batch, steps, hid), dtype=x.data.dtype)
+    if keep:
+        r_all, z_all, c_all, h_prev_all = (np.empty_like(out) for _ in range(4))
+    h = np.zeros((batch, hid), dtype=x.data.dtype)
+    for t in _order(steps, reverse):
+        hu = h @ u_rz.T
+        r = ad.logistic(xw[:, t, :hid] + hu[:, :hid] + p.b_r.data)
+        z = ad.logistic(xw[:, t, hid : 2 * hid] + hu[:, hid:] + p.b_z.data)
+        c = np.tanh(xw[:, t, 2 * hid :] + (r * h) @ p.u_h.data.T + p.b_h.data)
+        if keep:
+            r_all[:, t], z_all[:, t], c_all[:, t], h_prev_all[:, t] = r, z, c, h
+        h = (1.0 - z) * h + z * c
+        out[:, t] = h
+    if not keep:
+        return Tensor(out)
 
-    Outputs are returned aligned with input positions; reverse=True scans the
-    sequence right to left (the backward direction of a biGRU).
-    """
-    if not xs:
-        return []
-    lead = xs[0].data.shape[:-1]
-    h = Tensor(np.zeros(lead + (p.hidden_size,), dtype=xs[0].data.dtype))
-    order = range(len(xs) - 1, -1, -1) if reverse else range(len(xs))
-    out: list[Tensor | None] = [None] * len(xs)
-    for t in order:
-        h = gru_cell_step(xs[t], h, p)
-        out[t] = h
-    return out  # type: ignore[return-value]
+    def bwd(g):
+        # Stacked here, not captured: the copies live only during backward.
+        w = _stacked(p, "w", GATES)
+        u_rz = _stacked(p, "u", GATES[:2])
+        da = np.empty((batch, steps, 3 * hid), dtype=g.dtype)
+        dh = np.zeros((batch, hid), dtype=g.dtype)
+        for t in _order(steps, not reverse):
+            r, z, c, h_prev = r_all[:, t], z_all[:, t], c_all[:, t], h_prev_all[:, t]
+            dh = dh + g[:, t]
+            da_c = dh * z * (1.0 - c * c)
+            d_rh = da_c @ p.u_h.data
+            da[:, t, :hid] = d_rh * h_prev * r * (1.0 - r)
+            da[:, t, hid : 2 * hid] = dh * (c - h_prev) * z * (1.0 - z)
+            da[:, t, 2 * hid :] = da_c
+            dh = dh * (1.0 - z) + d_rh * r + da[:, t, : 2 * hid] @ u_rz
+        rows = da.reshape(batch * steps, 3 * hid)
+        if x.requires_grad:
+            ad._accumulate(x, (rows @ w).reshape(x.shape))
+        dw = rows.T @ x.data.reshape(batch * steps, -1)
+        du_rz = rows[:, : 2 * hid].T @ h_prev_all.reshape(batch * steps, hid)
+        du_h = rows[:, 2 * hid :].T @ (r_all * h_prev_all).reshape(batch * steps, hid)
+        db = rows.sum(axis=0)
+        split = {"w": np.split(dw, 3), "u": [*np.split(du_rz, 2), du_h], "b": np.split(db, 3)}
+        for i, gate in enumerate(GATES):
+            for kind in "wub":
+                ad._accumulate(getattr(p, f"{kind}_{gate}"), split[kind][i])
+
+    return ad._node(out, parents, bwd)
+
+
+def _stacked(p: GruCellParams, kind: str, gates: tuple[str, ...]) -> np.ndarray:
+    """The matrices of one kind ("w" or "u") of the given gates, stacked by row."""
+    return np.concatenate([getattr(p, f"{kind}_{gate}").data for gate in gates])
+
+
+def _order(steps: int, reverse: bool) -> range:
+    return range(steps - 1, -1, -1) if reverse else range(steps)

@@ -1,9 +1,12 @@
 """Bidirectional-GRU coherence scorer and its response-selection trainer.
 
-Per-position channel embeddings are concatenated, passed through stacked
-bidirectional GRU layers (forward and backward states concatenated per
-layer), mean-pooled over positions, and mapped to a scalar score by a
-one-hidden-layer ReLU head. Training minimizes the margin-ranking loss over
+Per-position channel embeddings are looked up for a whole (batch, length)
+block of ids and concatenated into one (batch, length, input) tensor, passed
+through stacked bidirectional GRU layers (forward and backward states
+concatenated per layer), mean-pooled over positions, and mapped to a scalar
+score by a one-hidden-layer ReLU head. Each GRU layer and direction is one
+graph node with hand-written backpropagation through time (`run_gru`), so a
+forward pass builds the same small graph whatever the stream length. Training minimizes the margin-ranking loss over
 original/adversarial score pairs with Adam, early-stopping on development
 MRR.
 
@@ -25,7 +28,7 @@ from ..engine import autodiff as ad
 from ..engine.autodiff import Tensor, no_grad
 from ..engine.losses import pairwise_hinge
 from ..engine.optim import AdamState, adam_step
-from ..engine.rnn import GruCellParams, run_gru
+from ..engine.rnn import GATES, GruCellParams, run_gru
 from ..errors import DataError, NumericError
 from ..linearize import CHANNELS, EncodingConfig, TokenStream, encode_pairwise_inputs
 from ..metrics import ranked_relevance, reciprocal_rank
@@ -111,38 +114,49 @@ def _channel_dims(config: NeuralConfig, enc: EncodingConfig) -> dict[str, tuple[
     return dims
 
 
+def param_shapes(config: NeuralConfig, vocabularies: Vocabularies) -> dict[str, tuple[int, ...]]:
+    """Name and shape of every parameter the config needs, in the order
+    init_params draws them: embeddings, GRU layers, head."""
+    dims = _channel_dims(config, encoding_for(config, vocabularies))
+    shapes: dict[str, tuple[int, ...]] = {f"emb_{ch}": dims[ch] for ch in config.channels}
+    input_dim = sum(dim for _, dim in dims.values())
+    hid = config.gru_hidden
+    for layer in range(config.gru_layers):
+        for direction in ("f", "b"):
+            for gate in GATES:
+                prefix = f"gru{layer}{direction}"
+                shapes[f"{prefix}.w_{gate}"] = (hid, input_dim)
+                shapes[f"{prefix}.u_{gate}"] = (hid, hid)
+                shapes[f"{prefix}.b_{gate}"] = (hid,)
+        input_dim = 2 * hid
+    shapes["head.w1"] = (config.head_hidden, 2 * hid)
+    shapes["head.b1"] = (config.head_hidden,)
+    shapes["head.w2"] = (1, config.head_hidden)
+    shapes["head.b2"] = (1,)
+    return shapes
+
+
 def init_params(
     config: NeuralConfig, vocabularies: Vocabularies, dtype=np.float32
 ) -> dict[str, Tensor]:
     """Seeded parameter initialization: embeddings uniform in [-0.1, 0.1],
-    GRU and head weights uniform in [-1/sqrt(fan), 1/sqrt(fan)], zero biases.
-    Draw order is fixed (embeddings, layers, head) for reproducibility."""
-    enc = encoding_for(config, vocabularies)
+    GRU weights uniform in [-1/sqrt(hidden), 1/sqrt(hidden)], head weights
+    uniform in [-1/sqrt(fan_in), 1/sqrt(fan_in)], zero biases. Draw order is
+    that of param_shapes, for reproducibility."""
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0]))
     params: dict[str, Tensor] = {}
-    dims = _channel_dims(config, enc)
-    for ch in config.channels:
-        size, dim = dims[ch]
-        params[f"emb_{ch}"] = Tensor(
-            rng.uniform(-0.1, 0.1, (size, dim)).astype(dtype), requires_grad=True
-        )
-    input_dim = sum(dim for _, dim in dims.values())
-    for layer in range(config.gru_layers):
-        for direction in ("f", "b"):
-            cell = GruCellParams.init(input_dim, config.gru_hidden, rng, dtype=dtype)
-            params.update(cell.named(f"gru{layer}{direction}"))
-        input_dim = 2 * config.gru_hidden
-    pooled = 2 * config.gru_hidden
-    b1 = 1.0 / math.sqrt(pooled)
-    params["head.w1"] = Tensor(
-        rng.uniform(-b1, b1, (config.head_hidden, pooled)).astype(dtype), requires_grad=True
-    )
-    params["head.b1"] = Tensor(np.zeros(config.head_hidden, dtype=dtype), requires_grad=True)
-    b2 = 1.0 / math.sqrt(config.head_hidden)
-    params["head.w2"] = Tensor(
-        rng.uniform(-b2, b2, (1, config.head_hidden)).astype(dtype), requires_grad=True
-    )
-    params["head.b2"] = Tensor(np.zeros(1, dtype=dtype), requires_grad=True)
+    for name, shape in param_shapes(config, vocabularies).items():
+        if len(shape) == 1:
+            data = np.zeros(shape, dtype=dtype)
+        else:
+            if name.startswith("emb_"):
+                bound = 0.1
+            elif name.startswith("gru"):
+                bound = 1.0 / math.sqrt(config.gru_hidden)
+            else:
+                bound = 1.0 / math.sqrt(shape[1])
+            data = rng.uniform(-bound, bound, shape).astype(dtype)
+        params[name] = Tensor(data, requires_grad=True)
     return params
 
 
@@ -176,21 +190,13 @@ def forward_scores(
     """Score a batch of same-length streams; ids are (batch, length) arrays
     per channel. Returns a (batch,) score tensor."""
     first = next(iter(ids_by_channel.values()))
-    length = first.shape[1]
-    xs = []
-    for t in range(length):
-        parts = [
-            ad.take_rows(params[f"emb_{ch}"], ids_by_channel[ch][:, t])
-            for ch in config.channels
-        ]
-        xs.append(parts[0] if len(parts) == 1 else ad.concat(parts, axis=-1))
+    parts = [ad.take_rows(params[f"emb_{ch}"], ids_by_channel[ch]) for ch in config.channels]
+    x = parts[0] if len(parts) == 1 else ad.concat(parts, axis=-1)
     for layer in range(config.gru_layers):
-        fwd_cell = GruCellParams.from_named(f"gru{layer}f", params)
-        bwd_cell = GruCellParams.from_named(f"gru{layer}b", params)
-        fwd = run_gru(xs, fwd_cell)
-        bwd = run_gru(xs, bwd_cell, reverse=True)
-        xs = [ad.concat([f, b], axis=-1) for f, b in zip(fwd, bwd)]
-    pooled = xs[0] if len(xs) == 1 else ad.average(xs)
+        fwd = run_gru(x, GruCellParams.from_named(f"gru{layer}f", params))
+        bwd = run_gru(x, GruCellParams.from_named(f"gru{layer}b", params), reverse=True)
+        x = ad.concat([fwd, bwd], axis=-1)
+    pooled = ad.mean(x, axis=1)
     hidden = ad.relu(ad.linear(pooled, params["head.w1"]) + params["head.b1"])
     out = ad.linear(hidden, params["head.w2"]) + params["head.b2"]
     return ad.reshape(out, (first.shape[0],))

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from conftest import synthetic_corpus
+from dialcoh.corpus import derive_vocabularies
 from dialcoh.engine import (
     AdamState,
     GruCellParams,
@@ -10,9 +12,12 @@ from dialcoh.engine import (
     gru_cell_step,
     no_grad,
     pairwise_hinge,
+    run_gru,
 )
 from dialcoh.engine import autodiff as ad
 from dialcoh.errors import NumericError
+from dialcoh.linearize import TokenStream
+from dialcoh.models.neural import NeuralConfig, NeuralScorer, forward_score
 
 
 def zeroed_cell(input_size=3, hidden_size=4, dtype=np.float64) -> GruCellParams:
@@ -58,6 +63,60 @@ class TestGruCell:
         p = zeroed_cell()
         with pytest.raises(ValueError):
             gru_cell_step(Tensor(np.zeros(5)), Tensor(np.zeros(4)), p)
+
+
+class TestGruLayer:
+    """The fused layer against a loop of the autodiff cell, in float64."""
+
+    @staticmethod
+    def stepped(x: np.ndarray, p: GruCellParams, reverse: bool) -> np.ndarray:
+        h = Tensor(np.zeros((x.shape[0], p.hidden_size)))
+        out = np.empty(x.shape[:2] + (p.hidden_size,))
+        for t in range(x.shape[1])[::-1] if reverse else range(x.shape[1]):
+            h = gru_cell_step(Tensor(x[:, t]), h, p)
+            out[:, t] = h.data
+        return out
+
+    @pytest.mark.parametrize("steps", [1, 5])
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_matches_cell_loop(self, steps, reverse):
+        rng = np.random.default_rng(steps)
+        p = GruCellParams.init(3, 4, rng, dtype=np.float64)
+        for t in (p.b_r, p.b_z, p.b_h):
+            t.data[...] = rng.normal(size=4)
+        x = rng.normal(size=(3, steps, 3))
+        fused = run_gru(Tensor(x), p, reverse=reverse).data
+        np.testing.assert_allclose(fused, self.stepped(x, p, reverse), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_gradients(self, reverse):
+        rng = np.random.default_rng(11)
+        cell = GruCellParams.init(3, 4, rng, dtype=np.float64)
+        base = {name.split(".", 1)[1]: t.data for name, t in cell.named("c").items()}
+        base["b_r"] = rng.normal(size=4)
+        base["x"] = rng.normal(size=(3, 5, 3))
+
+        def f(p):
+            c = GruCellParams(**{k: v for k, v in p.items() if k != "x"})
+            return ad.reduce_mean(run_gru(p["x"], c, reverse=reverse))
+
+        report = grad_check(f, base, h=1e-5, tol=1e-4)
+        assert report.passed, (report.max_rel_error, report.worst)
+        assert len(report.per_param) == 10
+
+    def test_graph_size_does_not_grow_with_length(self):
+        """One node per layer and direction: backward visits as many nodes
+        for a stream of 12 positions as for one of 3."""
+        vocabs = derive_vocabularies(synthetic_corpus(2, 6, seed=0))
+        cfg = NeuralConfig(channels=("word", "da", "turn"), emb_dim_word=4, emb_dim_other=2,
+                           gru_hidden=3, head_hidden=2)
+        scorer = NeuralScorer.initialize(cfg, vocabs)
+        sizes = []
+        for length in (3, 12):
+            ids = np.arange(length) % 2
+            stream = TokenStream(length=length, word_ids=ids, da_ids=ids, turn_ids=ids)
+            sizes.append(len(forward_score(stream, scorer.params, cfg).graph()))
+        assert sizes[0] == sizes[1]
 
 
 def hinge(pos, neg, margin=0.5) -> np.ndarray:
@@ -174,7 +233,7 @@ class TestGradCheck:
             "tanh": lambda p: ad.reduce_mean(ad.tanh(p["a"])),
             "relu_away_from_kink": lambda p: ad.reduce_mean(ad.relu(p["shifted"])),
             "concat": lambda p: ad.reduce_mean(ad.concat([p["a"], p["b"]], axis=-1)),
-            "average": lambda p: ad.reduce_mean(ad.average([p["a"], p["b"]])),
+            "mean": lambda p: ad.reduce_mean(ad.mean(ad.reshape(p["w"], (2, 2, 4)), axis=1)),
             "take_rows": lambda p: ad.reduce_mean(ad.take_rows(p["w"], np.array([0, 2, 0]))),
             "gather": lambda p: ad.reduce_mean(ad.gather(p["a"], np.array([0, 3, 0, 1]))),
             "reshape": lambda p: ad.reduce_mean(ad.reshape(p["m"], (8,))),

@@ -1,5 +1,6 @@
-"""Malformed dataset records, `rate` payloads and checkpoint headers reach the
-user through `cli.main` as data errors (exit 2), never as tracebacks."""
+"""Malformed dataset records, `rate` payloads, checkpoint headers and neural
+checkpoint arrays reach the user through `cli.main` as data errors (exit 2),
+never as tracebacks."""
 import json
 
 import numpy as np
@@ -10,6 +11,7 @@ from dialcoh.corpus import derive_vocabularies
 from dialcoh.models import LinearRanker, LinearRankerConfig, save_checkpoint
 from dialcoh.models.checkpoint import MAGIC
 from dialcoh.models.linear import feature_dim
+from dialcoh.models.neural import NeuralConfig, NeuralScorer
 from dialcoh.swapgen import build_selection_dataset, instance_to_dict
 
 from conftest import synthetic_corpus
@@ -17,13 +19,16 @@ from conftest import synthetic_corpus
 
 @pytest.fixture(scope="module")
 def setup(tmp_path_factory):
-    """A linear checkpoint and one valid dataset record."""
+    """A linear and a neural checkpoint, and one valid dataset record."""
     root = tmp_path_factory.mktemp("malformed")
     corpus = synthetic_corpus(4, 10, seed=3)
     vocabs = derive_vocabularies(corpus)
     config = LinearRankerConfig()
     ranker = LinearRanker(config, vocabs, np.linspace(-1, 1, feature_dim(config, vocabs)))
     save_checkpoint(ranker, root / "model.ckpt")
+    neural = NeuralConfig(channels=("word", "da"), emb_dim_word=4, emb_dim_other=2,
+                          gru_layers=1, gru_hidden=3, head_hidden=2)
+    save_checkpoint(NeuralScorer.initialize(neural, vocabs), root / "neural.ckpt")
     instances, _ = build_selection_dataset(corpus, points_per_dialogue=1, n_neg=3, seed=0)
     return root, instance_to_dict(instances[0])
 
@@ -89,6 +94,7 @@ def test_valid_inputs_pass(setup, tmp_path):
     request = tmp_path / "request.json"
     request.write_text(json.dumps(bare), encoding="utf-8")
     assert run("rate", "--checkpoint", root / "model.ckpt", "--input", request) == 0
+    assert run("rate", "--checkpoint", root / "neural.ckpt", "--input", request) == 0
 
 
 def _entry(header, **changes):
@@ -116,17 +122,51 @@ HEADER_CASES = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(HEADER_CASES))
-def test_malformed_checkpoint_header_is_a_data_error(setup, tmp_path, capsys, name):
-    root, record = setup
-    mutate, field = HEADER_CASES[name]
-    blob = (root / "model.ckpt").read_bytes()
+def _rewrite(arrays, name, **changes):
+    return [{**a, **changes} if a["name"] == name else a for a in arrays]
+
+
+# The neural checkpoint has gru_hidden 3 and an input of 4 + 2.
+NEURAL_ARRAY_CASES = {
+    "missing_array": (
+        lambda a: [e for e in a if e["name"] != "head.w1"], "missing array 'head.w1'"),
+    "extra_array": (
+        lambda a: a + [{**a[0], "name": "gru1f.b_r"}], "unexpected array 'gru1f.b_r'"),
+    "recurrent_shape_flattened": (
+        lambda a: _rewrite(a, "gru0f.u_r", shape=[9]), "'gru0f.u_r' has shape [9]"),
+    "input_shape_transposed": (
+        lambda a: _rewrite(a, "gru0b.w_z", shape=[6, 3]), "'gru0b.w_z' has shape [6, 3]"),
+}
+
+
+def _mutated_checkpoint(src, dst, mutate):
+    blob = src.read_bytes()
     n = int.from_bytes(blob[8:16], "little")
     header = json.dumps(mutate(json.loads(blob[16 : 16 + n]))).encode("utf-8")
-    ckpt = tmp_path / "bad.ckpt"
-    ckpt.write_bytes(MAGIC + len(header).to_bytes(8, "little") + header + blob[16 + n :])
+    dst.write_bytes(MAGIC + len(header).to_bytes(8, "little") + header + blob[16 + n :])
+
+
+def _rate_exits_with_data_error(ckpt, record, tmp_path, capsys) -> str:
     request = tmp_path / "request.json"
     request.write_text(json.dumps(record), encoding="utf-8")
     assert run("rate", "--checkpoint", ckpt, "--input", request) == 2
     err = capsys.readouterr().err
-    assert err.startswith("data error:") and field in err
+    assert err.startswith("data error:")
+    return err
+
+
+@pytest.mark.parametrize("name", sorted(HEADER_CASES))
+def test_malformed_checkpoint_header_is_a_data_error(setup, tmp_path, capsys, name):
+    root, record = setup
+    mutate, field = HEADER_CASES[name]
+    _mutated_checkpoint(root / "model.ckpt", tmp_path / "bad.ckpt", mutate)
+    assert field in _rate_exits_with_data_error(tmp_path / "bad.ckpt", record, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("name", sorted(NEURAL_ARRAY_CASES))
+def test_neural_arrays_must_match_the_config(setup, tmp_path, capsys, name):
+    root, record = setup
+    mutate, message = NEURAL_ARRAY_CASES[name]
+    _mutated_checkpoint(root / "neural.ckpt", tmp_path / "bad.ckpt",
+                        lambda h: {**h, "arrays": mutate(h["arrays"])})
+    assert message in _rate_exits_with_data_error(tmp_path / "bad.ckpt", record, tmp_path, capsys)

@@ -107,17 +107,19 @@ class TestForwardScore:
         stream = TokenStream(length=1, word_ids=np.array([3]))
         score = scorer.score_stream(stream)
 
-        # Recompute: embeddings -> biGRU layers -> (single) output -> head.
-        from dialcoh.engine import autodiff as ad
-        from dialcoh.engine.rnn import GruCellParams, run_gru
+        # Recompute: embeddings -> one cell step per direction and layer
+        # from a zero state -> (single) output -> head.
+        from dialcoh.engine import Tensor, gru_cell_step
+        from dialcoh.engine.rnn import GruCellParams
 
         p = scorer.params
-        xs = [ad.take_rows(p["emb_word"], np.array([3]))]
+        x = Tensor(p["emb_word"].data[[3]])
+        zero = Tensor(np.zeros((1, cfg.gru_hidden), dtype=np.float32))
         for layer in range(cfg.gru_layers):
-            f = run_gru(xs, GruCellParams.from_named(f"gru{layer}f", p))
-            b = run_gru(xs, GruCellParams.from_named(f"gru{layer}b", p), reverse=True)
-            xs = [ad.concat([f[0], b[0]], axis=-1)]
-        single = xs[0].data  # (1, 2H) with no pooling applied
+            f = gru_cell_step(x, zero, GruCellParams.from_named(f"gru{layer}f", p))
+            b = gru_cell_step(x, zero, GruCellParams.from_named(f"gru{layer}b", p))
+            x = Tensor(np.concatenate([f.data, b.data], axis=-1))
+        single = x.data  # (1, 2H) with no pooling applied
         hidden = np.maximum(single @ p["head.w1"].data.T + p["head.b1"].data, 0)
         expected = float((hidden @ p["head.w2"].data.T + p["head.b2"].data)[0, 0])
         assert score == pytest.approx(expected, rel=1e-6)
