@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
 import numpy as np
 
 from . import autodiff as ad

@@ -94,7 +94,8 @@ def _read_arrays(entries: list, payload: np.ndarray) -> dict[str, np.ndarray]:
         ):
             raise DataError(f"{_HEADER}.arrays[{i}]: malformed entry")
         lo = entry["offset"]
-        arrays[entry["name"]] = payload[lo : lo + entry["nbytes"]].view("<f4").reshape(entry["shape"])
+        raw = payload[lo : lo + entry["nbytes"]]
+        arrays[entry["name"]] = raw.view("<f4").reshape(entry["shape"])
     return arrays
 
 

@@ -6,9 +6,9 @@ through stacked bidirectional GRU layers (forward and backward states
 concatenated per layer), mean-pooled over positions, and mapped to a scalar
 score by a one-hidden-layer ReLU head. Each GRU layer and direction is one
 graph node with hand-written backpropagation through time (`run_gru`), so a
-forward pass builds the same small graph whatever the stream length. Training minimizes the margin-ranking loss over
-original/adversarial score pairs with Adam, early-stopping on development
-MRR.
+forward pass builds the same small graph whatever the stream length.
+Training minimizes the margin-ranking loss over original/adversarial score
+pairs with Adam, early-stopping on development MRR.
 
 Scores depend only on a stream's own ids, so streams of equal length are
 evaluated together as one (batch, length) graph for speed (`_grouped_scores`,
@@ -123,8 +123,8 @@ def param_shapes(config: NeuralConfig, vocabularies: Vocabularies) -> dict[str, 
     hid = config.gru_hidden
     for layer in range(config.gru_layers):
         for direction in ("f", "b"):
+            prefix = f"gru{layer}{direction}"
             for gate in GATES:
-                prefix = f"gru{layer}{direction}"
                 shapes[f"{prefix}.w_{gate}"] = (hid, input_dim)
                 shapes[f"{prefix}.u_{gate}"] = (hid, hid)
                 shapes[f"{prefix}.b_{gate}"] = (hid,)
