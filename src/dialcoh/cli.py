@@ -83,15 +83,26 @@ def _out_dir(args) -> Path:
     return out
 
 
+def _comma_separated(convert):
+    """argparse type: a comma-separated list of convert() values."""
+
+    def parse(text: str) -> list:
+        return [convert(x) for x in text.split(",")]
+
+    parse.__name__ = f"comma-separated {convert.__name__}"  # names the type in usage errors
+    return parse
+
+
 def _split_ids(path) -> list[str]:
     ids = [ln.strip() for ln in Path(path).read_text(encoding="utf-8").splitlines()]
     return [i for i in ids if i]
 
 
-def _load_split(args) -> list:
-    tagset = load_tagset(args.tagset) if getattr(args, "tagset", None) else None
+def _load_split(args) -> tuple[list, tuple[str, ...] | None]:
+    """The corpus (restricted to --split) and the --tagset it was checked against."""
+    tagset = load_tagset(args.tagset) if args.tagset else None
     corpus = load_corpus(args.corpus, tagset=tagset)
-    if getattr(args, "split", None):
+    if args.split:
         wanted = set(_split_ids(args.split))
         corpus = [d for d in corpus if d.id in wanted]
         missing = wanted - {d.id for d in corpus}
@@ -99,7 +110,7 @@ def _load_split(args) -> list:
             raise DataError(f"split ids not in corpus: {sorted(missing)[:5]}")
         if not corpus:
             raise DataError("split selects no dialogues")
-    return corpus
+    return corpus, tagset
 
 
 # -- commands -------------------------------------------------------------------
@@ -126,8 +137,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_vocab(args) -> int:
-    corpus = _load_split(args)
-    tagset = load_tagset(args.tagset) if args.tagset else None
+    corpus, tagset = _load_split(args)
     vocabs = derive_vocabularies(corpus, min_word_count=args.min_count, tagset=tagset)
     save_vocabularies(vocabs, args.output)
     print(
@@ -138,7 +148,7 @@ def cmd_vocab(args) -> int:
 
 
 def cmd_gen_dataset(args) -> int:
-    corpus = _load_split(args)
+    corpus, _ = _load_split(args)
     ctx_range = None
     if args.ctx_min is not None or args.ctx_max is not None:
         lo = args.ctx_min if args.ctx_min is not None else 1
@@ -182,7 +192,7 @@ def cmd_train(args) -> int:
     out = _out_dir(args)
     train_instances = swapgen.load_instances(args.train)
     vocabs = load_vocabularies(args.vocab)
-    seeds = [int(s) for s in str(args.seeds).split(",")]
+    seeds = args.seeds
     if args.model == "neural":
         if not args.dev:
             raise DataError("neural training requires --dev")
@@ -205,6 +215,8 @@ def cmd_train(args) -> int:
         summary = summarize_runs(reports, ["dev_mrr"])
         _dump_json(summary, out / "training_summary.json")
     else:
+        if len(seeds) != 1:
+            raise DataError(f"linear training takes one seed, got {len(seeds)}: {seeds}")
         config = LinearRankerConfig(
             features=args.features, k=args.k, saliency=args.saliency,
             l2=args.l2, lr=args.lr, epochs=args.epochs, seed=seeds[0],
@@ -227,32 +239,27 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
+def _write_eval_report(args, report: dict, stem: str) -> int:
+    """Print an evaluation report; with --out also write it as JSON and TSV."""
+    sys.stdout.write(_dump_json(report))
+    if args.out:
+        out = _out_dir(args)
+        _dump_json(report, out / f"{stem}.json")
+        (out / f"{stem}.tsv").write_text(report_tsv(report), encoding="utf-8")
+        _write_run_config(args, out)
+    return EXIT_OK
+
+
 def cmd_eval_selection(args) -> int:
     model = load_checkpoint(args.checkpoint)
     instances = swapgen.load_instances(args.data)
-    report = evaluate_selection(model, instances)
-    text = _dump_json(report)
-    sys.stdout.write(text)
-    if args.out:
-        out = _out_dir(args)
-        _dump_json(report, out / "selection_metrics.json")
-        (out / "selection_metrics.tsv").write_text(report_tsv(report), encoding="utf-8")
-        _write_run_config(args, out)
-    return EXIT_OK
+    return _write_eval_report(args, evaluate_selection(model, instances), "selection_metrics")
 
 
 def cmd_eval_rating(args) -> int:
     model = load_checkpoint(args.checkpoint)
     instances = swapgen.load_rated_testset(args.data, strict_swbd=args.strict)
-    report = evaluate_rated(model, instances)
-    text = _dump_json(report)
-    sys.stdout.write(text)
-    if args.out:
-        out = _out_dir(args)
-        _dump_json(report, out / "rating_metrics.json")
-        (out / "rating_metrics.tsv").write_text(report_tsv(report), encoding="utf-8")
-        _write_run_config(args, out)
-    return EXIT_OK
+    return _write_eval_report(args, evaluate_rated(model, instances), "rating_metrics")
 
 
 def cmd_rate(args) -> int:
@@ -334,13 +341,10 @@ def cmd_agreement(args) -> int:
 
 
 def cmd_baseline(args) -> int:
-    relevance = None
-    if args.ratings:
-        relevance = [float(x) for x in args.ratings.split(",")]
     report = metrics.random_baseline(
         n_candidates=args.candidates,
         metric=args.metric,
-        relevance=relevance,
+        relevance=args.ratings,
         trials=args.trials,
         seed=args.seed,
         k=args.k,
@@ -391,7 +395,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dev")
     p.add_argument("--vocab", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--seeds", default="0", help="comma-separated training seeds")
+    p.add_argument("--seeds", type=_comma_separated(int), default="0",
+                   help="comma-separated training seeds (one for --model linear)")
     p.add_argument("--channels", default="word,da,turn")
     p.add_argument("--emb-dim-word", type=int, default=300)
     p.add_argument("--emb-dim", type=int, default=50)
@@ -450,7 +455,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=100_000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--k", type=int, default=1)
-    p.add_argument("--ratings", help="comma-separated relevance/gain profile")
+    p.add_argument("--ratings", type=_comma_separated(float),
+                   help="comma-separated relevance/gain profile")
     p.add_argument("--out")
     p.set_defaults(func=cmd_baseline)
 

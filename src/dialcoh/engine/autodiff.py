@@ -1,15 +1,15 @@
 """Minimal reverse-mode automatic differentiation over numpy arrays.
 
-Covers exactly the operations the coherence scorers need: elementwise
-arithmetic, matrix products, gate nonlinearities, embedding lookup, gather,
-concatenation, and mean reductions. Tensors wrap a numpy array; operations
-on tensors that require gradients record their parents, and backward() on a
-scalar accumulates gradients into every reachable leaf. A GRU layer is one
-such node with a hand-written backward pass (`engine/rnn.py`).
+Covers exactly the operations the biGRU scorer and its loss run: embedding
+lookup, concatenation, mean pooling, the head's linear maps, bias additions
+and ReLU, gather, reshape, and the hinge's subtraction, constant-minus and
+scalar mean. Tensors wrap a numpy array; operations on tensors that require
+gradients record their parents, and backward() on a scalar accumulates
+gradients into every reachable leaf. A GRU layer is one such node with a
+hand-written backward pass (`engine/rnn.py`).
 
 Works at any float precision: training runs in float32, gradient checking in
-float64. The same code paths handle single vectors and (batch, dim) matrices;
-biases broadcast and their gradients are summed back to shape.
+float64. Biases broadcast and their gradients are summed back to shape.
 """
 from __future__ import annotations
 
@@ -49,10 +49,6 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    @property
-    def dtype(self):
-        return self.data.dtype
-
     def item(self) -> float:
         return float(self.data)
 
@@ -86,34 +82,6 @@ class Tensor:
                 if p.requires_grad and id(p) not in seen:
                     stack.append((p, False))
         return topo
-
-    # operator sugar; numbers are treated as constants (no graph node for them)
-    def __add__(self, other):
-        return add(self, other) if isinstance(other, Tensor) else add_const(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other) if isinstance(other, Tensor) else add_const(self, -other)
-
-    def __rsub__(self, other):
-        return rsub_const(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other) if isinstance(other, Tensor) else mul_const(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, Tensor):
-            raise TypeError("tensor/tensor division not supported")
-        return mul_const(self, 1.0 / other)
-
-    def __neg__(self):
-        return mul_const(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, grad={self.requires_grad})"
@@ -175,26 +143,8 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
     return _node(out_data, (a, b), bwd)
 
 
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    out_data = a.data * b.data
-
-    def bwd(g):
-        _accumulate(a, _unbroadcast(g * b.data, a.data.shape))
-        _accumulate(b, _unbroadcast(g * a.data, b.data.shape))
-
-    return _node(out_data, (a, b), bwd)
-
-
-def add_const(a: Tensor, c) -> Tensor:
-    return _node(a.data + c, (a,), lambda g: _accumulate(a, g))
-
-
 def rsub_const(a: Tensor, c) -> Tensor:
     return _node(c - a.data, (a,), lambda g: _accumulate(a, -g))
-
-
-def mul_const(a: Tensor, c) -> Tensor:
-    return _node(a.data * c, (a,), lambda g: _accumulate(a, g * c))
 
 
 def logistic(d: np.ndarray) -> np.ndarray:
@@ -205,24 +155,6 @@ def logistic(d: np.ndarray) -> np.ndarray:
     ex = np.exp(d[~pos])
     out[~pos] = ex / (1.0 + ex)
     return out
-
-
-def sigmoid(x: Tensor) -> Tensor:
-    out_data = logistic(x.data)
-
-    def bwd(g):
-        _accumulate(x, g * out_data * (1.0 - out_data))
-
-    return _node(out_data, (x,), bwd)
-
-
-def tanh(x: Tensor) -> Tensor:
-    out_data = np.tanh(x.data)
-
-    def bwd(g):
-        _accumulate(x, g * (1.0 - out_data * out_data))
-
-    return _node(out_data, (x,), bwd)
 
 
 def relu(x: Tensor) -> Tensor:
@@ -237,35 +169,13 @@ def relu(x: Tensor) -> Tensor:
 # -- linear algebra ------------------------------------------------------------
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    out_data = a.data @ b.data
-
-    def bwd(g):
-        if a.data.ndim == 1 and b.data.ndim == 2:  # (d,) @ (d,m) -> (m,)
-            _accumulate(a, g @ b.data.T)
-            _accumulate(b, np.outer(a.data, g))
-        elif a.data.ndim == 2 and b.data.ndim == 2:
-            _accumulate(a, g @ b.data.T)
-            _accumulate(b, a.data.T @ g)
-        elif a.data.ndim == 2 and b.data.ndim == 1:  # (m,d) @ (d,) -> (m,)
-            _accumulate(a, np.outer(g, b.data))
-            _accumulate(b, a.data.T @ g)
-        else:
-            raise NumericError(f"unsupported matmul shapes {a.data.shape} @ {b.data.shape}")
-
-    return _node(out_data, (a, b), bwd)
-
-
 def linear(x: Tensor, w: Tensor) -> Tensor:
-    """x @ w.T for weight matrices stored (out_dim, in_dim); x is (in,) or (B, in)."""
+    """x @ w.T for weight matrices stored (out_dim, in_dim); x is (B, in_dim)."""
     out_data = x.data @ w.data.T
 
     def bwd(g):
         _accumulate(x, g @ w.data)
-        if x.data.ndim == 1:
-            _accumulate(w, np.outer(g, x.data))
-        else:
-            _accumulate(w, g.T @ x.data)
+        _accumulate(w, g.T @ x.data)
 
     return _node(out_data, (x, w), bwd)
 

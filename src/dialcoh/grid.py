@@ -1,12 +1,15 @@
 """Entity grids and transition-probability features.
 
-A dialogue becomes a turn-by-entity grid of grammatical roles. Counting the
-length-k windows down each column (roles) or along the flat DA sequence
-yields normalized transition-frequency vectors, the classic grid features.
+A dialogue becomes a turn-by-entity grid of grammatical roles (Barzilay &
+Lapata 2008, "Modeling Local Coherence: An Entity-based Approach"). Counting
+the length-k windows down each kept column (roles) or along the flat DA
+sequence yields normalized transition-frequency vectors, the classic grid
+features: plain float64 arrays indexed lexicographically over the symbol
+alphabet, e.g. "SS", "SO", ..., "--" for k = 2. Every window's index is built
+with k array slices and all of them are counted by one np.bincount.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -43,35 +46,6 @@ class EntityGrid:
     heads: tuple[str, ...]
     cells: np.ndarray  # (n_turns, n_entities) int8 codes into ROLE_SYMBOLS
 
-    @property
-    def n_turns(self) -> int:
-        return self.cells.shape[0]
-
-    @property
-    def n_entities(self) -> int:
-        return self.cells.shape[1]
-
-    def column(self, e: int) -> np.ndarray:
-        return self.cells[:, e]
-
-    def role_at(self, t: int, e: int) -> str:
-        return ROLE_SYMBOLS[self.cells[t, e]]
-
-
-@dataclass(frozen=True)
-class TransitionVector:
-    """Normalized frequencies of every length-k symbol window, in fixed
-    lexicographic index order over the symbol alphabet."""
-
-    values: np.ndarray
-    symbols: tuple[str, ...]
-    k: int
-
-
-def transition_labels(symbols: Sequence[str], k: int, sep: str = "") -> tuple[str, ...]:
-    """Window names in index order, e.g. ("SS", "SO", ..., "--")."""
-    return tuple(sep.join(combo) for combo in itertools.product(symbols, repeat=k))
-
 
 def build_grid(d: Dialogue) -> EntityGrid:
     """Construct the entity grid; a multi-mention turn keeps the highest role
@@ -93,40 +67,29 @@ def build_grid(d: Dialogue) -> EntityGrid:
     return EntityGrid(heads=tuple(heads), cells=cells)
 
 
-def _kept_columns(g: EntityGrid, saliency: int) -> list[np.ndarray]:
-    cols = []
-    for e in range(g.n_entities):
-        column = g.column(e)
-        if int((column != ABSENT).sum()) >= saliency:
-            cols.append(column.astype(np.int64))
-    return cols
+def _window_frequencies(codes: np.ndarray, k: int, base: int) -> np.ndarray:
+    """Frequencies of every length-k window along the rows of a (rows, n)
+    code array, pooled over rows: counts divided by rows * (n - k + 1), or
+    all zeros when there is no window."""
+    rows, n = codes.shape
+    if rows == 0 or n < k:
+        return np.zeros(base**k, dtype=np.float64)
+    windows = n - k + 1
+    idx = codes[:, :windows].astype(np.int64)
+    for j in range(1, k):
+        idx = idx * base + codes[:, j : j + windows]
+    return np.bincount(idx.ravel(), minlength=base**k) / (rows * windows)
 
 
-def _window_index(codes: np.ndarray, start: int, k: int, base: int) -> int:
-    idx = 0
-    for j in range(k):
-        idx = idx * base + int(codes[start + j])
-    return idx
-
-
-def entity_transition_features(g: EntityGrid, cfg: TransitionConfig) -> TransitionVector:
+def entity_transition_features(g: EntityGrid, cfg: TransitionConfig) -> np.ndarray:
     """Frequencies of role windows down the grid columns.
 
     Columns mentioned fewer than cfg.saliency times are dropped; counts are
     divided by the total window count m * (n - k + 1) so the vector sums to 1
     whenever at least one window exists.
     """
-    base = len(ROLE_SYMBOLS)
-    values = np.zeros(base**cfg.k, dtype=np.float64)
-    cols = _kept_columns(g, cfg.saliency)
-    n = g.n_turns
-    if not cols or n < cfg.k:
-        return TransitionVector(values=values, symbols=ROLE_SYMBOLS, k=cfg.k)
-    for column in cols:
-        for t in range(n - cfg.k + 1):
-            values[_window_index(column, t, cfg.k, base)] += 1.0
-    values /= len(cols) * (n - cfg.k + 1)
-    return TransitionVector(values=values, symbols=ROLE_SYMBOLS, k=cfg.k)
+    kept = (g.cells != ABSENT).sum(axis=0) >= cfg.saliency
+    return _window_frequencies(g.cells.T[kept], cfg.k, len(ROLE_SYMBOLS))
 
 
 def da_sequence(d: Dialogue) -> list[str]:
@@ -134,23 +97,7 @@ def da_sequence(d: Dialogue) -> list[str]:
     return [seg.da for turn in d.turns for seg in turn.segments]
 
 
-def da_transition_features(
-    seq: Sequence[str], cfg: TransitionConfig, vocab: Vocab
-) -> TransitionVector:
+def da_transition_features(seq: Sequence[str], cfg: TransitionConfig, vocab: Vocab) -> np.ndarray:
     """Frequencies of DA windows along the sequence, divided by n - k + 1."""
-    base = len(vocab)
-    values = np.zeros(base**cfg.k, dtype=np.float64)
-    codes = np.array([vocab.id(t) for t in seq], dtype=np.int64)
-    n = len(codes)
-    if n >= cfg.k:
-        for t in range(n - cfg.k + 1):
-            values[_window_index(codes, t, cfg.k, base)] += 1.0
-        values /= n - cfg.k + 1
-    return TransitionVector(values=values, symbols=tuple(vocab.tokens), k=cfg.k)
-
-
-def joint_features(ev: TransitionVector, dv: TransitionVector) -> np.ndarray:
-    """Concatenate entity and DA transition vectors, entity block first."""
-    if ev.k != dv.k:
-        raise DataError(f"transition length mismatch: {ev.k} vs {dv.k}")
-    return np.concatenate([ev.values, dv.values])
+    codes = np.array([[vocab.id(t) for t in seq]], dtype=np.int64)
+    return _window_frequencies(codes, cfg.k, len(vocab))

@@ -193,11 +193,3 @@ def stream_rows(stream: TokenStream, cfg: EncodingConfig) -> list[tuple[str, ...
         rows.append(tuple(row))
     return rows
 
-
-def stream_to_tsv(stream: TokenStream, cfg: EncodingConfig) -> str:
-    """Debug dump: one position per row, one column per active channel."""
-    header = "\t".join(cfg.channels)
-    lines = [header]
-    for row in stream_rows(stream, cfg):
-        lines.append("\t".join(row))
-    return "\n".join(lines) + "\n"

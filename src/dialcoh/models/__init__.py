@@ -14,7 +14,6 @@ from .neural import (
     NeuralConfig,
     NeuralScorer,
     TrainHistory,
-    forward_score,
     forward_scores,
     train_neural,
 )
@@ -30,7 +29,6 @@ __all__ = [
     "build_pair_features",
     "evaluate_rated",
     "evaluate_selection",
-    "forward_score",
     "forward_scores",
     "load_checkpoint",
     "rank_candidates",

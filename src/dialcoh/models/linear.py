@@ -24,7 +24,6 @@ from ..grid import (
     da_sequence,
     da_transition_features,
     entity_transition_features,
-    joint_features,
 )
 from ..swapgen import RankingInstance
 
@@ -77,15 +76,13 @@ class LinearRanker:
             )
         self.manifest: dict = {}
 
-    def feature_vector(self, turns: Sequence[Turn]) -> np.ndarray:
-        return extract_features(turns, self.config, self.vocabularies)
-
-    def score_turns(self, turns: Sequence[Turn]) -> float:
-        return float(self.weights @ self.feature_vector(turns).astype(np.float32))
-
     def score_candidates(self, context: Sequence[Turn], candidates: Sequence[Turn]) -> np.ndarray:
+        features = [
+            extract_features([*context, cand], self.config, self.vocabularies)
+            for cand in candidates
+        ]
         return np.asarray(
-            [self.score_turns([*context, cand]) for cand in candidates], dtype=np.float64
+            [float(self.weights @ f.astype(np.float32)) for f in features], dtype=np.float64
         )
 
     def parameter_arrays(self) -> dict[str, np.ndarray]:
@@ -101,15 +98,16 @@ def feature_dim(config: LinearRankerConfig, vocabularies: Vocabularies) -> int:
 def extract_features(
     turns: Sequence[Turn], config: LinearRankerConfig, vocabularies: Vocabularies
 ) -> np.ndarray:
+    """The configured transition-frequency vector of a turn sequence; joint
+    features are the entity block followed by the DA block."""
     d = Dialogue(id="_", turns=tuple(turns))
     tcfg = TransitionConfig(k=config.k, saliency=config.saliency)
-    if config.features == "entity":
-        return entity_transition_features(build_grid(d), tcfg).values
-    if config.features == "da":
-        return da_transition_features(da_sequence(d), tcfg, vocabularies.da).values
-    ev = entity_transition_features(build_grid(d), tcfg)
-    dv = da_transition_features(da_sequence(d), tcfg, vocabularies.da)
-    return joint_features(ev, dv)
+    blocks = []
+    if config.features != "da":
+        blocks.append(entity_transition_features(build_grid(d), tcfg))
+    if config.features != "entity":
+        blocks.append(da_transition_features(da_sequence(d), tcfg, vocabularies.da))
+    return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
 
 
 def build_pair_features(

@@ -170,14 +170,17 @@ def load_word_vectors(path, vocabularies: Vocabularies, params: Mapping[str, Ten
     dim = emb.data.shape[1]
     found = 0
     with open(path, encoding="utf-8") as f:
-        for line in f:
+        for line_no, line in enumerate(f, 1):
             parts = line.rstrip("\n").split(" ")
             if len(parts) != dim + 1:
                 continue
             wid = vocabularies.words.get(parts[0])
             if wid is None:
                 continue
-            emb.data[wid] = np.asarray([float(x) for x in parts[1:]], dtype=emb.data.dtype)
+            try:
+                emb.data[wid] = np.asarray([float(x) for x in parts[1:]], dtype=emb.data.dtype)
+            except ValueError as exc:
+                raise DataError(f"{path} line {line_no}: non-numeric vector value ({exc})") from exc
             found += 1
     return found
 
@@ -197,17 +200,9 @@ def forward_scores(
         bwd = run_gru(x, GruCellParams.from_named(f"gru{layer}b", params), reverse=True)
         x = ad.concat([fwd, bwd], axis=-1)
     pooled = ad.mean(x, axis=1)
-    hidden = ad.relu(ad.linear(pooled, params["head.w1"]) + params["head.b1"])
-    out = ad.linear(hidden, params["head.w2"]) + params["head.b2"]
+    hidden = ad.relu(ad.add(ad.linear(pooled, params["head.w1"]), params["head.b1"]))
+    out = ad.add(ad.linear(hidden, params["head.w2"]), params["head.b2"])
     return ad.reshape(out, (first.shape[0],))
-
-
-def forward_score(
-    stream: TokenStream, params: Mapping[str, Tensor], config: NeuralConfig
-) -> Tensor:
-    """Score a single stream (batch of one); returns a scalar tensor."""
-    ids = _stack_streams([stream], config.channels)
-    return ad.reshape(forward_scores(ids, params, config), ())
 
 
 def _grouped_scores(
@@ -270,9 +265,6 @@ class NeuralScorer:
                 scores, order = _grouped_scores(self, streams, range(len(streams)))
             out[order] = scores.data
         return out
-
-    def score_stream(self, stream: TokenStream) -> float:
-        return float(self.score_streams([stream])[0])
 
     def score_candidates(self, context: Sequence[Turn], candidates: Sequence[Turn]) -> np.ndarray:
         streams = [encode_pairwise_inputs(context, cand, self.encoding) for cand in candidates]

@@ -11,6 +11,8 @@ from dialcoh.corpus import (
     Turn,
     derive_vocabularies,
 )
+from dialcoh.engine.autodiff import logistic
+from dialcoh.engine.rnn import GruCellParams
 
 DA_TAGS = ("b", "qy", "sd")
 HEADS = ("movie", "iowa", "hands", "crafts", "california", "utah", "midwest", "hobbies")
@@ -68,3 +70,18 @@ def corpus():
 @pytest.fixture
 def vocabs(corpus):
     return derive_vocabularies(corpus)
+
+
+def gru_reference(x: np.ndarray, p: GruCellParams, reverse: bool = False) -> np.ndarray:
+    """The GRU formulas scanned one step at a time from a zero state, in the
+    dtype of x: the oracle the fused `run_gru` is checked against."""
+    w = {name: t.data for name, t in vars(p).items()}
+    h = np.zeros((x.shape[0], p.hidden_size), dtype=x.dtype)
+    out = np.empty(x.shape[:2] + (p.hidden_size,), dtype=x.dtype)
+    for t in range(x.shape[1])[::-1] if reverse else range(x.shape[1]):
+        r = logistic(x[:, t] @ w["w_r"].T + h @ w["u_r"].T + w["b_r"])
+        z = logistic(x[:, t] @ w["w_z"].T + h @ w["u_z"].T + w["b_z"])
+        c = np.tanh(x[:, t] @ w["w_h"].T + (r * h) @ w["u_h"].T + w["b_h"])
+        h = (1.0 - z) * h + z * c
+        out[:, t] = h
+    return out

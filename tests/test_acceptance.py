@@ -27,7 +27,6 @@ from dialcoh.corpus import (
 )
 from dialcoh.engine import Tensor, grad_check
 from dialcoh.engine import autodiff as ad
-from dialcoh.linearize import TokenStream
 from dialcoh.metrics import (
     expected_random_mrr,
     ndcg,
@@ -41,7 +40,7 @@ from dialcoh.models import (
     evaluate_selection,
     train_neural,
 )
-from dialcoh.models.neural import forward_score
+from dialcoh.models.neural import forward_scores
 from dialcoh.swapgen import (
     Candidate,
     RankingInstance,
@@ -197,13 +196,11 @@ def test_criterion_3_gradient_correctness(vocabs):
         start = time.monotonic()
         rng = np.random.default_rng(42)
         ops = {
-            "sigmoid": lambda p: ad.reduce_mean(ad.sigmoid(p["v"])),
-            "tanh": lambda p: ad.reduce_mean(ad.tanh(p["v"])),
             "relu": lambda p: ad.reduce_mean(ad.relu(p["off_kink"])),
             "add": lambda p: ad.reduce_mean(ad.add(p["v"], p["w"])),
-            "mul": lambda p: ad.reduce_mean(ad.mul(p["v"], p["w"])),
+            "sub": lambda p: ad.reduce_mean(ad.sub(p["v"], p["w"])),
+            "rsub_const": lambda p: ad.reduce_mean(ad.rsub_const(p["v"], 0.5)),
             "linear": lambda p: ad.reduce_mean(ad.linear(p["m"], p["sq"])),
-            "matmul": lambda p: ad.reduce_mean(ad.matmul(p["m"], p["sq"])),
             "concat": lambda p: ad.reduce_mean(ad.concat([p["v"], p["w"]], axis=-1)),
             "mean": lambda p: ad.reduce_mean(ad.mean(ad.reshape(p["sq"], (2, 2, 4)), axis=1)),
             "take_rows": lambda p: ad.reduce_mean(ad.take_rows(p["sq"], np.array([1, 0, 1]))),
@@ -228,15 +225,14 @@ def test_criterion_3_gradient_correctness(vocabs):
             emb_dim_word=3, emb_dim_other=2, gru_hidden=4, head_hidden=4, seed=5,
         )
         scorer = NeuralScorer.initialize(cfg, vocabs)
-        stream = TokenStream(
-            length=3,
-            word_ids=np.array([3, 2, 1]),
-            role_ids=np.array([1, 0, 2]),
-            da_ids=np.array([0, 2, 1]),
-            turn_ids=np.array([0, 2, 1]),
-        )
+        ids = {  # one stream of three positions
+            "word": np.array([[3, 2, 1]]),
+            "role": np.array([[1, 0, 2]]),
+            "da": np.array([[0, 2, 1]]),
+            "turn": np.array([[0, 2, 1]]),
+        }
         report = grad_check(
-            lambda p: forward_score(stream, p, cfg),
+            lambda p: ad.reshape(forward_scores(ids, p, cfg), ()),
             {k: v.data for k, v in scorer.params.items()},
             h=1e-4,
             tol=1e-4,

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import synthetic_corpus
+from conftest import gru_reference, synthetic_corpus
 from dialcoh.corpus import derive_vocabularies
 from dialcoh.engine import (
     AdamState,
@@ -9,91 +9,91 @@ from dialcoh.engine import (
     Tensor,
     adam_step,
     grad_check,
-    gru_cell_step,
     no_grad,
     pairwise_hinge,
     run_gru,
 )
 from dialcoh.engine import autodiff as ad
+from dialcoh.engine.rnn import GATES
 from dialcoh.errors import NumericError
-from dialcoh.linearize import TokenStream
-from dialcoh.models.neural import NeuralConfig, NeuralScorer, forward_score
+from dialcoh.models.neural import NeuralConfig, NeuralScorer, forward_scores
 
 
-def zeroed_cell(input_size=3, hidden_size=4, dtype=np.float64) -> GruCellParams:
-    p = GruCellParams.init(input_size, hidden_size, np.random.default_rng(0), dtype=dtype)
+def random_cell(rng, input_size=3, hidden_size=4) -> GruCellParams:
+    """float64 gate tensors, biases included, uniform in [-0.5, 0.5]."""
+    shapes = {"w": (hidden_size, input_size), "u": (hidden_size, hidden_size), "b": (hidden_size,)}
+    return GruCellParams(**{
+        f"{kind}_{gate}": Tensor(rng.uniform(-0.5, 0.5, shape), requires_grad=True)
+        for gate in GATES
+        for kind, shape in shapes.items()
+    })
+
+
+def zeroed_cell() -> GruCellParams:
+    p = random_cell(np.random.default_rng(0))
     for t in vars(p).values():
         t.data[...] = 0.0
     return p
 
 
 class TestGruCell:
+    """Properties of the GRU recurrence, checked on the fused layer."""
+
     def test_zero_everything(self):
         p = zeroed_cell()
-        h = gru_cell_step(Tensor(np.zeros(3)), Tensor(np.zeros(4)), p)
-        np.testing.assert_allclose(h.data, 0.0)
+        x = np.random.default_rng(1).normal(size=(2, 6, 3))
+        for reverse in (False, True):
+            np.testing.assert_array_equal(run_gru(Tensor(x), p, reverse=reverse).data, 0.0)
 
     def test_zero_params_halve_state(self):
-        # z = sigmoid(0) = 0.5 and the candidate is 0, so h = 0.5 * h_prev.
+        # With only b_h nonzero, z = sigmoid(0) = 0.5 and the candidate is
+        # tanh(b_h) at every step, so h_t = 0.5 * h_{t-1} + 0.5 * tanh(b_h).
         p = zeroed_cell()
-        v = np.array([0.4, -0.2, 0.8, 0.1])
-        h = gru_cell_step(Tensor(np.zeros(3)), Tensor(v), p)
-        np.testing.assert_allclose(h.data, 0.5 * v)
+        p.b_h.data[...] = [0.4, -0.2, 0.8, 0.1]
+        out = run_gru(Tensor(np.ones((1, 4, 3))), p).data[0]
+        halves = 1.0 - 0.5 ** np.arange(1, 5)
+        np.testing.assert_allclose(out, halves[:, None] * np.tanh(p.b_h.data), rtol=1e-12)
 
     def test_output_bounded_by_unit_state(self):
         rng = np.random.default_rng(7)
         for _ in range(20):
-            p = GruCellParams.init(3, 4, rng, dtype=np.float64)
-            x = Tensor(rng.normal(size=3) * 3)
-            h_prev = Tensor(rng.uniform(-0.999, 0.999, size=4))
-            h = gru_cell_step(x, h_prev, p)
-            assert np.all(np.abs(h.data) < 1.0)
+            p = random_cell(rng)
+            x = rng.normal(size=(2, 30, 3)) * 3
+            for reverse in (False, True):
+                assert np.all(np.abs(run_gru(Tensor(x), p, reverse=reverse).data) < 1.0)
 
     def test_batched_matches_single(self):
         rng = np.random.default_rng(3)
-        p = GruCellParams.init(3, 4, rng, dtype=np.float64)
-        xs = rng.normal(size=(5, 3))
-        hs = rng.normal(size=(5, 4)) * 0.5
-        batch = gru_cell_step(Tensor(xs), Tensor(hs), p)
-        for i in range(5):
-            single = gru_cell_step(Tensor(xs[i]), Tensor(hs[i]), p)
-            np.testing.assert_allclose(batch.data[i], single.data, rtol=1e-12)
+        p = random_cell(rng)
+        x = rng.normal(size=(5, 4, 3))
+        for reverse in (False, True):
+            batch = run_gru(Tensor(x), p, reverse=reverse).data
+            for i in range(5):
+                single = run_gru(Tensor(x[i : i + 1]), p, reverse=reverse).data
+                np.testing.assert_allclose(batch[i], single[0], rtol=1e-12, atol=0)
 
     def test_dimension_mismatch(self):
         p = zeroed_cell()
         with pytest.raises(ValueError):
-            gru_cell_step(Tensor(np.zeros(5)), Tensor(np.zeros(4)), p)
+            run_gru(Tensor(np.zeros((1, 2, 5))), p)
 
 
 class TestGruLayer:
-    """The fused layer against a loop of the autodiff cell, in float64."""
-
-    @staticmethod
-    def stepped(x: np.ndarray, p: GruCellParams, reverse: bool) -> np.ndarray:
-        h = Tensor(np.zeros((x.shape[0], p.hidden_size)))
-        out = np.empty(x.shape[:2] + (p.hidden_size,))
-        for t in range(x.shape[1])[::-1] if reverse else range(x.shape[1]):
-            h = gru_cell_step(Tensor(x[:, t]), h, p)
-            out[:, t] = h.data
-        return out
+    """The fused layer against the step-by-step float64 reference scan."""
 
     @pytest.mark.parametrize("steps", [1, 5])
     @pytest.mark.parametrize("reverse", [False, True])
     def test_matches_cell_loop(self, steps, reverse):
         rng = np.random.default_rng(steps)
-        p = GruCellParams.init(3, 4, rng, dtype=np.float64)
-        for t in (p.b_r, p.b_z, p.b_h):
-            t.data[...] = rng.normal(size=4)
+        p = random_cell(rng)
         x = rng.normal(size=(3, steps, 3))
         fused = run_gru(Tensor(x), p, reverse=reverse).data
-        np.testing.assert_allclose(fused, self.stepped(x, p, reverse), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(fused, gru_reference(x, p, reverse), rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("reverse", [False, True])
     def test_gradients(self, reverse):
         rng = np.random.default_rng(11)
-        cell = GruCellParams.init(3, 4, rng, dtype=np.float64)
-        base = {name.split(".", 1)[1]: t.data for name, t in cell.named("c").items()}
-        base["b_r"] = rng.normal(size=4)
+        base = {name: t.data for name, t in vars(random_cell(rng)).items()}
         base["x"] = rng.normal(size=(3, 5, 3))
 
         def f(p):
@@ -113,9 +113,8 @@ class TestGruLayer:
         scorer = NeuralScorer.initialize(cfg, vocabs)
         sizes = []
         for length in (3, 12):
-            ids = np.arange(length) % 2
-            stream = TokenStream(length=length, word_ids=ids, da_ids=ids, turn_ids=ids)
-            sizes.append(len(forward_score(stream, scorer.params, cfg).graph()))
+            ids = {ch: (np.arange(length) % 2)[None] for ch in cfg.channels}
+            sizes.append(len(forward_scores(ids, scorer.params, cfg).graph()))
         assert sizes[0] == sizes[1]
 
 
@@ -189,28 +188,31 @@ class TestAdam:
 
 class TestAutodiffBasics:
     def test_shared_subexpression_accumulates(self):
-        x = Tensor(np.array(3.0), requires_grad=True)
-        y = ad.add(ad.mul(x, x), x)  # x^2 + x -> grad 2x + 1 = 7
+        x = Tensor(np.array([3.0]), requires_grad=True)
+        # (x + x) - (1 - x) = 3x - 1 -> grad 3
+        y = ad.reduce_mean(ad.sub(ad.add(x, x), ad.rsub_const(x, 1.0)))
         y.backward()
-        assert x.grad == pytest.approx(7.0)
+        assert x.grad == pytest.approx([3.0])
 
     def test_no_grad_suppresses_graph(self):
         x = Tensor(np.array(2.0), requires_grad=True)
         with no_grad():
-            y = ad.mul(x, x)
+            y = ad.add(x, x)
         assert y._parents == ()
         assert not y.requires_grad
 
     def test_backward_requires_scalar(self):
         x = Tensor(np.zeros(3), requires_grad=True)
         with pytest.raises(NumericError):
-            ad.mul(x, x).backward()
+            ad.add(x, x).backward()
 
 
 class TestGradCheck:
     def test_quadratic(self):
+        # t @ t.T for a 1x1 t is t^2 -> grad 2t
         report = grad_check(
-            lambda p: ad.mul(p["t"], p["t"]), {"t": np.array(3.0)}, h=1e-5, tol=1e-6
+            lambda p: ad.reshape(ad.linear(p["t"], p["t"]), ()),
+            {"t": np.array([[3.0]])}, h=1e-5, tol=1e-6,
         )
         assert report.passed
         assert report.max_rel_error < 1e-8
@@ -221,16 +223,9 @@ class TestGradCheck:
         cases = {
             "add": lambda p: ad.reduce_mean(ad.add(p["a"], p["b"])),
             "sub": lambda p: ad.reduce_mean(ad.sub(p["a"], p["b"])),
-            "mul": lambda p: ad.reduce_mean(ad.mul(p["a"], p["b"])),
             "add_bias_broadcast": lambda p: ad.reduce_mean(ad.add(p["m"], p["a"])),
-            "rsub_const": lambda p: ad.reduce_mean(1.0 - p["a"]),
-            "mul_const": lambda p: ad.reduce_mean(p["a"] * 2.5),
-            "matmul_vec_mat": lambda p: ad.reduce_mean(ad.matmul(p["a"], p["w"])),
-            "matmul_mat_mat": lambda p: ad.reduce_mean(ad.matmul(p["m"], p["w"])),
-            "matmul_mat_vec": lambda p: ad.reduce_mean(ad.matmul(p["w"], p["b"])),
+            "rsub_const": lambda p: ad.reduce_mean(ad.rsub_const(p["a"], 1.0)),
             "linear": lambda p: ad.reduce_mean(ad.linear(p["m"], p["w"])),
-            "sigmoid": lambda p: ad.reduce_mean(ad.sigmoid(p["a"])),
-            "tanh": lambda p: ad.reduce_mean(ad.tanh(p["a"])),
             "relu_away_from_kink": lambda p: ad.reduce_mean(ad.relu(p["shifted"])),
             "concat": lambda p: ad.reduce_mean(ad.concat([p["a"], p["b"]], axis=-1)),
             "mean": lambda p: ad.reduce_mean(ad.mean(ad.reshape(p["w"], (2, 2, 4)), axis=1)),
@@ -250,20 +245,6 @@ class TestGradCheck:
                 report = grad_check(fn, params, h=1e-5, tol=1e-4)
                 assert report.passed, f"{name} trial {trial}: {report.max_rel_error:.2e}"
 
-    def test_gru_cell_gradients(self):
-        rng = np.random.default_rng(5)
-        x = rng.normal(size=3)
-        h_prev = rng.normal(size=4) * 0.5
-        cell = GruCellParams.init(3, 4, rng, dtype=np.float64)
-        base = {name.split(".", 1)[1]: t.data for name, t in cell.named("c").items()}
-
-        def f(p):
-            c = GruCellParams(**{k: p[k] for k in base})
-            return ad.reduce_mean(gru_cell_step(Tensor(x), Tensor(h_prev), c))
-
-        report = grad_check(f, base, h=1e-5, tol=1e-4)
-        assert report.passed, report.max_rel_error
-
     def test_hinge_kink_is_flagged(self):
         # At x1 - x2 = margin the loss is non-differentiable: the check fails
         # there, which is exactly the signal used to exclude such points.
@@ -280,7 +261,7 @@ class TestGradCheck:
 
     def test_non_finite_evaluation_raises(self):
         def f(p):
-            return ad.reduce_mean(ad.mul(p["a"], Tensor(np.array([np.inf]))))
+            return ad.reduce_mean(ad.add(p["a"], Tensor(np.array([np.inf]))))
 
         with pytest.raises(NumericError, match="non-finite"):
             grad_check(f, {"a": np.array([1.0])})

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dialcoh.corpus import Dialogue, EntityMention, Segment, Turn, Vocab
+from dialcoh.corpus import Dialogue, Vocab, derive_vocabularies
 from dialcoh.errors import DataError
 from dialcoh.grid import (
     ROLE_SYMBOLS,
@@ -15,9 +15,8 @@ from dialcoh.grid import (
     da_sequence,
     da_transition_features,
     entity_transition_features,
-    joint_features,
-    transition_labels,
 )
+from dialcoh.models.linear import LinearRankerConfig, extract_features, feature_dim
 
 from conftest import seg, turn
 
@@ -33,8 +32,14 @@ def grid_from_columns(columns: dict[str, list[str]]) -> EntityGrid:
     return EntityGrid(heads=heads, cells=cells)
 
 
-def label_map(vec):
-    return dict(zip(transition_labels(vec.symbols, vec.k, sep="|"), vec.values))
+def label_map(values: np.ndarray, symbols, k: int) -> dict[str, float]:
+    """Window names ("S|O", ...) in index order, mapped to their values."""
+    names = ("|".join(w) for w in itertools.product(symbols, repeat=k))
+    return dict(zip(names, values))
+
+
+def roles(g: EntityGrid, e: int) -> list[str]:
+    return [ROLE_SYMBOLS[c] for c in g.cells[:, e]]
 
 
 def brute_force_window_freqs(columns: list[list[str]], k: int) -> dict[tuple, float]:
@@ -62,7 +67,7 @@ class TestBuildGrid:
         )
         g = build_grid(d)
         assert g.heads == ("movie",)
-        assert [g.role_at(t, 0) for t in range(3)] == ["O", "-", "S"]
+        assert roles(g, 0) == ["O", "-", "S"]
 
     def test_role_precedence(self):
         d = Dialogue(
@@ -70,13 +75,12 @@ class TestBuildGrid:
             turns=(turn("A", seg("sd", [("movie", "X"), ("movie", "S")])),),
         )
         g = build_grid(d)
-        assert g.role_at(0, 0) == "S"
+        assert roles(g, 0) == ["S"]
 
     def test_no_entities(self):
         d = Dialogue(id="d", turns=(turn("A", seg("sd")),))
         g = build_grid(d)
-        assert g.n_entities == 0
-        assert g.n_turns == 1
+        assert g.cells.shape == (1, 0)
 
 
 class TestEntityTransitionFeatures:
@@ -84,28 +88,28 @@ class TestEntityTransitionFeatures:
         # columns [O,-,S] and [-,X,-], k=2: windows O-, -S, -X, X-, each 1/4
         g = grid_from_columns({"a": ["O", "-", "S"], "b": ["-", "X", "-"]})
         vec = entity_transition_features(g, TransitionConfig(k=2, saliency=1))
-        m = label_map(vec)
+        m = label_map(vec, ROLE_SYMBOLS, 2)
         assert m["O|-"] == pytest.approx(0.25)
         assert m["-|S"] == pytest.approx(0.25)
         assert m["-|X"] == pytest.approx(0.25)
         assert m["X|-"] == pytest.approx(0.25)
-        assert sum(1 for v in vec.values if v != 0) == 4
-        assert len(vec.values) == 16
+        assert np.count_nonzero(vec) == 4
+        assert vec.shape == (16,)
 
     def test_single_repeating_column(self):
         g = grid_from_columns({"a": ["S", "S"]})
         vec = entity_transition_features(g, TransitionConfig(k=2))
-        assert label_map(vec)["S|S"] == pytest.approx(1.0)
+        assert label_map(vec, ROLE_SYMBOLS, 2)["S|S"] == pytest.approx(1.0)
 
     def test_saliency_drops_all_columns(self):
         g = grid_from_columns({"a": ["S", "-"], "b": ["-", "O"]})
         vec = entity_transition_features(g, TransitionConfig(k=2, saliency=2))
-        assert not vec.values.any()
+        assert not vec.any()
 
     def test_short_dialogue_zero_vector(self):
         g = grid_from_columns({"a": ["S"]})
         vec = entity_transition_features(g, TransitionConfig(k=2))
-        assert not vec.values.any()
+        assert not vec.any()
 
     @given(
         n_turns=st.integers(1, 5),
@@ -125,11 +129,11 @@ class TestEntityTransitionFeatures:
         g = grid_from_columns(columns)
         vec = entity_transition_features(g, TransitionConfig(k=k, saliency=1))
         expected = brute_force_window_freqs(list(columns.values()), k)
-        m = dict(zip(itertools.product(ROLE_SYMBOLS, repeat=k), vec.values))
-        for window, freq in m.items():
-            assert freq == pytest.approx(expected.get(window, 0.0), abs=1e-12)
+        windows = list(itertools.product(ROLE_SYMBOLS, repeat=k))
+        # Counts are integers, so the frequencies are exactly the enumerator's.
+        assert dict(zip(windows, vec.tolist())) == {w: expected.get(w, 0.0) for w in windows}
         if expected:
-            assert vec.values.sum() == pytest.approx(1.0)
+            assert vec.sum() == pytest.approx(1.0)
 
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=30, deadline=None)
@@ -145,7 +149,7 @@ class TestEntityTransitionFeatures:
         permuted = entity_transition_features(
             grid_from_columns({n: cols[n] for n in names}), cfg
         )
-        np.testing.assert_allclose(base.values, permuted.values)
+        np.testing.assert_allclose(base, permuted)
 
 
 class TestDaFeatures:
@@ -163,18 +167,30 @@ class TestDaFeatures:
     def test_hand_counted_bigrams(self):
         vocab = Vocab(("qy", "sd"))
         vec = da_transition_features(["sd", "qy", "sd", "qy"], TransitionConfig(k=2), vocab)
-        m = label_map(vec)
+        m = label_map(vec, vocab.tokens, 2)
         assert m["sd|qy"] == pytest.approx(2 / 3)
         assert m["qy|sd"] == pytest.approx(1 / 3)
-        assert vec.values.sum() == pytest.approx(1.0)
+        assert vec.sum() == pytest.approx(1.0)
 
     def test_too_short_is_zero(self):
         vec = da_transition_features(["sd"], TransitionConfig(k=2), Vocab(("qy", "sd")))
-        assert not vec.values.any()
+        assert not vec.any()
 
     def test_uniform_sequence(self):
         vec = da_transition_features(["b", "b", "b"], TransitionConfig(k=2), Vocab(("b",)))
-        assert vec.values[0] == pytest.approx(1.0)
+        assert vec[0] == pytest.approx(1.0)
+
+    @given(
+        seq=st.lists(st.sampled_from(["b", "qy", "sd"]), max_size=8),
+        k=st.integers(2, 3),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_brute_force_enumerator(self, seq, k):
+        vocab = Vocab(("b", "qy", "sd"))
+        vec = da_transition_features(seq, TransitionConfig(k=k), vocab)
+        expected = brute_force_window_freqs([seq], k)
+        windows = list(itertools.product(vocab.tokens, repeat=k))
+        assert dict(zip(windows, vec.tolist())) == {w: expected.get(w, 0.0) for w in windows}
 
     def test_unknown_tag(self):
         with pytest.raises(DataError):
@@ -182,25 +198,27 @@ class TestDaFeatures:
 
 
 class TestJointFeatures:
+    """extract_features: the entity block, the DA block, or both in that order."""
+
+    TURNS = (
+        turn("A", seg("sd", [("movie", "S")])),
+        turn("B", seg("qy", [("movie", "O")]), seg("sd")),
+        turn("A", seg("b", [("iowa", "X")])),
+    )
+
     def test_lengths_concatenate(self):
-        vocab = Vocab(("qy", "sd"))
-        cfg = TransitionConfig(k=2)
-        ev = entity_transition_features(grid_from_columns({"a": ["S", "O"]}), cfg)
-        dv = da_transition_features(["sd", "qy"], cfg, vocab)
-        joint = joint_features(ev, dv)
-        assert len(joint) == 16 + 4
-        np.testing.assert_allclose(joint[:16], ev.values)
-        np.testing.assert_allclose(joint[16:], dv.values)
+        vocabs = derive_vocabularies([Dialogue(id="v", turns=self.TURNS)])
+        d = Dialogue(id="d", turns=self.TURNS)
+        for k in (2, 3):
+            ev = entity_transition_features(build_grid(d), TransitionConfig(k=k))
+            dv = da_transition_features(da_sequence(d), TransitionConfig(k=k), vocabs.da)
+            for features, expected in (("entity", ev), ("da", dv),
+                                       ("joint", np.concatenate([ev, dv]))):
+                config = LinearRankerConfig(features=features, k=k)
+                got = extract_features(self.TURNS, config, vocabs)
+                np.testing.assert_array_equal(got, expected)
+                assert got.shape == (feature_dim(config, vocabs),)
 
     def test_zero_blocks(self):
-        vocab = Vocab(("qy", "sd"))
-        cfg = TransitionConfig(k=2)
-        ev = entity_transition_features(grid_from_columns({"a": ["S"]}), cfg)
-        dv = da_transition_features(["sd"], cfg, vocab)
-        assert not joint_features(ev, dv).any()
-
-    def test_k_mismatch(self):
-        ev = entity_transition_features(grid_from_columns({"a": ["S", "O"]}), TransitionConfig(k=2))
-        dv = da_transition_features(["sd", "qy"], TransitionConfig(k=3), Vocab(("qy", "sd")))
-        with pytest.raises(DataError):
-            joint_features(ev, dv)
+        vocabs = derive_vocabularies([Dialogue(id="v", turns=self.TURNS)])
+        assert not extract_features(self.TURNS[:1], LinearRankerConfig(), vocabs).any()

@@ -10,7 +10,6 @@ from dialcoh.linearize import (
     encode_pairwise_inputs,
     linearize,
     stream_rows,
-    stream_to_tsv,
 )
 
 from conftest import seg, synthetic_corpus, synthetic_dialogue, turn
@@ -188,12 +187,3 @@ class TestInvariants:
         for name in cfg.channels:
             np.testing.assert_array_equal(a.channel(name), b.channel(name))
 
-
-def test_tsv_dump(vocabs, two_turn=None):
-    turns = (turn("A", seg("sd", [("movie", "O")])), turn("B", seg("qy")))
-    cfg = enc(vocabs, word=True, role=True, turn=True)
-    text = stream_to_tsv(linearize(turns, cfg), cfg)
-    lines = text.strip().split("\n")
-    assert lines[0] == "word\trole\tturn"
-    assert lines[1] == "movie\tO\tB-A"
-    assert len(lines) == 3

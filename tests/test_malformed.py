@@ -1,5 +1,6 @@
-"""Malformed dataset records, `rate` payloads, checkpoint headers and neural
-checkpoint arrays reach the user through `cli.main` as data errors (exit 2),
+"""Malformed dataset records, `rate` payloads, checkpoint headers, neural
+checkpoint arrays and word-vector files reach the user through `cli.main` as
+data errors (exit 2), and malformed list flags as usage errors (exit 1),
 never as tracebacks."""
 import json
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from dialcoh.cli import main
-from dialcoh.corpus import derive_vocabularies
+from dialcoh.corpus import derive_vocabularies, save_vocabularies
 from dialcoh.models import LinearRanker, LinearRankerConfig, save_checkpoint
 from dialcoh.models.checkpoint import MAGIC
 from dialcoh.models.linear import feature_dim
@@ -19,10 +20,12 @@ from conftest import synthetic_corpus
 
 @pytest.fixture(scope="module")
 def setup(tmp_path_factory):
-    """A linear and a neural checkpoint, and one valid dataset record."""
+    """A linear and a neural checkpoint, their vocabulary file, and one valid
+    dataset record."""
     root = tmp_path_factory.mktemp("malformed")
     corpus = synthetic_corpus(4, 10, seed=3)
     vocabs = derive_vocabularies(corpus)
+    save_vocabularies(vocabs, root / "vocab.json")
     config = LinearRankerConfig()
     ranker = LinearRanker(config, vocabs, np.linspace(-1, 1, feature_dim(config, vocabs)))
     save_checkpoint(ranker, root / "model.ckpt")
@@ -95,6 +98,47 @@ def test_valid_inputs_pass(setup, tmp_path):
     request.write_text(json.dumps(bare), encoding="utf-8")
     assert run("rate", "--checkpoint", root / "model.ckpt", "--input", request) == 0
     assert run("rate", "--checkpoint", root / "neural.ckpt", "--input", request) == 0
+
+
+def _train_args(root, record, tmp_path, *flags):
+    data = tmp_path / "data.jsonl"
+    data.write_text(json.dumps(record) + "\n", encoding="utf-8")
+    return ("train", "--train", data, "--dev", data, "--vocab", root / "vocab.json",
+            "--out", tmp_path / "out", *flags)
+
+
+LIST_FLAG_CASES = {
+    "baseline_ratings": lambda root, record, tmp: (
+        "baseline", "--candidates", "3", "--metric", "ndcg", "--ratings", "a,b,c"),
+    "train_seeds": lambda root, record, tmp: _train_args(
+        root, record, tmp, "--model", "linear", "--seeds", "a"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LIST_FLAG_CASES))
+def test_malformed_list_flag_is_a_usage_error(setup, tmp_path, capsys, name):
+    root, record = setup
+    assert run(*LIST_FLAG_CASES[name](root, record, tmp_path)) == 1
+    assert "invalid comma-separated" in capsys.readouterr().err
+
+
+def test_linear_training_takes_one_seed(setup, tmp_path, capsys):
+    root, record = setup
+    assert run(*_train_args(root, record, tmp_path, "--model", "linear", "--seeds", "3,4")) == 2
+    assert "one seed" in capsys.readouterr().err
+
+
+def test_non_numeric_word_vector_is_a_data_error(setup, tmp_path, capsys):
+    root, record = setup
+    vectors = tmp_path / "vectors.txt"
+    vectors.write_text("movie 0.1 0.2\nmovie 0.1 x\n", encoding="utf-8")
+    code = run(*_train_args(
+        root, record, tmp_path, "--model", "neural", "--pretrained-words", vectors,
+        "--emb-dim-word", "2", "--emb-dim", "2", "--layers", "1", "--hidden", "2",
+        "--head-hidden", "2", "--epochs", "1"))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert str(vectors) in err and "line 2" in err
 
 
 def _entry(header, **changes):

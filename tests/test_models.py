@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from dialcoh.corpus import Dialogue, derive_vocabularies
-from dialcoh.engine import Tensor, grad_check, pairwise_hinge
+from dialcoh.engine import GruCellParams, Tensor, grad_check, pairwise_hinge
 from dialcoh.errors import ChecksumError, DataError
 from dialcoh.linearize import TokenStream, encode_pairwise_inputs, linearize
 from dialcoh.models import (
@@ -15,7 +15,6 @@ from dialcoh.models import (
     NeuralScorer,
     build_pair_features,
     evaluate_selection,
-    forward_score,
     load_checkpoint,
     rank_candidates,
     ranking_accuracy,
@@ -26,7 +25,7 @@ from dialcoh.models import (
 from dialcoh.models.neural import forward_scores
 from dialcoh.swapgen import Candidate, RankingInstance, build_selection_dataset
 
-from conftest import seg, synthetic_corpus, turn
+from conftest import gru_reference, seg, synthetic_corpus, turn
 
 
 def small_config(**overrides) -> NeuralConfig:
@@ -105,21 +104,17 @@ class TestForwardScore:
         cfg = small_config(channels=("word",))
         scorer = NeuralScorer.initialize(cfg, vocabs)
         stream = TokenStream(length=1, word_ids=np.array([3]))
-        score = scorer.score_stream(stream)
+        [score] = scorer.score_streams([stream])
 
-        # Recompute: embeddings -> one cell step per direction and layer
-        # from a zero state -> (single) output -> head.
-        from dialcoh.engine import Tensor, gru_cell_step
-        from dialcoh.engine.rnn import GruCellParams
-
+        # Recompute: embeddings -> the reference scan over one position per
+        # direction and layer -> (single) output -> head.
         p = scorer.params
-        x = Tensor(p["emb_word"].data[[3]])
-        zero = Tensor(np.zeros((1, cfg.gru_hidden), dtype=np.float32))
+        x = p["emb_word"].data[[3]][None]  # (batch 1, time 1, emb)
         for layer in range(cfg.gru_layers):
-            f = gru_cell_step(x, zero, GruCellParams.from_named(f"gru{layer}f", p))
-            b = gru_cell_step(x, zero, GruCellParams.from_named(f"gru{layer}b", p))
-            x = Tensor(np.concatenate([f.data, b.data], axis=-1))
-        single = x.data  # (1, 2H) with no pooling applied
+            f = gru_reference(x, GruCellParams.from_named(f"gru{layer}f", p))
+            b = gru_reference(x, GruCellParams.from_named(f"gru{layer}b", p), reverse=True)
+            x = np.concatenate([f, b], axis=-1)
+        single = x[:, 0]  # (1, 2H) with no pooling applied
         hidden = np.maximum(single @ p["head.w1"].data.T + p["head.b1"].data, 0)
         expected = float((hidden @ p["head.w2"].data.T + p["head.b2"].data)[0, 0])
         assert score == pytest.approx(expected, rel=1e-6)
@@ -129,7 +124,8 @@ class TestForwardScore:
         scorer = NeuralScorer.initialize(cfg, vocabs)
         a = TokenStream(length=4, word_ids=np.array([3, 4, 5, 6]))
         b = TokenStream(length=4, word_ids=np.array([3, 5, 4, 6]))
-        assert scorer.score_stream(a) != pytest.approx(scorer.score_stream(b), abs=1e-9)
+        score_a, score_b = scorer.score_streams([a]), scorer.score_streams([b])
+        assert score_a[0] != pytest.approx(score_b[0], abs=1e-9)
 
     def test_batch_composition_invariance(self, vocabs, dataset):
         scorer = NeuralScorer.initialize(small_config(seed=9), vocabs)
@@ -139,14 +135,14 @@ class TestForwardScore:
             for c in inst.candidates
         ]
         batched = scorer.score_streams(streams)
-        solo = np.array([scorer.score_stream(s) for s in streams])
+        solo = np.concatenate([scorer.score_streams([s]) for s in streams])
         np.testing.assert_allclose(batched, solo, rtol=1e-5, atol=1e-6)
 
     def test_channel_mismatch_rejected(self, vocabs):
         scorer = NeuralScorer.initialize(small_config(), vocabs)
         stream = TokenStream(length=1, word_ids=np.array([0]))  # no da/turn channels
         with pytest.raises(DataError):
-            scorer.score_stream(stream)
+            scorer.score_streams([stream])
 
 
 class TestTrainNeural:
@@ -378,7 +374,7 @@ class TestCheckpoint:
         stream = linearize(
             (da_turn(["sd"], "A"), da_turn(["b"], "B")), loaded.encoding
         )
-        assert np.isfinite(loaded.score_stream(stream))
+        assert np.isfinite(loaded.score_streams([stream])).all()
 
     def test_linear_round_trip(self, tmp_path, vocabs, dataset):
         config = LinearRankerConfig(features="da", epochs=3, seed=0)
