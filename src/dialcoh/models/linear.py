@@ -6,7 +6,9 @@ The preference-ranking objective is the linear RankSVM one: for each
     sum_i max(0, 1 - w . (pos_i - neg_i)) + l2 * ||w||^2
 
 by seeded stochastic subgradient descent. There is no bias term; it cancels
-in the difference. Candidates are scored by w . features(context + candidate).
+in the difference. Candidates are scored by w . features(context + candidate),
+where `extract_features` computes the features of all candidates of one
+context at once and counts the context's windows a single time.
 """
 from __future__ import annotations
 
@@ -15,16 +17,9 @@ from typing import Sequence
 
 import numpy as np
 
-from ..corpus import Dialogue, Turn, Vocabularies
+from ..corpus import Turn, Vocabularies
 from ..errors import DataError
-from ..grid import (
-    ROLE_SYMBOLS,
-    TransitionConfig,
-    build_grid,
-    da_sequence,
-    da_transition_features,
-    entity_transition_features,
-)
+from ..grid import ROLE_SYMBOLS, TransitionConfig, da_features, entity_features
 from ..swapgen import RankingInstance
 
 FEATURE_SETS = ("entity", "da", "joint")
@@ -77,12 +72,10 @@ class LinearRanker:
         self.manifest: dict = {}
 
     def score_candidates(self, context: Sequence[Turn], candidates: Sequence[Turn]) -> np.ndarray:
-        features = [
-            extract_features([*context, cand], self.config, self.vocabularies)
-            for cand in candidates
-        ]
+        features = extract_features(context, candidates, self.config, self.vocabularies)
+        # One product per candidate, so a score does not depend on its batch.
         return np.asarray(
-            [float(self.weights @ f.astype(np.float32)) for f in features], dtype=np.float64
+            [float(self.weights @ f) for f in features.astype(np.float32)], dtype=np.float64
         )
 
     def parameter_arrays(self) -> dict[str, np.ndarray]:
@@ -96,18 +89,21 @@ def feature_dim(config: LinearRankerConfig, vocabularies: Vocabularies) -> int:
 
 
 def extract_features(
-    turns: Sequence[Turn], config: LinearRankerConfig, vocabularies: Vocabularies
+    context: Sequence[Turn],
+    candidates: Sequence[Turn],
+    config: LinearRankerConfig,
+    vocabularies: Vocabularies,
 ) -> np.ndarray:
-    """The configured transition-frequency vector of a turn sequence; joint
-    features are the entity block followed by the DA block."""
-    d = Dialogue(id="_", turns=tuple(turns))
+    """The configured transition-frequency vector of each sequence
+    `[*context, candidate]`, one row per candidate: joint features are the
+    entity block followed by the DA block."""
     tcfg = TransitionConfig(k=config.k, saliency=config.saliency)
     blocks = []
     if config.features != "da":
-        blocks.append(entity_transition_features(build_grid(d), tcfg))
+        blocks.append(entity_features(context, candidates, tcfg))
     if config.features != "entity":
-        blocks.append(da_transition_features(da_sequence(d), tcfg, vocabularies.da))
-    return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+        blocks.append(da_features(context, candidates, tcfg, vocabularies.da))
+    return blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=1)
 
 
 def build_pair_features(
@@ -118,14 +114,11 @@ def build_pair_features(
     """One (positive, negative) feature pair per adversarial candidate."""
     pairs = []
     for inst in instances:
-        vectors = [
-            extract_features([*inst.context, cand.turn], config, vocabularies)
-            for cand in inst.candidates
-        ]
+        vectors = extract_features(
+            inst.context, [cand.turn for cand in inst.candidates], config, vocabularies
+        )
         pos = vectors[inst.positive_position]
-        for i, vec in enumerate(vectors):
-            if i != inst.positive_position:
-                pairs.append((pos, vec))
+        pairs.extend((pos, vec) for i, vec in enumerate(vectors) if i != inst.positive_position)
     return pairs
 
 
@@ -149,14 +142,15 @@ def train_linear_ranker(
         raise DataError(f"inconsistent feature dimensions: {sorted(dims)}")
     diffs = np.stack([np.asarray(pos, dtype=np.float64) - np.asarray(neg, dtype=np.float64)
                       for pos, neg in pairs])
+    rows = list(zip(diffs, lr * diffs))  # row views, each step scaled once
     w = np.zeros(diffs.shape[1], dtype=np.float64)
     rng = np.random.default_rng(seed)
     shrink = max(0.0, 1.0 - 2.0 * lr * l2 / len(pairs))
     for _ in range(epochs):
-        for i in rng.permutation(len(diffs)):
-            d = diffs[i]
+        for i in rng.permutation(len(rows)).tolist():
+            d, step = rows[i]
             if w @ d < 1.0:
-                w += lr * d
+                w += step
             w *= shrink
     return w
 

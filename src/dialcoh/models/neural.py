@@ -162,8 +162,9 @@ def init_params(
 
 def load_word_vectors(path, vocabularies: Vocabularies, params: Mapping[str, Tensor]) -> int:
     """Overwrite word-embedding rows from a text file of "token v1 ... vd"
-    lines; tokens outside the vocabulary are skipped. Returns the number of
-    rows filled."""
+    lines; tokens outside the vocabulary are skipped, and a vocabulary token
+    with other than d values is a DataError. Returns the number of rows
+    filled."""
     emb = params.get("emb_word")
     if emb is None:
         raise DataError("model has no word channel to load vectors into")
@@ -172,11 +173,14 @@ def load_word_vectors(path, vocabularies: Vocabularies, params: Mapping[str, Ten
     with open(path, encoding="utf-8") as f:
         for line_no, line in enumerate(f, 1):
             parts = line.rstrip("\n").split(" ")
-            if len(parts) != dim + 1:
-                continue
             wid = vocabularies.words.get(parts[0])
             if wid is None:
                 continue
+            if len(parts) != dim + 1:
+                raise DataError(
+                    f"{path} line {line_no}: {parts[0]!r} has {len(parts) - 1} values, "
+                    f"expected {dim} (the word embedding size)"
+                )
             try:
                 emb.data[wid] = np.asarray([float(x) for x in parts[1:]], dtype=emb.data.dtype)
             except ValueError as exc:

@@ -1,5 +1,7 @@
-"""Shared corpus builders for the test suite."""
+"""Shared corpus builders and reference implementations for the test suite."""
 from __future__ import annotations
+
+from typing import Sequence
 
 import numpy as np
 import pytest
@@ -9,10 +11,14 @@ from dialcoh.corpus import (
     EntityMention,
     Segment,
     Turn,
+    Vocab,
+    Vocabularies,
     derive_vocabularies,
 )
 from dialcoh.engine.autodiff import logistic
 from dialcoh.engine.rnn import GruCellParams
+from dialcoh.grid import ABSENT, ROLE_SYMBOLS, EntityGrid, TransitionConfig
+from dialcoh.models.linear import LinearRankerConfig
 
 DA_TAGS = ("b", "qy", "sd")
 HEADS = ("movie", "iowa", "hands", "crafts", "california", "utah", "midwest", "hobbies")
@@ -85,3 +91,69 @@ def gru_reference(x: np.ndarray, p: GruCellParams, reverse: bool = False) -> np.
         h = (1.0 - z) * h + z * c
         out[:, t] = h
     return out
+
+
+def reference_grid(turns: Sequence[Turn]) -> EntityGrid:
+    """The entity grid built cell by cell, keeping the highest role of a
+    turn's mentions (S > O > X): the oracle for `grid.build_grid`."""
+    heads: list[str] = []
+    for turn in turns:
+        for m in turn.mentions():
+            if m.head not in heads:
+                heads.append(m.head)
+    cells = np.full((len(turns), len(heads)), ABSENT, dtype=np.int8)
+    for t, turn in enumerate(turns):
+        for m in turn.mentions():
+            e = heads.index(m.head)
+            cells[t, e] = min(cells[t, e], ROLE_SYMBOLS.index(m.role))
+    return EntityGrid(heads=tuple(heads), cells=cells)
+
+
+def _window_frequencies(codes: np.ndarray, k: int, base: int) -> np.ndarray:
+    """Frequencies of every length-k window along the rows of a (rows, n)
+    code array, pooled over rows: counts divided by rows * (n - k + 1), or
+    all zeros when there is no window."""
+    rows, n = codes.shape
+    if rows == 0 or n < k:
+        return np.zeros(base**k, dtype=np.float64)
+    windows = n - k + 1
+    idx = codes[:, :windows].astype(np.int64)
+    for j in range(1, k):
+        idx = idx * base + codes[:, j : j + windows]
+    return np.bincount(idx.ravel(), minlength=base**k) / (rows * windows)
+
+
+def entity_transition_features(g: EntityGrid, cfg: TransitionConfig) -> np.ndarray:
+    """Frequencies of role windows down the kept columns of one whole grid:
+    the per-sequence oracle for `grid.entity_features`."""
+    kept = (g.cells != ABSENT).sum(axis=0) >= cfg.saliency
+    return _window_frequencies(g.cells.T[kept], cfg.k, len(ROLE_SYMBOLS))
+
+
+def da_sequence(d: Dialogue) -> list[str]:
+    """The dialogue's DA labels, segment order within turn order."""
+    return [seg.da for turn in d.turns for seg in turn.segments]
+
+
+def da_transition_features(seq: Sequence[str], cfg: TransitionConfig, vocab: Vocab) -> np.ndarray:
+    """Frequencies of DA windows along one whole sequence, divided by
+    n - k + 1: the per-sequence oracle for `grid.da_features`."""
+    codes = np.array([[vocab.id(t) for t in seq]], dtype=np.int64)
+    return _window_frequencies(codes, cfg.k, len(vocab))
+
+
+def sequence_features(
+    turns: Sequence[Turn], config: LinearRankerConfig, vocabularies: Vocabularies
+) -> np.ndarray:
+    """The configured feature vector of one turn sequence, counted on its
+    own: the oracle each row of `linear.extract_features` must equal."""
+    tcfg = TransitionConfig(k=config.k, saliency=config.saliency)
+    blocks = []
+    if config.features != "da":
+        blocks.append(entity_transition_features(reference_grid(turns), tcfg))
+    if config.features != "entity":
+        blocks.append(
+            da_transition_features(da_sequence(Dialogue(id="_", turns=tuple(turns))), tcfg,
+                                   vocabularies.da)
+        )
+    return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)

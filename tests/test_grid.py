@@ -7,18 +7,19 @@ from hypothesis import strategies as st
 
 from dialcoh.corpus import Dialogue, Vocab, derive_vocabularies
 from dialcoh.errors import DataError
-from dialcoh.grid import (
-    ROLE_SYMBOLS,
-    EntityGrid,
-    TransitionConfig,
-    build_grid,
+from dialcoh.grid import ROLE_SYMBOLS, EntityGrid, TransitionConfig, build_grid
+from dialcoh.models.linear import FEATURE_SETS, LinearRankerConfig, extract_features, feature_dim
+
+from conftest import (
+    DA_TAGS,
     da_sequence,
     da_transition_features,
     entity_transition_features,
+    reference_grid,
+    seg,
+    sequence_features,
+    turn,
 )
-from dialcoh.models.linear import LinearRankerConfig, extract_features, feature_dim
-
-from conftest import seg, turn
 
 
 def grid_from_columns(columns: dict[str, list[str]]) -> EntityGrid:
@@ -55,6 +56,23 @@ def brute_force_window_freqs(columns: list[list[str]], k: int) -> dict[tuple, fl
     return {w: c / total for w, c in counts.items()} if total else {}
 
 
+# Heads the context draws from, and heads only candidates can mention.
+CONTEXT_HEADS = ("movie", "iowa", "hands")
+CANDIDATE_HEADS = CONTEXT_HEADS + ("utah", "crafts")
+VOCABS = derive_vocabularies(
+    [Dialogue(id="v", turns=tuple(turn("A", seg(da)) for da in DA_TAGS))]
+)
+
+
+def turn_strategy(heads, min_segments=0):
+    """Turns of up to two segments, each with up to three mentions; one head
+    may recur with different roles in the same turn."""
+    mention = st.tuples(st.sampled_from(heads), st.sampled_from(ROLE_SYMBOLS[:-1]))
+    segment = st.builds(seg, st.sampled_from(DA_TAGS), st.lists(mention, max_size=3))
+    return st.builds(lambda segs: turn("A", *segs),
+                     st.lists(segment, min_size=min_segments, max_size=2))
+
+
 class TestBuildGrid:
     def test_direct_construction(self):
         d = Dialogue(
@@ -65,7 +83,7 @@ class TestBuildGrid:
                 turn("A", seg("sd", [("movie", "S")])),
             ),
         )
-        g = build_grid(d)
+        g = build_grid(d.turns)
         assert g.heads == ("movie",)
         assert roles(g, 0) == ["O", "-", "S"]
 
@@ -74,12 +92,20 @@ class TestBuildGrid:
             id="d",
             turns=(turn("A", seg("sd", [("movie", "X"), ("movie", "S")])),),
         )
-        g = build_grid(d)
+        g = build_grid(d.turns)
         assert roles(g, 0) == ["S"]
+
+    @given(turns=st.lists(turn_strategy(CANDIDATE_HEADS), max_size=6))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_cell_by_cell_reference(self, turns):
+        got, expected = build_grid(turns), reference_grid(turns)
+        assert got.heads == expected.heads
+        np.testing.assert_array_equal(got.cells, expected.cells)
+        assert got.cells.dtype == np.int8
 
     def test_no_entities(self):
         d = Dialogue(id="d", turns=(turn("A", seg("sd")),))
-        g = build_grid(d)
+        g = build_grid(d.turns)
         assert g.cells.shape == (1, 0)
 
 
@@ -198,7 +224,8 @@ class TestDaFeatures:
 
 
 class TestJointFeatures:
-    """extract_features: the entity block, the DA block, or both in that order."""
+    """extract_features: per candidate, the entity block, the DA block, or
+    both in that order."""
 
     TURNS = (
         turn("A", seg("sd", [("movie", "S")])),
@@ -210,15 +237,67 @@ class TestJointFeatures:
         vocabs = derive_vocabularies([Dialogue(id="v", turns=self.TURNS)])
         d = Dialogue(id="d", turns=self.TURNS)
         for k in (2, 3):
-            ev = entity_transition_features(build_grid(d), TransitionConfig(k=k))
+            ev = entity_transition_features(build_grid(d.turns), TransitionConfig(k=k))
             dv = da_transition_features(da_sequence(d), TransitionConfig(k=k), vocabs.da)
             for features, expected in (("entity", ev), ("da", dv),
                                        ("joint", np.concatenate([ev, dv]))):
                 config = LinearRankerConfig(features=features, k=k)
-                got = extract_features(self.TURNS, config, vocabs)
-                np.testing.assert_array_equal(got, expected)
-                assert got.shape == (feature_dim(config, vocabs),)
+                got = extract_features(self.TURNS[:-1], self.TURNS[-1:], config, vocabs)
+                assert got.shape == (1, feature_dim(config, vocabs))
+                np.testing.assert_array_equal(got[0], expected)
 
     def test_zero_blocks(self):
         vocabs = derive_vocabularies([Dialogue(id="v", turns=self.TURNS)])
-        assert not extract_features(self.TURNS[:1], LinearRankerConfig(), vocabs).any()
+        got = extract_features((), self.TURNS[:1], LinearRankerConfig(), vocabs)
+        assert got.shape == (1, feature_dim(LinearRankerConfig(), vocabs)) and not got.any()
+
+
+def assert_rows_match_oracle(context, candidates, k, saliency, features):
+    config = LinearRankerConfig(features=features, k=k, saliency=saliency)
+    got = extract_features(context, candidates, config, VOCABS)
+    assert got.shape == (len(candidates), feature_dim(config, VOCABS))
+    for row, cand in zip(got, candidates):
+        assert row.tobytes() == sequence_features([*context, cand], config, VOCABS).tobytes()
+
+
+class TestPerContextFeatures:
+    """Each row of extract_features(context, candidates) is bytewise the
+    per-sequence oracle on [*context, candidate]."""
+
+    @given(
+        context=st.lists(turn_strategy(CONTEXT_HEADS, min_segments=1), max_size=6),
+        candidates=st.lists(turn_strategy(CANDIDATE_HEADS), min_size=1, max_size=5),
+        k=st.sampled_from((2, 3, 4)),
+        saliency=st.sampled_from((1, 2, 3)),
+        features=st.sampled_from(FEATURE_SETS),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_oracle(self, context, candidates, k, saliency, features):
+        assert_rows_match_oracle(context, candidates, k, saliency, features)
+
+    CONTEXT = (
+        turn("A", seg("sd", [("movie", "S")])),
+        turn("B", seg("qy", [("movie", "O"), ("iowa", "X")]), seg("b")),
+        turn("A", seg("sd", [("iowa", "S")])),
+        turn("B", seg("b")),
+    )
+    EDGES = {
+        "context_shorter_than_k_minus_1": (CONTEXT[:1], [turn("B", seg("sd", [("movie", "O")]))]),
+        "candidates_without_entities": (CONTEXT, [turn("B", seg("b")), turn("A", seg("qy"))]),
+        "all_entities_new": (CONTEXT, [turn("B", seg("sd", [("utah", "S"), ("crafts", "O")])),
+                                       turn("A", seg("b", [("utah", "X")]))]),
+        "repeated_head_with_roles": (CONTEXT, [
+            turn("B", seg("sd", [("movie", "X"), ("movie", "O")]),
+                 seg("qy", [("movie", "S"), ("utah", "X")])),
+            turn("A", seg("b", [("iowa", "X"), ("iowa", "X")])),
+        ]),
+        "single_candidate": (CONTEXT, [turn("B", seg("qy", [("iowa", "O")]))]),
+        "candidate_without_segments": (CONTEXT, [turn("B"), turn("A", seg("sd"))]),
+        "empty_context": ((), [turn("B", seg("sd", [("movie", "S")]), seg("b"))]),
+    }
+
+    @pytest.mark.parametrize("name", sorted(EDGES))
+    def test_edges(self, name):
+        context, candidates = self.EDGES[name]
+        for k, saliency, features in itertools.product((2, 3, 4), (1, 2, 3), FEATURE_SETS):
+            assert_rows_match_oracle(context, candidates, k, saliency, features)

@@ -141,6 +141,20 @@ def test_non_numeric_word_vector_is_a_data_error(setup, tmp_path, capsys):
     assert str(vectors) in err and "line 2" in err
 
 
+def test_word_vector_of_the_wrong_size_is_a_data_error(setup, tmp_path, capsys):
+    root, record = setup
+    vectors = tmp_path / "vectors.txt"
+    vectors.write_text("unseen 0.1\nmovie 0.1 0.2 0.3\n", encoding="utf-8")
+    code = run(*_train_args(
+        root, record, tmp_path, "--model", "neural", "--pretrained-words", vectors,
+        "--emb-dim-word", "2", "--emb-dim", "2", "--layers", "1", "--hidden", "2",
+        "--head-hidden", "2", "--epochs", "1"))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert str(vectors) in err and "line 2" in err
+    assert "3 values" in err and "expected 2" in err
+
+
 def _entry(header, **changes):
     return {**header, "arrays": [{**header["arrays"][0], **changes}]}
 

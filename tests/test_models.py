@@ -22,6 +22,7 @@ from dialcoh.models import (
     train_linear_ranker,
     train_neural,
 )
+from dialcoh.models.linear import feature_dim
 from dialcoh.models.neural import forward_scores
 from dialcoh.swapgen import Candidate, RankingInstance, build_selection_dataset
 
@@ -269,6 +270,37 @@ class TestLinearRanker:
         w1 = train_linear_ranker(pairs, epochs=5, seed=7)
         w2 = train_linear_ranker(pairs, epochs=5, seed=7)
         np.testing.assert_array_equal(w1, w2)
+
+    @pytest.mark.parametrize("lr", [0.1, 0.0005])
+    def test_weights_equal_the_per_step_loop(self, vocabs, dataset, lr):
+        pairs = build_pair_features(dataset, LinearRankerConfig(features="joint"), vocabs)
+        w = train_linear_ranker(pairs, l2=1e-3, lr=lr, epochs=8, seed=4)
+        assert np.array_equal(w, sgd_reference(pairs, l2=1e-3, lr=lr, epochs=8, seed=4))
+
+    @pytest.mark.parametrize("features", ["entity", "da", "joint"])
+    def test_scores_do_not_depend_on_the_batch(self, vocabs, dataset, features):
+        config = LinearRankerConfig(features=features, k=3)
+        weights = np.random.default_rng(5).normal(size=feature_dim(config, vocabs))
+        ranker = LinearRanker(config, vocabs, weights)
+        for inst in dataset:
+            cands = [c.turn for c in inst.candidates]
+            solo = np.concatenate([ranker.score_candidates(inst.context, [c]) for c in cands])
+            assert np.array_equal(ranker.score_candidates(inst.context, cands), solo)
+
+
+def sgd_reference(pairs, l2, lr, epochs, seed):
+    """The subgradient loop that scales each diff by lr at every step."""
+    diffs = np.stack([pos - neg for pos, neg in pairs])
+    w = np.zeros(diffs.shape[1], dtype=np.float64)
+    rng = np.random.default_rng(seed)
+    shrink = max(0.0, 1.0 - 2.0 * lr * l2 / len(pairs))
+    for _ in range(epochs):
+        for i in rng.permutation(len(diffs)):
+            d = diffs[i]
+            if w @ d < 1.0:
+                w += lr * d
+            w *= shrink
+    return w
 
 
 class _FixedScorer:
