@@ -1,12 +1,12 @@
 """Minimal reverse-mode automatic differentiation over numpy arrays.
 
 Covers exactly the operations the biGRU scorer and its loss run: embedding
-lookup, concatenation, mean pooling, the head's linear maps, bias additions
-and ReLU, gather, reshape, and the hinge's subtraction, constant-minus and
-scalar mean. Tensors wrap a numpy array; operations on tensors that require
-gradients record their parents, and backward() on a scalar accumulates
-gradients into every reachable leaf. A GRU layer is one such node with a
-hand-written backward pass (`engine/rnn.py`).
+lookup, concatenation, length-masked mean pooling, the head's linear maps,
+bias additions and ReLU, gather, reshape, and the hinge's subtraction,
+constant-minus and scalar mean. Tensors wrap a numpy array; operations on
+tensors that require gradients record their parents, and backward() on a
+scalar accumulates gradients into every reachable leaf. A GRU layer is one
+such node with a hand-written backward pass (`engine/rnn.py`).
 
 Works at any float precision: training runs in float32, gradient checking in
 float64. Biases broadcast and their gradients are summed back to shape.
@@ -148,13 +148,13 @@ def rsub_const(a: Tensor, c) -> Tensor:
 
 
 def logistic(d: np.ndarray) -> np.ndarray:
-    """Overflow-free 1 / (1 + exp(-d)); the one sigmoid formula of the engine."""
-    out = np.empty_like(d)
-    pos = d >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-d[pos]))
-    ex = np.exp(d[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """Overflow-free 1 / (1 + exp(-d)); the one sigmoid formula of the engine.
+
+    Branch-free: with e = exp(-|d|) it is 1 / (1 + e) for d >= 0 and
+    e / (1 + e) below, the same float ops per element as splitting the array
+    by sign. min(d, -d) is -|d| that keeps a NaN's sign bit."""
+    e = np.exp(np.minimum(d, -d))
+    return np.where(d >= 0, 1.0, e) / (1.0 + e)
 
 
 def relu(x: Tensor) -> Tensor:
@@ -170,8 +170,15 @@ def relu(x: Tensor) -> Tensor:
 
 
 def linear(x: Tensor, w: Tensor) -> Tensor:
-    """x @ w.T for weight matrices stored (out_dim, in_dim); x is (B, in_dim)."""
-    out_data = x.data @ w.data.T
+    """x @ w.T for weight matrices stored (out_dim, in_dim); x is (B, in_dim).
+
+    A one-row w is a row-wise multiply-sum: BLAS's matrix-vector product
+    gives a row different bits depending on how many rows share the call,
+    and a score must not depend on its batch."""
+    if w.data.shape[0] == 1:
+        out_data = (x.data * w.data).sum(axis=1, keepdims=True)
+    else:
+        out_data = x.data @ w.data.T
 
     def bwd(g):
         _accumulate(x, g @ w.data)
@@ -197,14 +204,16 @@ def concat(tensors, axis: int = -1) -> Tensor:
     return _node(out_data, tensors, bwd)
 
 
-def mean(x: Tensor, axis: int) -> Tensor:
-    """Mean over one axis (mean pooling of (batch, time, dim) over time)."""
-    k = x.data.shape[axis]
-    out_data = x.data.sum(axis=axis)
+def mean(x: Tensor, lengths: np.ndarray) -> Tensor:
+    """Mean pooling of (batch, time, dim) states over time: the sum over time
+    divided by each row's length, so states past a row's length must be zero
+    (as `run_gru` leaves them)."""
+    k = lengths.astype(x.data.dtype)[:, None]
+    out_data = x.data.sum(axis=1)
     out_data /= k
 
     def bwd(g):
-        _accumulate(x, np.expand_dims(g / k, axis))
+        _accumulate(x, (g / k)[:, None])
 
     return _node(out_data, (x,), bwd)
 

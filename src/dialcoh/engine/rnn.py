@@ -20,6 +20,13 @@ pre-activation gradients, from which dx, dW, dU and db are a few products
 over the flattened (batch * time) rows. The tests check the forward pass
 against a step-by-step float64 scan of the formulas above and the backward
 pass against finite differences.
+
+Rows of different lengths share one scan through per-row `lengths`, the
+length-masked scheme of PyTorch's `pack_padded_sequence`: a row's state is
+frozen past its length and its outputs there are zero, so the backward
+direction starts from a zero state at each row's own end. Such ragged
+batches are for scoring only; recording one for backpropagation is an
+error.
 """
 from __future__ import annotations
 
@@ -66,17 +73,28 @@ class GruCellParams:
         )
 
 
-def run_gru(x: Tensor, p: GruCellParams, reverse: bool = False) -> Tensor:
+def run_gru(
+    x: Tensor, p: GruCellParams, reverse: bool = False, lengths: np.ndarray | None = None
+) -> Tensor:
     """Run the cell over every position of a (batch, time, input) tensor from
     a zero initial state; returns the (batch, time, hidden) states aligned
     with input positions. reverse=True scans right to left (the backward
-    direction of a biGRU)."""
+    direction of a biGRU). `lengths` (one per row, default the full time
+    axis) masks the scan: each row runs over its own first `lengths[i]`
+    positions, in either direction, and its outputs past them are zero."""
     if x.data.ndim != 3 or x.shape[2] != p.input_size:
         raise ValueError(f"input shape {x.shape} is not (batch, time, {p.input_size})")
     batch, steps, _ = x.shape
     hid = p.hidden_size
     parents = (x, *vars(p).values())
     keep = ad.recording(parents)
+    if lengths is None:
+        lengths = np.full(batch, steps)
+    if keep and (lengths != steps).any():
+        raise ValueError(
+            "run_gru cannot record rows of different lengths for backpropagation; "
+            "train on rows of one length"
+        )
     xw = x.data.reshape(batch * steps, -1) @ _stacked(p, "w", GATES).T
     xw = xw.reshape(batch, steps, 3 * hid)
     u_rz = _stacked(p, "u", GATES[:2])
@@ -91,8 +109,10 @@ def run_gru(x: Tensor, p: GruCellParams, reverse: bool = False) -> Tensor:
         c = np.tanh(xw[:, t, 2 * hid :] + (r * h) @ p.u_h.data.T + p.b_h.data)
         if keep:
             r_all[:, t], z_all[:, t], c_all[:, t], h_prev_all[:, t] = r, z, c, h
-        h = (1.0 - z) * h + z * c
-        out[:, t] = h
+        h_next = (1.0 - z) * h + z * c
+        live = (t < lengths)[:, None]
+        h = np.where(live, h_next, h)
+        out[:, t] = np.where(live, h_next, 0.0)
     if not keep:
         return Tensor(out)
 

@@ -32,8 +32,7 @@ def evaluate_selection(model: Scorer, instances: Sequence[RankingInstance]) -> d
         raise DataError("no instances to evaluate")
     acc, mrr, r1, r2 = [], [], [], []
     pairs = 0
-    for inst in instances:
-        scores = model.score_candidates(inst.context, [c.turn for c in inst.candidates])
+    for inst, scores in zip(instances, _scores(model, instances)):
         pos = inst.positive_position
         negs = [s for i, s in enumerate(scores) if i != pos]
         acc.append(pairwise_accuracy(scores[pos], negs))
@@ -57,13 +56,12 @@ def evaluate_rated(model: Scorer, instances: Sequence[RatedInstance]) -> dict:
     """Accuracy, MRR, R@1, nDCG on a rated turn-coherence test set."""
     if not instances:
         raise DataError("no instances to evaluate")
+    if any(c.mean_rating is None for inst in instances for c in inst.candidates):
+        raise DataError("rated evaluation requires a mean rating per candidate")
     acc, mrr, r1, ndcgs = [], [], [], []
     acc_pairs = 0
-    for inst in instances:
+    for inst, scores in zip(instances, _scores(model, instances)):
         ratings = [c.mean_rating for c in inst.candidates]
-        if any(r is None for r in ratings):
-            raise DataError("rated evaluation requires a mean rating per candidate")
-        scores = model.score_candidates(inst.context, [c.turn for c in inst.candidates])
         instance_acc, n_pairs = graded_pairwise_accuracy(scores, ratings)
         if n_pairs:
             acc.append(instance_acc)
@@ -81,6 +79,13 @@ def evaluate_rated(model: Scorer, instances: Sequence[RatedInstance]) -> dict:
         "instances": len(instances),
         "accuracy_pairs": acc_pairs,
     }
+
+
+def _scores(model: Scorer, instances) -> list[np.ndarray]:
+    """Every instance's candidate scores, from one call for the whole set."""
+    return model.score_candidates(
+        [(inst.context, [c.turn for c in inst.candidates]) for inst in instances]
+    )
 
 
 def summarize_runs(reports: Sequence[dict], metric_keys: Sequence[str]) -> dict:

@@ -71,12 +71,19 @@ class LinearRanker:
             )
         self.manifest: dict = {}
 
-    def score_candidates(self, context: Sequence[Turn], candidates: Sequence[Turn]) -> np.ndarray:
-        features = extract_features(context, candidates, self.config, self.vocabularies)
-        # One product per candidate, so a score does not depend on its batch.
-        return np.asarray(
-            [float(self.weights @ f) for f in features.astype(np.float32)], dtype=np.float64
-        )
+    def score_candidates(
+        self, pairs: Sequence[tuple[Sequence[Turn], Sequence[Turn]]]
+    ) -> list[np.ndarray]:
+        """Scores of each (context, candidates) pair's candidates; features
+        are extracted per pair and each score is its own float32 product, so
+        a score does not depend on its batch."""
+        out = []
+        for context, candidates in pairs:
+            features = extract_features(context, candidates, self.config, self.vocabularies)
+            out.append(np.asarray(
+                [float(self.weights @ f) for f in features.astype(np.float32)], dtype=np.float64
+            ))
+        return out
 
     def parameter_arrays(self) -> dict[str, np.ndarray]:
         return {"weights": self.weights}

@@ -10,10 +10,14 @@ forward pass builds the same small graph whatever the stream length.
 Training minimizes the margin-ranking loss over original/adversarial score
 pairs with Adam, early-stopping on development MRR.
 
-Scores depend only on a stream's own ids, so streams of equal length are
-evaluated together as one (batch, length) graph for speed (`_grouped_scores`,
-shared by evaluation and training); batch composition cannot leak between
-instances.
+Scoring is batch-invariant: a stream's score is bit-identical whichever
+other streams share its pass. `score_streams` sorts streams by length and
+runs buckets of at most `batch_size` rows, zero-padded to the block length
+and to at least MIN_ROWS rows; `run_gru` masks each row to its own length,
+pooling divides by it, and every product then gives each row the same bits
+at any row count (the head's one-output product is a row-wise sum, see
+`ad.linear`). Training steps still run one pass per exact stream length
+(`_batch_step`).
 """
 from __future__ import annotations
 
@@ -31,8 +35,8 @@ from ..engine.optim import AdamState, adam_step
 from ..engine.rnn import GATES, GruCellParams, run_gru
 from ..errors import DataError, NumericError
 from ..linearize import CHANNELS, EncodingConfig, TokenStream, encode_pairwise_inputs
-from ..metrics import ranked_relevance, reciprocal_rank
 from ..swapgen import RankingInstance
+from .evaluate import evaluate_selection
 
 
 @dataclass(frozen=True)
@@ -193,52 +197,53 @@ def forward_scores(
     ids_by_channel: Mapping[str, np.ndarray],
     params: Mapping[str, Tensor],
     config: NeuralConfig,
+    lengths: np.ndarray | None = None,
 ) -> Tensor:
-    """Score a batch of same-length streams; ids are (batch, length) arrays
-    per channel. Returns a (batch,) score tensor."""
-    first = next(iter(ids_by_channel.values()))
+    """Score a block of streams; ids are (batch, length) arrays per channel.
+    `lengths` gives each row's own length, its ids past it being padding
+    (default: every row fills the block). Returns a (batch,) score tensor."""
+    batch, steps = next(iter(ids_by_channel.values())).shape
+    if lengths is None:
+        lengths = np.full(batch, steps)
     parts = [ad.take_rows(params[f"emb_{ch}"], ids_by_channel[ch]) for ch in config.channels]
     x = parts[0] if len(parts) == 1 else ad.concat(parts, axis=-1)
     for layer in range(config.gru_layers):
-        fwd = run_gru(x, GruCellParams.from_named(f"gru{layer}f", params))
-        bwd = run_gru(x, GruCellParams.from_named(f"gru{layer}b", params), reverse=True)
+        fwd = run_gru(x, GruCellParams.from_named(f"gru{layer}f", params), lengths=lengths)
+        bwd = run_gru(x, GruCellParams.from_named(f"gru{layer}b", params), reverse=True,
+                      lengths=lengths)
         x = ad.concat([fwd, bwd], axis=-1)
-    pooled = ad.mean(x, axis=1)
+    pooled = ad.mean(x, lengths)
     hidden = ad.relu(ad.add(ad.linear(pooled, params["head.w1"]), params["head.b1"]))
     out = ad.add(ad.linear(hidden, params["head.w2"]), params["head.b2"])
-    return ad.reshape(out, (first.shape[0],))
+    return ad.reshape(out, (batch,))
 
 
-def _grouped_scores(
-    scorer: "NeuralScorer", streams: Sequence[TokenStream], sids: Sequence[int]
-) -> tuple[Tensor, list[int]]:
-    """Score streams[sids], one forward pass per stream length in ascending
-    order. Returns the score tensor and the stream ids in its order."""
-    groups: dict[int, list[int]] = {}
-    for sid in sids:
-        groups.setdefault(streams[sid].length, []).append(sid)
-    parts = []
-    order: list[int] = []
-    for _, group in sorted(groups.items()):
-        ids = _stack_streams([streams[s] for s in group], scorer.config.channels)
-        parts.append(forward_scores(ids, scorer.params, scorer.config))
-        order.extend(group)
-    return (parts[0] if len(parts) == 1 else ad.concat(parts, axis=0)), order
+# Every float32 product the scorer makes gives a row the same bits for any
+# row count from 4 up, while 1 to 3 rows take other BLAS code paths; so
+# scoring buckets are padded to at least this many rows. tests/test_models.py
+# checks the property on the BLAS numpy is linked against.
+MIN_ROWS = 4
 
 
 def _stack_streams(
-    streams: Sequence[TokenStream], channels: tuple[str, ...]
-) -> dict[str, np.ndarray]:
+    streams: Sequence[TokenStream], channels: tuple[str, ...], rows: int | None = None
+) -> tuple[dict[str, np.ndarray], np.ndarray]:
+    """(rows, longest length) id blocks per channel, zero past each stream's
+    length and in the rows after the streams (default: one row per stream),
+    and the row lengths. Padding rows have length 1, so that pooling never
+    divides by zero."""
+    rows = len(streams) if rows is None else rows
+    lengths = np.ones(rows, dtype=np.int64)
+    lengths[: len(streams)] = [s.length for s in streams]
     ids = {}
     for ch in channels:
-        rows = []
-        for s in streams:
+        ids[ch] = block = np.zeros((rows, lengths.max()), dtype=np.int64)
+        for i, s in enumerate(streams):
             chan = s.channel(ch)
             if chan is None:
                 raise DataError(f"stream is missing the {ch!r} channel")
-            rows.append(chan)
-        ids[ch] = np.stack(rows)
-    return ids
+            block[i, : s.length] = chan
+    return ids, lengths
 
 
 class NeuralScorer:
@@ -262,17 +267,35 @@ class NeuralScorer:
         return cls(config, vocabularies, init_params(config, vocabularies))
 
     def score_streams(self, streams: Sequence[TokenStream]) -> np.ndarray:
-        """Evaluation-mode scores; streams are grouped by length internally."""
+        """Evaluation-mode scores in input order, each independent of the
+        other streams: longest first, in buckets of at most batch_size rows
+        padded to MIN_ROWS."""
         out = np.zeros(len(streams), dtype=np.float64)
-        if streams:
-            with no_grad():
-                scores, order = _grouped_scores(self, streams, range(len(streams)))
-            out[order] = scores.data
+        order = sorted(range(len(streams)), key=lambda i: -streams[i].length)
+        size = self.config.batch_size
+        with no_grad():
+            for start in range(0, len(order), size):
+                bucket = order[start : start + size]
+                ids, lengths = _stack_streams(
+                    [streams[i] for i in bucket], self.config.channels,
+                    rows=max(len(bucket), MIN_ROWS),
+                )
+                scores = forward_scores(ids, self.params, self.config, lengths)
+                out[bucket] = scores.data[: len(bucket)]
         return out
 
-    def score_candidates(self, context: Sequence[Turn], candidates: Sequence[Turn]) -> np.ndarray:
-        streams = [encode_pairwise_inputs(context, cand, self.encoding) for cand in candidates]
-        return self.score_streams(streams)
+    def score_candidates(
+        self, pairs: Sequence[tuple[Sequence[Turn], Sequence[Turn]]]
+    ) -> list[np.ndarray]:
+        """Scores of each (context, candidates) pair's candidates, all
+        streams scored together."""
+        streams: list[TokenStream] = []
+        bounds = [0]
+        for context, candidates in pairs:
+            streams.extend(encode_pairwise_inputs(context, c, self.encoding) for c in candidates)
+            bounds.append(len(streams))
+        scores = self.score_streams(streams)
+        return [scores[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
     def parameter_arrays(self) -> dict[str, np.ndarray]:
         return {name: t.data for name, t in self.params.items()}
@@ -319,21 +342,6 @@ def _instance_streams(
     return streams, by_instance, positives
 
 
-def _dev_mrr(
-    scorer: NeuralScorer,
-    streams: Sequence[TokenStream],
-    by_instance: Sequence[Sequence[int]],
-    positives: Sequence[int],
-) -> float:
-    all_scores = scorer.score_streams(list(streams))
-    rrs = []
-    for idx, pos in zip(by_instance, positives):
-        scores = [all_scores[i] for i in idx]
-        relevance = [1.0 if i == pos else 0.0 for i in idx]
-        rrs.append(reciprocal_rank(ranked_relevance(scores, relevance)))
-    return float(np.mean(rrs))
-
-
 def train_neural(
     train: Sequence[RankingInstance],
     dev: Sequence[RankingInstance],
@@ -360,7 +368,6 @@ def train_neural(
     pairs: list[tuple[int, int]] = []
     for idx, pos in zip(by_instance, positives):
         pairs.extend((pos, i) for i in idx if i != pos)
-    dev_streams, dev_by_instance, dev_positives = _instance_streams(dev, enc)
 
     shuffle_rng = np.random.default_rng(np.random.SeedSequence([config.seed, 1]))
     state = AdamState.for_params(scorer.parameter_arrays())
@@ -380,7 +387,7 @@ def train_neural(
                     f"batch {start // config.batch_size}"
                 )
             loss_sum += loss * len(chunk)
-        dev_mrr = _dev_mrr(scorer, dev_streams, dev_by_instance, dev_positives)
+        dev_mrr = evaluate_selection(scorer, dev)["mrr"]
         history.epochs.append(
             {"epoch": epoch, "train_loss": loss_sum / len(pairs), "dev_mrr": dev_mrr}
         )
@@ -414,11 +421,26 @@ def _batch_step(
     chunk: Sequence[tuple[int, int]],
     state: AdamState,
 ) -> float:
-    """One Adam step on a batch of (positive, negative) stream-index pairs."""
-    unique = list(dict.fromkeys(sid for pair in chunk for sid in pair))
+    """One Adam step on a batch of (positive, negative) stream-index pairs.
+
+    The forward runs one pass per exact stream length, ascending, without
+    padding: a length-bucketed pass would change the float32 summation order
+    of the weight gradients (which sum over every batch row and time step),
+    and Adam's first step amplifies such last-bit changes into different
+    trained weights. Moving training onto buckets waits until the recorded
+    benchmark references are re-recorded with it."""
+    groups: dict[int, list[int]] = {}
+    for sid in dict.fromkeys(sid for pair in chunk for sid in pair):
+        groups.setdefault(streams[sid].length, []).append(sid)
     for t in scorer.params.values():
         t.zero_grad()
-    all_scores, order = _grouped_scores(scorer, streams, unique)
+    parts = []
+    order: list[int] = []
+    for _, group in sorted(groups.items()):
+        ids, _ = _stack_streams([streams[s] for s in group], scorer.config.channels)
+        parts.append(forward_scores(ids, scorer.params, scorer.config))
+        order.extend(group)
+    all_scores = parts[0] if len(parts) == 1 else ad.concat(parts, axis=0)
     slot = {sid: i for i, sid in enumerate(order)}
     pos_idx = np.array([slot[p] for p, _ in chunk])
     neg_idx = np.array([slot[n] for _, n in chunk])

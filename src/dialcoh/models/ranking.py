@@ -13,8 +13,13 @@ from ..swapgen import Candidate
 
 class Scorer(Protocol):
     def score_candidates(
-        self, context: Sequence[Turn], candidates: Sequence[Turn]
-    ) -> np.ndarray: ...
+        self, pairs: Sequence[tuple[Sequence[Turn], Sequence[Turn]]]
+    ) -> list[np.ndarray]:
+        """The scores of each (context, candidates) pair's candidates, one
+        array per pair. Evaluation passes a whole set in one call, so a
+        scorer may batch across pairs, but a score must not depend on the
+        other pairs or candidates in the call."""
+        ...
 
 
 @dataclass(frozen=True)
@@ -40,7 +45,7 @@ def rank_candidates(
     relevant candidate (original, or higher rated) is ranked after the others.
     The ordering is invariant under any strictly increasing score transform.
     """
-    scores = model.score_candidates(context, [c.turn for c in candidates])
+    [scores] = model.score_candidates([(context, [c.turn for c in candidates])])
     relevance = [candidate_relevance(c) for c in candidates]
     order = pessimistic_order(scores, relevance)
     return [

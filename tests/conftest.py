@@ -15,7 +15,6 @@ from dialcoh.corpus import (
     Vocabularies,
     derive_vocabularies,
 )
-from dialcoh.engine.autodiff import logistic
 from dialcoh.engine.rnn import GruCellParams
 from dialcoh.grid import ABSENT, ROLE_SYMBOLS, EntityGrid, TransitionConfig
 from dialcoh.models.linear import LinearRankerConfig
@@ -78,6 +77,17 @@ def vocabs(corpus):
     return derive_vocabularies(corpus)
 
 
+def logistic_reference(d: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-d)) computed separately on each sign's elements: the
+    oracle the branch-free `autodiff.logistic` must equal bit for bit."""
+    out = np.empty_like(d)
+    pos = d >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-d[pos]))
+    ex = np.exp(d[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
 def gru_reference(x: np.ndarray, p: GruCellParams, reverse: bool = False) -> np.ndarray:
     """The GRU formulas scanned one step at a time from a zero state, in the
     dtype of x: the oracle the fused `run_gru` is checked against."""
@@ -85,8 +95,8 @@ def gru_reference(x: np.ndarray, p: GruCellParams, reverse: bool = False) -> np.
     h = np.zeros((x.shape[0], p.hidden_size), dtype=x.dtype)
     out = np.empty(x.shape[:2] + (p.hidden_size,), dtype=x.dtype)
     for t in range(x.shape[1])[::-1] if reverse else range(x.shape[1]):
-        r = logistic(x[:, t] @ w["w_r"].T + h @ w["u_r"].T + w["b_r"])
-        z = logistic(x[:, t] @ w["w_z"].T + h @ w["u_z"].T + w["b_z"])
+        r = logistic_reference(x[:, t] @ w["w_r"].T + h @ w["u_r"].T + w["b_r"])
+        z = logistic_reference(x[:, t] @ w["w_z"].T + h @ w["u_z"].T + w["b_z"])
         c = np.tanh(x[:, t] @ w["w_h"].T + (r * h) @ w["u_h"].T + w["b_h"])
         h = (1.0 - z) * h + z * c
         out[:, t] = h

@@ -202,7 +202,9 @@ def test_criterion_3_gradient_correctness(vocabs):
             "rsub_const": lambda p: ad.reduce_mean(ad.rsub_const(p["v"], 0.5)),
             "linear": lambda p: ad.reduce_mean(ad.linear(p["m"], p["sq"])),
             "concat": lambda p: ad.reduce_mean(ad.concat([p["v"], p["w"]], axis=-1)),
-            "mean": lambda p: ad.reduce_mean(ad.mean(ad.reshape(p["sq"], (2, 2, 4)), axis=1)),
+            "mean": lambda p: ad.reduce_mean(
+                ad.mean(ad.reshape(p["sq"], (2, 2, 4)), np.array([2, 2]))
+            ),
             "take_rows": lambda p: ad.reduce_mean(ad.take_rows(p["sq"], np.array([1, 0, 1]))),
             "gather": lambda p: ad.reduce_mean(ad.gather(p["v"], np.array([2, 0, 2]))),
             "run_gru": None,  # covered inside the full scorer below

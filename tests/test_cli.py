@@ -158,6 +158,22 @@ class TestTrainEvalPipeline:
         assert lines[0].startswith("rank\tscore")
         assert len(lines) == 1 + len(payload["candidates"])
 
+    def test_rate_score_does_not_depend_on_the_other_candidates(self, pipeline, tmp_path,
+                                                                capsys):
+        first, second = (json.loads(line) for line in pipeline["dev"].read_text().splitlines()[:2])
+        candidates = first["candidates"] + second["candidates"][:1]
+        assert len(candidates) == 5
+        printed = []
+        for cands in (candidates, candidates[2:3]):
+            inp = tmp_path / "instance.json"
+            inp.write_text(json.dumps({"context": first["context"], "candidates": cands}),
+                           encoding="utf-8")
+            assert run("rate", "--checkpoint", pipeline["checkpoint"], "--input", inp) == 0
+            rows = [line.split("\t") for line in capsys.readouterr().out.splitlines()[1:]]
+            printed.append({row[4]: row[1] for row in rows})
+        [(text, alone)] = printed[1].items()
+        assert printed[0][text] == alone
+
 
 class TestEvalRating:
     def test_rating_metrics(self, pipeline, rated_path, capsys):

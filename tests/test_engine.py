@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import gru_reference, synthetic_corpus
+from conftest import gru_reference, logistic_reference, synthetic_corpus
 from dialcoh.corpus import derive_vocabularies
 from dialcoh.engine import (
     AdamState,
@@ -104,6 +104,29 @@ class TestGruLayer:
         assert report.passed, (report.max_rel_error, report.worst)
         assert len(report.per_param) == 10
 
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_masked_rows_match_their_own_prefix(self, reverse):
+        """Rows of lengths 1..6 in one 6-step scan: each row's outputs are the
+        reference scan of its own prefix, then zeros."""
+        rng = np.random.default_rng(21)
+        p = random_cell(rng)
+        lengths = np.array([6, 1, 4, 3, 6, 2])
+        x = rng.normal(size=(6, 6, 3))
+        with no_grad():
+            out = run_gru(Tensor(x), p, reverse=reverse, lengths=lengths).data
+        for row, n in enumerate(lengths):
+            own = gru_reference(x[row : row + 1, :n], p, reverse)[0]
+            np.testing.assert_allclose(out[row, :n], own, rtol=0, atol=1e-12)
+            assert (out[row, n:] == 0.0).all()
+
+    def test_ragged_lengths_cannot_be_recorded(self):
+        p = random_cell(np.random.default_rng(2))
+        x = Tensor(np.ones((2, 3, 3)), requires_grad=True)
+        with pytest.raises(ValueError, match="different lengths"):
+            run_gru(x, p, lengths=np.array([3, 2]))
+        # Full lengths record as usual.
+        assert run_gru(x, p, lengths=np.array([3, 3])).requires_grad
+
     def test_graph_size_does_not_grow_with_length(self):
         """One node per layer and direction: backward visits as many nodes
         for a stream of 12 positions as for one of 3."""
@@ -186,6 +209,36 @@ class TestAdam:
             adam_step(params, {"w": np.zeros(4)}, state, lr=0.1)
 
 
+class TestLogistic:
+    """The branch-free sigmoid equals the sign-split oracle bit for bit."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_special_values(self, dtype):
+        info = np.finfo(dtype)
+        d = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, info.tiny, -info.tiny,
+                      info.smallest_subnormal, -info.smallest_subnormal, info.max, -info.max,
+                      88.7, -88.7, 709.8, -709.8, 745.2, -745.2], dtype=dtype)
+        with np.errstate(over="ignore"):
+            self._same_bits(ad.logistic(d), logistic_reference(d))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_dense_sweep_and_random_bits(self, dtype):
+        uint = np.uint32 if dtype == np.float32 else np.uint64
+        sweep = np.linspace(-120, 120, 400_000, dtype=dtype).reshape(400, 1000)
+        bits = np.random.default_rng(0).integers(
+            0, np.iinfo(uint).max, 200_000, dtype=uint, endpoint=True).view(dtype)
+        with np.errstate(invalid="ignore", over="ignore"):
+            for d in (sweep, bits):
+                self._same_bits(ad.logistic(d), logistic_reference(d))
+
+    @staticmethod
+    def _same_bits(a, b):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        uint = np.uint32 if a.dtype == np.float32 else np.uint64
+        differ = a.view(uint) != b.view(uint)
+        assert not differ.any(), f"{differ.sum()} elements differ, e.g. {a[differ][:3]}"
+
+
 class TestAutodiffBasics:
     def test_shared_subexpression_accumulates(self):
         x = Tensor(np.array([3.0]), requires_grad=True)
@@ -220,15 +273,24 @@ class TestGradCheck:
     def test_every_op(self):
         """Each operation used by the scorers, at 10 random points."""
         rng = np.random.default_rng(123)
+        full, ragged = np.array([2, 2]), np.array([2, 1])  # pooled lengths
+
+        def states(p):
+            return ad.reshape(p["w"], (2, 2, 4))
+
         cases = {
             "add": lambda p: ad.reduce_mean(ad.add(p["a"], p["b"])),
             "sub": lambda p: ad.reduce_mean(ad.sub(p["a"], p["b"])),
             "add_bias_broadcast": lambda p: ad.reduce_mean(ad.add(p["m"], p["a"])),
             "rsub_const": lambda p: ad.reduce_mean(ad.rsub_const(p["a"], 1.0)),
             "linear": lambda p: ad.reduce_mean(ad.linear(p["m"], p["w"])),
+            "linear_one_output": lambda p: ad.reduce_mean(
+                ad.linear(p["m"], ad.reshape(p["a"], (1, 4)))
+            ),
             "relu_away_from_kink": lambda p: ad.reduce_mean(ad.relu(p["shifted"])),
             "concat": lambda p: ad.reduce_mean(ad.concat([p["a"], p["b"]], axis=-1)),
-            "mean": lambda p: ad.reduce_mean(ad.mean(ad.reshape(p["w"], (2, 2, 4)), axis=1)),
+            "mean": lambda p: ad.reduce_mean(ad.mean(states(p), full)),
+            "mean_ragged": lambda p: ad.reduce_mean(ad.mean(states(p), ragged)),
             "take_rows": lambda p: ad.reduce_mean(ad.take_rows(p["w"], np.array([0, 2, 0]))),
             "gather": lambda p: ad.reduce_mean(ad.gather(p["a"], np.array([0, 3, 0, 1]))),
             "reshape": lambda p: ad.reduce_mean(ad.reshape(p["m"], (8,))),

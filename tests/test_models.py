@@ -6,6 +6,7 @@ import pytest
 
 from dialcoh.corpus import Dialogue, derive_vocabularies
 from dialcoh.engine import GruCellParams, Tensor, grad_check, pairwise_hinge
+from dialcoh.engine import autodiff as ad
 from dialcoh.errors import ChecksumError, DataError
 from dialcoh.linearize import TokenStream, encode_pairwise_inputs, linearize
 from dialcoh.models import (
@@ -84,6 +85,18 @@ def bigram_toy(seed=0, n_instances=12, n_neg=3):
     return instances
 
 
+# (in, out) of each float32 product the scorer makes at paper size: input
+# projections of layer 0 (word 300 + da 50 + turn 50) and layer 1, the
+# recurrent [U_r; U_z] and U_h, and the head's two layers.
+PAPER_PRODUCTS = {
+    "input projection, layer 0": (400, 1536),
+    "input projection, layer 1": (1024, 1536),
+    "[U_r; U_z]": (512, 1024),
+    "U_h": (512, 512),
+    "head.w1": (1024, 256),
+    "head.w2 (row-wise)": (256, 1),
+}
+
 TOY_VOCABS = derive_vocabularies(
     [Dialogue(id="v", turns=(da_turn(["b", "qy", "sd"], "A"),))]
 )
@@ -94,8 +107,9 @@ class TestForwardScore:
         scorer = NeuralScorer.initialize(small_config(), vocabs)
         for t in scorer.params.values():
             t.data[...] = 0.0
-        for inst in dataset[:3]:
-            scores = scorer.score_candidates(inst.context, [c.turn for c in inst.candidates])
+        for scores in scorer.score_candidates(
+            [(inst.context, [c.turn for c in inst.candidates]) for inst in dataset[:3]]
+        ):
             np.testing.assert_allclose(scores, 0.0)
 
     def test_length_one_stream_mean_pooling_identity(self, vocabs):
@@ -135,9 +149,52 @@ class TestForwardScore:
             for inst in dataset[:4]
             for c in inst.candidates
         ]
+        assert len({s.length for s in streams}) > 1  # buckets mix lengths
         batched = scorer.score_streams(streams)
         solo = np.concatenate([scorer.score_streams([s]) for s in streams])
-        np.testing.assert_allclose(batched, solo, rtol=1e-5, atol=1e-6)
+        assert np.array_equal(batched, solo)
+        # A smaller batch size regroups the buckets; no score moves.
+        scorer.config = small_config(seed=9, batch_size=5)
+        assert np.array_equal(scorer.score_streams(streams[::-1]), batched[::-1])
+
+    def test_evaluation_scores_equal_each_instance_scored_alone(self, vocabs, dataset):
+        scorer = NeuralScorer.initialize(small_config(seed=3), vocabs)
+        calls = []
+
+        class Spy:
+            def score_candidates(self, pairs):
+                calls.append(scorer.score_candidates(pairs))
+                return calls[-1]
+
+        evaluate_selection(Spy(), dataset)
+        [seen] = calls  # the whole set in one call
+        assert len(seen) == len(dataset)
+        for inst, scores in zip(dataset, seen):
+            [alone] = scorer.score_candidates([(inst.context, [c.turn for c in inst.candidates])])
+            assert np.array_equal(scores, alone)
+
+    @pytest.mark.parametrize("shape", sorted(PAPER_PRODUCTS))
+    def test_products_are_row_invariant_from_four_rows(self, shape):
+        """Batch-invariant scoring rests on this BLAS property: for every
+        float32 product the scorer makes, at paper size, a block of 4 rows
+        gets the same bits alone as inside any M of 4 to 64 rows."""
+        k, n = PAPER_PRODUCTS[shape]
+        rng = np.random.default_rng(k + n)
+        w = rng.uniform(-0.05, 0.05, (n, k)).astype(np.float32)
+        x = rng.normal(size=(64, k)).astype(np.float32)
+
+        def product(rows):
+            if n == 1:
+                return ad.linear(Tensor(rows), Tensor(w)).data
+            return rows @ w.T
+
+        for m in range(4, 65):
+            full = product(x[:m])
+            for lo in sorted({0, m // 2 - 2, m - 4}):
+                assert np.array_equal(full[lo : lo + 4], product(x[lo : lo + 4])), (
+                    f"{shape} ({m} x {k} @ {k} x {n}): rows {lo}..{lo + 3} differ from the "
+                    f"same rows as a 4-row block; scores would depend on their batch"
+                )
 
     def test_channel_mismatch_rejected(self, vocabs):
         scorer = NeuralScorer.initialize(small_config(), vocabs)
@@ -191,6 +248,10 @@ class TestTrainNeural:
         assert any(
             not np.array_equal(a.params[k].data, b.params[k].data) for k in a.params
         )
+
+    def test_best_dev_mrr_is_what_evaluation_reports(self, vocabs, dataset):
+        scorer, history = train_neural(dataset[:8], dataset[8:14], small_config(), vocabs)
+        assert history.best_dev_mrr == evaluate_selection(scorer, dataset[8:14])["mrr"]
 
     def test_empty_dev_rejected(self, vocabs, dataset):
         with pytest.raises(DataError):
@@ -282,10 +343,10 @@ class TestLinearRanker:
         config = LinearRankerConfig(features=features, k=3)
         weights = np.random.default_rng(5).normal(size=feature_dim(config, vocabs))
         ranker = LinearRanker(config, vocabs, weights)
-        for inst in dataset:
-            cands = [c.turn for c in inst.candidates]
-            solo = np.concatenate([ranker.score_candidates(inst.context, [c]) for c in cands])
-            assert np.array_equal(ranker.score_candidates(inst.context, cands), solo)
+        pairs = [(inst.context, [c.turn for c in inst.candidates]) for inst in dataset]
+        for (context, cands), scores in zip(pairs, ranker.score_candidates(pairs)):
+            solo = np.concatenate(ranker.score_candidates([(context, [c]) for c in cands]))
+            assert np.array_equal(scores, solo)
 
 
 def sgd_reference(pairs, l2, lr, epochs, seed):
@@ -307,8 +368,8 @@ class _FixedScorer:
     def __init__(self, scores):
         self.scores = np.asarray(scores, dtype=np.float64)
 
-    def score_candidates(self, context, candidates):
-        return self.scores[: len(candidates)]
+    def score_candidates(self, pairs):
+        return [self.scores[: len(candidates)] for _, candidates in pairs]
 
 
 class TestRankCandidates:
@@ -416,8 +477,8 @@ class TestCheckpoint:
         path = tmp_path / "linear.ckpt"
         save_checkpoint(ranker, path)
         loaded = load_checkpoint(path)
-        inst = dataset[0]
+        pairs = [(inst.context, [c.turn for c in inst.candidates]) for inst in dataset[:3]]
         np.testing.assert_array_equal(
-            ranker.score_candidates(inst.context, [c.turn for c in inst.candidates]),
-            loaded.score_candidates(inst.context, [c.turn for c in inst.candidates]),
+            np.concatenate(ranker.score_candidates(pairs)),
+            np.concatenate(loaded.score_candidates(pairs)),
         )
