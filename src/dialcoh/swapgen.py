@@ -4,7 +4,9 @@ An insertion point splits a dialogue into a context (the history so far) and
 the true next turn, the positive candidate. Adversarial candidates are drawn
 either from strictly later turns of the same dialogue (internal swap) or from
 other dialogues of the same split (external swap). Sampling is without
-replacement, rejects turns content-identical to the positive, and is fully
+replacement and rejects turns content-identical to the positive. A turn's
+content identity is its `Turn.segments` (DA labels, mentions and text; the
+speaker is left out), compared by value with no encoding. Generation is fully
 reproducible: all randomness flows from one root seed through per-dialogue
 and per-point substreams of numpy's default PCG64 generator, and output order
 is canonical (dialogue id, then point index), so the dataset is a pure
@@ -26,6 +28,11 @@ on load and take precedence over a mean_rating. A dataset record adds
 candidate). A rated record may add an `id` and needs a rating on every
 candidate. In a `rate` request `provenance` is optional and defaults to
 external.
+
+A dataset repeats each turn in the context of every later insertion point,
+so loading and saving work per distinct turn: a file's loader parses and
+validates each distinct turn object once, and a writer encodes each
+distinct `Turn` object once per file.
 """
 from __future__ import annotations
 
@@ -40,6 +47,7 @@ from .corpus import (
     REQUIRED,
     CorpusFormatError,
     Dialogue,
+    Segment,
     Turn,
     expect_object,
     load_records,
@@ -104,19 +112,6 @@ class RatedInstance:
     instance_id: str | None = None
 
 
-def turn_fingerprint(turn: Turn) -> str:
-    """Content identity of a turn (speaker excluded): DA labels, entities, text."""
-    payload = [
-        {
-            "da": seg.da,
-            "entities": [[m.head, m.role] for m in seg.entities],
-            "text": seg.text,
-        }
-        for seg in turn.segments
-    ]
-    return json.dumps(payload, ensure_ascii=False, separators=(",", ":"), sort_keys=True)
-
-
 def _as_rng(rng) -> np.random.Generator:
     if isinstance(rng, np.random.Generator):
         return rng
@@ -164,20 +159,13 @@ def gen_insertion_points(
 
 
 class _TurnIndex:
-    """Flat index of every turn in a split, with fingerprints, for fast
-    external-swap sampling."""
+    """Every turn of a split in one flat list, with its dialogue id, and
+    every dialogue by id, for negative sampling."""
 
     def __init__(self, split: Sequence[Dialogue]):
-        self.dialogue_ids: list[str] = []
-        self.turns: list[Turn] = []
-        self.fingerprints: list[str] = []
-        self.count_by_dialogue: dict[str, int] = {}
-        for d in split:
-            self.count_by_dialogue[d.id] = len(d.turns)
-            for t in d.turns:
-                self.dialogue_ids.append(d.id)
-                self.turns.append(t)
-                self.fingerprints.append(turn_fingerprint(t))
+        self.dialogues = {d.id: d for d in split}
+        self.dialogue_ids = [d.id for d in split for _ in d.turns]
+        self.turns = [t for d in split for t in d.turns]
 
     def __len__(self) -> int:
         return len(self.turns)
@@ -186,12 +174,12 @@ class _TurnIndex:
 def _sample_external(
     index: _TurnIndex,
     exclude_dialogue: str,
-    positive_fp: str,
+    positive: tuple[Segment, ...],
     count: int,
     gen: np.random.Generator,
 ) -> list[Turn]:
     total = len(index)
-    own = index.count_by_dialogue.get(exclude_dialogue, 0)
+    own = len(index.dialogues[exclude_dialogue].turns)
     if total - own < count:
         raise InsufficientPoolError(
             f"external pool for dialogue {exclude_dialogue!r} has only "
@@ -208,7 +196,7 @@ def _sample_external(
         i = int(gen.integers(0, total))
         if i in seen or index.dialogue_ids[i] == exclude_dialogue:
             continue
-        if index.fingerprints[i] == positive_fp:
+        if index.turns[i].segments == positive:
             continue
         seen.add(i)
         picked.append(i)
@@ -219,7 +207,7 @@ def _sample_external(
             i
             for i in range(total)
             if index.dialogue_ids[i] != exclude_dialogue
-            and index.fingerprints[i] != positive_fp
+            and index.turns[i].segments != positive
         ]
         if len(pool) < count:
             raise InsufficientPoolError(
@@ -243,25 +231,23 @@ def sample_negatives(
     internal: uniform over the turns strictly after the positive in the same
     dialogue. external: uniform over all turns of the other dialogues in the
     same split. Turns content-identical to the positive are never returned.
+    _index is the split's `_TurnIndex`, built here when not given.
     """
     if mode not in ("internal", "external"):
         raise DataError(f"unknown sampling mode {mode!r}")
     if count < 1:
         raise DataError("negative count must be >= 1")
     gen = _as_rng(rng)
-    source = next((d for d in corpus_split if d.id == point.dialogue_id), None)
+    index = _index if _index is not None else _TurnIndex(corpus_split)
+    source = index.dialogues.get(point.dialogue_id)
     if source is None:
         raise DataError(f"dialogue {point.dialogue_id!r} not found in split")
     if not 1 <= point.positive_idx <= len(source.turns) - 1:
         raise DataError(f"insertion point {point.positive_idx} out of range for {source.id!r}")
-    positive_fp = turn_fingerprint(source.turns[point.positive_idx])
+    positive = source.turns[point.positive_idx].segments
 
     if mode == "internal":
-        pool = [
-            t
-            for t in source.turns[point.positive_idx + 1 :]
-            if turn_fingerprint(t) != positive_fp
-        ]
+        pool = [t for t in source.turns[point.positive_idx + 1 :] if t.segments != positive]
         if len(pool) < count:
             raise InsufficientPoolError(
                 f"internal pool after turn {point.positive_idx} of "
@@ -272,8 +258,7 @@ def sample_negatives(
 
     if len(corpus_split) < 2:
         raise InsufficientPoolError("external swap needs at least one other dialogue")
-    index = _index if _index is not None else _TurnIndex(corpus_split)
-    return _sample_external(index, point.dialogue_id, positive_fp, count, gen)
+    return _sample_external(index, point.dialogue_id, positive, count, gen)
 
 
 def build_selection_dataset(
@@ -295,7 +280,7 @@ def build_selection_dataset(
     ids = [d.id for d in split]
     if len(set(ids)) != len(ids):
         raise DataError("split contains duplicate dialogue ids")
-    index = _TurnIndex(split) if mode == "external" else None
+    index = _TurnIndex(split)
     instances: list[RankingInstance] = []
     for d in sorted(split, key=lambda x: x.id):
         points = gen_insertion_points(
@@ -336,17 +321,32 @@ def build_selection_dataset(
 # -- records ---------------------------------------------------------------------
 
 
-def _turn(obj, where: str) -> Turn:
+def _turn(obj, where: str, turn_cache: dict | None) -> Turn:
+    """The valid Turn of a decoded turn object. turn_cache, when given, maps
+    the repr of each valid turn object met so far in a file to its Turn: each
+    distinct turn is parsed and validated once, and equal turns share one
+    object. An invalid turn is never stored, so every occurrence raises."""
+    key = None
+    if turn_cache is not None:
+        try:
+            key = repr(obj)  # exact on decoded JSON: True, 1, 1.0 and "1" differ
+        except RecursionError:
+            pass  # too deep to key: parse it uncached, which rejects it
+        turn = turn_cache.get(key)
+        if turn is not None:
+            return turn
     turn = turn_from_dict(obj, where)
     problems = turn_problems(turn, where)
     if problems:
         raise CorpusFormatError(problems[0])
+    if key is not None:
+        turn_cache[key] = turn
     return turn
 
 
-def _candidate(obj, where: str, default_provenance) -> Candidate:
+def _candidate(obj, where: str, default_provenance, turn_cache: dict | None) -> Candidate:
     obj = expect_object(obj, where)
-    turn = _turn(typed_field(obj, "turn", dict, where), f"{where}.turn")
+    turn = _turn(typed_field(obj, "turn", dict, where), f"{where}.turn", turn_cache)
     provenance = typed_field(obj, "provenance", str, where, default_provenance)
     if provenance not in PROVENANCES:
         raise CorpusFormatError(f"{where}: unknown provenance {provenance!r}")
@@ -366,24 +366,26 @@ def _candidate(obj, where: str, default_provenance) -> Candidate:
 
 
 def parse_record(
-    obj, default_provenance=REQUIRED
+    obj, default_provenance=REQUIRED, turn_cache: dict | None = None
 ) -> tuple[tuple[Turn, ...], tuple[Candidate, ...]]:
     """The type-checked context and candidates of one record (see the module
     docstring); a candidate without a provenance takes default_provenance,
-    which by default is required."""
+    which by default is required. turn_cache is the per-file cache of
+    `_turn`, or None to parse every turn."""
     obj = expect_object(obj, "record")
     context = tuple(
-        _turn(t, f"context[{i}]") for i, t in enumerate(typed_field(obj, "context", list, "record"))
+        _turn(t, f"context[{i}]", turn_cache)
+        for i, t in enumerate(typed_field(obj, "context", list, "record"))
     )
     candidates = tuple(
-        _candidate(c, f"candidates[{i}]", default_provenance)
+        _candidate(c, f"candidates[{i}]", default_provenance, turn_cache)
         for i, c in enumerate(typed_field(obj, "candidates", list, "record"))
     )
     return context, candidates
 
 
-def instance_from_dict(obj) -> RankingInstance:
-    context, candidates = parse_record(obj)
+def instance_from_dict(obj, turn_cache: dict | None = None) -> RankingInstance:
+    context, candidates = parse_record(obj, turn_cache=turn_cache)
     if not context:
         raise CorpusFormatError("record.context: expected at least one turn")
     position = typed_field(obj, "positive_position", int, "record")
@@ -405,8 +407,8 @@ def instance_from_dict(obj) -> RankingInstance:
     )
 
 
-def rated_instance_from_dict(obj) -> RatedInstance:
-    context, candidates = parse_record(obj)
+def rated_instance_from_dict(obj, turn_cache: dict | None = None) -> RatedInstance:
+    context, candidates = parse_record(obj, turn_cache=turn_cache)
     for i, c in enumerate(candidates):
         if c.mean_rating is None:
             raise CorpusFormatError(f"candidates[{i}]: needs either 'ratings' or 'mean_rating'")
@@ -414,18 +416,23 @@ def rated_instance_from_dict(obj) -> RatedInstance:
 
 
 def load_instances(path) -> list[RankingInstance]:
-    return load_records(path, instance_from_dict, "dataset")
+    """Load a selection dataset. Each distinct turn of the file is parsed
+    and validated once; an error still names the first bad line."""
+    turn_cache: dict = {}
+    return load_records(path, lambda obj: instance_from_dict(obj, turn_cache), "dataset")
 
 
 def load_rated_testset(path, strict_swbd: bool = False) -> list[RatedInstance]:
-    """Load a graded turn-coherence test set.
+    """Load a graded turn-coherence test set, each distinct turn parsed once
+    as in `load_instances`.
 
     With strict_swbd=True every instance must follow the 7-candidate format
     (1 original, 3 internal, 3 external).
     """
+    turn_cache: dict = {}
 
     def parse(obj) -> RatedInstance:
-        inst = rated_instance_from_dict(obj)
+        inst = rated_instance_from_dict(obj, turn_cache)
         if strict_swbd:
             counts = {p: sum(1 for c in inst.candidates if c.provenance == p) for p in PROVENANCES}
             if counts != {"original": 1, "internal": 3, "external": 3}:
@@ -440,44 +447,60 @@ def load_rated_testset(path, strict_swbd: bool = False) -> list[RatedInstance]:
 # -- serialization -----------------------------------------------------------
 
 
-def instance_to_dict(inst: RankingInstance) -> dict:
-    return {
-        "dialogue_id": inst.dialogue_id,
-        "point_index": inst.point_index,
-        "context": [turn_to_dict(t) for t in inst.context],
-        "candidates": [
-            {"provenance": c.provenance, "turn": turn_to_dict(c.turn)} for c in inst.candidates
-        ],
-        "positive_position": inst.positive_position,
-    }
+class _RecordEncoder:
+    """Encodes the parts of a record as
+    json.dumps(part, ensure_ascii=False, separators=(",", ":")) does, and
+    each distinct Turn object and candidate opening only once."""
+
+    def __init__(self):
+        self.value = json.JSONEncoder(ensure_ascii=False, separators=(",", ":")).encode
+        self._turns: dict[int, tuple[Turn, str]] = {}  # id -> (turn kept alive, JSON)
+        self._openings: dict[str, str] = {}  # provenance -> '{"provenance":...,"turn":'
+
+    def turn(self, turn: Turn) -> str:
+        hit = self._turns.get(id(turn))
+        if hit is None:
+            hit = self._turns[id(turn)] = (turn, self.value(turn_to_dict(turn)))
+        return hit[1]
+
+    def context(self, turns: Sequence[Turn]) -> str:
+        return "[" + ",".join(map(self.turn, turns)) + "]"
+
+    def candidate(self, c: Candidate) -> str:
+        """The candidate object without its closing brace."""
+        opening = self._openings.get(c.provenance)
+        if opening is None:
+            opening = self._openings[c.provenance] = (
+                '{"provenance":' + self.value(c.provenance) + ',"turn":')
+        return opening + self.turn(c.turn)
 
 
 def save_instances(instances: Sequence[RankingInstance], path) -> None:
+    """One line per instance, keys in the order dialogue_id, point_index,
+    context, candidates (provenance, turn), positive_position."""
+    enc = _RecordEncoder()
     with open(path, "w", encoding="utf-8") as f:
         for inst in instances:
-            f.write(json.dumps(instance_to_dict(inst), ensure_ascii=False, separators=(",", ":")))
-            f.write("\n")
-
-
-def rated_instance_to_dict(inst: RatedInstance) -> dict:
-    obj: dict = {}
-    if inst.instance_id is not None:
-        obj["id"] = inst.instance_id
-    obj["context"] = [turn_to_dict(t) for t in inst.context]
-    cands = []
-    for c in inst.candidates:
-        rec: dict = {"provenance": c.provenance, "turn": turn_to_dict(c.turn)}
-        if c.ratings is not None:
-            rec["ratings"] = list(c.ratings)
-        else:
-            rec["mean_rating"] = c.mean_rating
-        cands.append(rec)
-    obj["candidates"] = cands
-    return obj
+            candidates = ",".join(enc.candidate(c) + "}" for c in inst.candidates)
+            f.write(
+                f'{{"dialogue_id":{enc.value(inst.dialogue_id)},'
+                f'"point_index":{enc.value(inst.point_index)},'
+                f'"context":{enc.context(inst.context)},"candidates":[{candidates}],'
+                f'"positive_position":{enc.value(inst.positive_position)}}}\n'
+            )
 
 
 def save_rated_testset(instances: Sequence[RatedInstance], path) -> None:
+    """One line per instance, keys in the order id (when set), context,
+    candidates (provenance, turn, then ratings or else mean_rating)."""
+    enc = _RecordEncoder()
     with open(path, "w", encoding="utf-8") as f:
         for inst in instances:
-            f.write(json.dumps(rated_instance_to_dict(inst), ensure_ascii=False, separators=(",", ":")))
-            f.write("\n")
+            candidates = ",".join(
+                enc.candidate(c)
+                + (f',"ratings":{enc.value(list(c.ratings))}}}' if c.ratings is not None
+                   else f',"mean_rating":{enc.value(c.mean_rating)}}}')
+                for c in inst.candidates
+            )
+            opening = "{" if inst.instance_id is None else f'{{"id":{enc.value(inst.instance_id)},'
+            f.write(f'{opening}"context":{enc.context(inst.context)},"candidates":[{candidates}]}}\n')

@@ -1,6 +1,7 @@
 """Shared corpus builders and reference implementations for the test suite."""
 from __future__ import annotations
 
+import json
 from typing import Sequence
 
 import numpy as np
@@ -14,10 +15,12 @@ from dialcoh.corpus import (
     Vocab,
     Vocabularies,
     derive_vocabularies,
+    turn_to_dict,
 )
 from dialcoh.engine.rnn import GruCellParams
 from dialcoh.grid import ABSENT, ROLE_SYMBOLS, EntityGrid, TransitionConfig
 from dialcoh.models.linear import LinearRankerConfig
+from dialcoh.swapgen import RankingInstance, RatedInstance
 
 DA_TAGS = ("b", "qy", "sd")
 HEADS = ("movie", "iowa", "hands", "crafts", "california", "utah", "midwest", "hobbies")
@@ -75,6 +78,60 @@ def corpus():
 @pytest.fixture
 def vocabs(corpus):
     return derive_vocabularies(corpus)
+
+
+def turn_fingerprint(turn: Turn) -> str:
+    """Content identity of a turn (speaker excluded) as sorted-key JSON of its
+    DA labels, mentions and text: the oracle that equality of `Turn.segments`
+    must agree with."""
+    payload = [
+        {
+            "da": seg.da,
+            "entities": [[m.head, m.role] for m in seg.entities],
+            "text": seg.text,
+        }
+        for seg in turn.segments
+    ]
+    return json.dumps(payload, ensure_ascii=False, separators=(",", ":"), sort_keys=True)
+
+
+def instance_to_dict(inst: RankingInstance) -> dict:
+    """The dict of one dataset record: the oracle of `swapgen.save_instances`,
+    which writes it as compact JSON with ensure_ascii=False."""
+    return {
+        "dialogue_id": inst.dialogue_id,
+        "point_index": inst.point_index,
+        "context": [turn_to_dict(t) for t in inst.context],
+        "candidates": [
+            {"provenance": c.provenance, "turn": turn_to_dict(c.turn)} for c in inst.candidates
+        ],
+        "positive_position": inst.positive_position,
+    }
+
+
+def rated_instance_to_dict(inst: RatedInstance) -> dict:
+    """The dict of one rated record: the oracle of `swapgen.save_rated_testset`."""
+    obj: dict = {}
+    if inst.instance_id is not None:
+        obj["id"] = inst.instance_id
+    obj["context"] = [turn_to_dict(t) for t in inst.context]
+    cands = []
+    for c in inst.candidates:
+        rec: dict = {"provenance": c.provenance, "turn": turn_to_dict(c.turn)}
+        if c.ratings is not None:
+            rec["ratings"] = list(c.ratings)
+        else:
+            rec["mean_rating"] = c.mean_rating
+        cands.append(rec)
+    obj["candidates"] = cands
+    return obj
+
+
+def oracle_jsonl(records) -> bytes:
+    """Compact non-ASCII JSON lines of record dicts, as the writers must emit."""
+    return "".join(
+        json.dumps(r, ensure_ascii=False, separators=(",", ":")) + "\n" for r in records
+    ).encode("utf-8")
 
 
 def logistic_reference(d: np.ndarray) -> np.ndarray:

@@ -13,9 +13,9 @@ from dialcoh.models import LinearRanker, LinearRankerConfig, save_checkpoint
 from dialcoh.models.checkpoint import MAGIC
 from dialcoh.models.linear import feature_dim
 from dialcoh.models.neural import NeuralConfig, NeuralScorer
-from dialcoh.swapgen import build_selection_dataset, instance_to_dict
+from dialcoh.swapgen import build_selection_dataset
 
-from conftest import synthetic_corpus
+from conftest import instance_to_dict, synthetic_corpus
 
 
 @pytest.fixture(scope="module")
@@ -98,6 +98,55 @@ def test_valid_inputs_pass(setup, tmp_path):
     request.write_text(json.dumps(bare), encoding="utf-8")
     assert run("rate", "--checkpoint", root / "model.ckpt", "--input", request) == 0
     assert run("rate", "--checkpoint", root / "neural.ckpt", "--input", request) == 0
+
+
+def _rated(rec):
+    """The dataset record as a rated record: one rating on every candidate."""
+    return {"context": rec["context"],
+            "candidates": [{**c, "ratings": [2]} for c in rec["candidates"]]}
+
+
+def _with_bad_role(turn):
+    """The turn with every mention of its first segment given the role Q (a
+    mention is added when the segment has none)."""
+    first = turn["segments"][0]
+    mentions = first["entities"] or [{"head": "movie", "role": "S"}]
+    return {**turn, "segments": [
+        {**first, "entities": [{**m, "role": "Q"} for m in mentions]}, *turn["segments"][1:]]}
+
+
+def _with_context_turn(rec, turn):
+    return {**rec, "context": [turn, *rec["context"][1:]]}
+
+
+# A loader parses each distinct turn of a file once. These files repeat a
+# turn across lines; each must fail on the line a full parse fails on.
+INTERNING_CASES = {
+    "valid_turn_then_same_turn_with_bad_role": (
+        lambda rec: [rec, _with_context_turn(rec, _with_bad_role(rec["context"][0]))], 2),
+    "invalid_turn_repeated_on_later_lines": (
+        lambda rec: [rec] + [_with_context_turn(rec, _with_bad_role(rec["context"][0]))] * 3, 2),
+    "invalid_candidate_turn_repeated_in_a_later_context": (
+        lambda rec: [rec, rec, _candidate(rec, turn=_with_bad_role(rec["context"][0])),
+                     _with_context_turn(rec, _with_bad_role(rec["context"][0]))], 3),
+}
+INTERNING = [(kind, name) for kind in ("dataset", "rated") for name in sorted(INTERNING_CASES)]
+
+
+@pytest.mark.parametrize("kind,name", INTERNING, ids=[f"{k}-{n}" for k, n in INTERNING])
+def test_repeated_turns_fail_on_the_first_bad_line(setup, tmp_path, capsys, kind, name):
+    root, record = setup
+    make, bad_line = INTERNING_CASES[name]
+    records = make(record) if kind == "dataset" else [_rated(r) for r in make(record)]
+    path = tmp_path / "data.jsonl"
+    path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    command = "eval-selection" if kind == "dataset" else "eval-rating"
+    assert run(command, "--checkpoint", root / "model.ckpt", "--data", path) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: line {bad_line}: ") and "invalid role 'Q'" in err
+    path.write_text("".join(json.dumps(r) + "\n" for r in records[:bad_line - 1]),
+                    encoding="utf-8")
+    assert run(command, "--checkpoint", root / "model.ckpt", "--data", path) == 0
 
 
 def _train_args(root, record, tmp_path, *flags):

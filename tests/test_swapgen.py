@@ -1,26 +1,42 @@
+import dataclasses
 import hashlib
 import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from dialcoh.corpus import Dialogue
+from dialcoh.cli import main
+from dialcoh.corpus import Dialogue, EntityMention, Segment, Turn, save_corpus
 from dialcoh.errors import CorpusFormatError, DataError, InsufficientPoolError
 from dialcoh.swapgen import (
+    PROVENANCES,
+    Candidate,
     InsertionPoint,
+    RankingInstance,
+    RatedInstance,
     build_selection_dataset,
     gen_insertion_points,
+    instance_from_dict,
     load_instances,
     load_rated_testset,
     rated_instance_from_dict,
     sample_negatives,
     save_instances,
-    turn_fingerprint,
+    save_rated_testset,
 )
 
-from conftest import seg, synthetic_corpus, synthetic_dialogue, turn
+from conftest import (
+    instance_to_dict,
+    oracle_jsonl,
+    rated_instance_to_dict,
+    seg,
+    synthetic_corpus,
+    synthetic_dialogue,
+    turn,
+    turn_fingerprint,
+)
 
 
 def unique_dialogue(i: int, n_turns: int) -> Dialogue:
@@ -242,3 +258,220 @@ class TestRatedTestset:
         with pytest.raises(CorpusFormatError, match="7 candidates"):
             load_rated_testset(path, strict_swbd=True)
         assert len(load_rated_testset(path, strict_swbd=False)) == 1
+
+
+# Few distinct values, so that equal segments are drawn often; the text
+# characters cover non-ASCII, quotes, backslashes and control characters.
+CHARS = ("a", "é", "日", "\U0001f600", '"', "\\", "\x00", "\n", "\x1f", "\u2028", " ")
+texts = st.text(alphabet=st.sampled_from(CHARS), max_size=2)
+mentions = st.builds(
+    EntityMention, st.sampled_from(("movie", "Movie", "ÉTÉ", 'a"b')), st.sampled_from("SOX")
+)
+segments = st.builds(
+    Segment,
+    st.sampled_from(("sd", "Sd", "qý")),
+    st.lists(mentions, max_size=2).map(tuple),  # often no entities
+    st.none() | texts,
+)
+turns = st.builds(Turn, st.sampled_from("AB"), st.lists(segments, max_size=2).map(tuple))
+
+
+def rebuilt(t: Turn, speaker: str) -> Turn:
+    """An equal-content copy of t made of new objects, with the given speaker."""
+    return Turn(speaker, tuple(
+        Segment(s.da, tuple(EntityMention(m.head, m.role) for m in s.entities), s.text)
+        for s in t.segments
+    ))
+
+
+class TestContentIdentity:
+    @given(a=turns, b=turns, copy=st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_segments_equal_exactly_when_fingerprints_equal(self, a, b, copy):
+        if copy:
+            b = rebuilt(a, b.speaker)
+        assert (a.segments == b.segments) == (turn_fingerprint(a) == turn_fingerprint(b))
+        if copy:
+            assert a.segments == b.segments
+
+
+@st.composite
+def ranking_instances(draw):
+    """Instances whose turns repeat across contexts and candidates, as in a
+    generated dataset, and also come as equal but distinct objects."""
+    pool = draw(st.lists(turns, min_size=1, max_size=4))
+    pool += [rebuilt(t, t.speaker) for t in pool]
+    shared = st.sampled_from(pool)
+    return [
+        RankingInstance(
+            dialogue_id=draw(st.text(alphabet=st.sampled_from(CHARS), max_size=3)),
+            point_index=draw(st.integers(0, 2**40)),
+            context=tuple(draw(st.lists(shared, min_size=1, max_size=3))),
+            candidates=tuple(
+                draw(st.lists(st.builds(Candidate, shared | turns, st.sampled_from(PROVENANCES)),
+                              min_size=1, max_size=4))
+            ),
+            positive_position=draw(st.integers(0, 3)),
+        )
+        for _ in range(draw(st.integers(1, 3)))
+    ]
+
+
+@st.composite
+def rated_instances(draw):
+    return [
+        RatedInstance(
+            context=inst.context,
+            candidates=tuple(
+                dataclasses.replace(
+                    c,
+                    ratings=draw(st.none() | st.lists(st.sampled_from((1, 2, 3)), min_size=1,
+                                                      max_size=3).map(tuple)),
+                    mean_rating=draw(st.none() | st.floats(1, 3)),
+                )
+                for c in inst.candidates
+            ),
+            instance_id=draw(st.none() | texts),
+        )
+        for inst in draw(ranking_instances())
+    ]
+
+
+class TestWriters:
+    """The writers encode each distinct turn once and splice lines together;
+    the bytes must be those of json.dumps on the record dicts."""
+
+    @given(instances=ranking_instances())
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_save_instances_bytes_match_the_oracle(self, tmp_path, instances):
+        path = tmp_path / "ds.jsonl"
+        save_instances(instances, path)
+        assert path.read_bytes() == oracle_jsonl(map(instance_to_dict, instances))
+
+    @given(instances=rated_instances())
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_save_rated_testset_bytes_match_the_oracle(self, tmp_path, instances):
+        path = tmp_path / "rated.jsonl"
+        save_rated_testset(instances, path)
+        assert path.read_bytes() == oracle_jsonl(map(rated_instance_to_dict, instances))
+
+
+def assert_equal_turns_are_one_object(instances):
+    by_value: dict = {}
+    for inst in instances:
+        for t in (*inst.context, *(c.turn for c in inst.candidates)):
+            assert by_value.setdefault(t, t) is t
+
+
+# Valid turns (lower-case heads, a DA label, at least one segment) from a
+# small space, so that equal turns and equal segments under both speakers recur.
+valid_turns = st.builds(
+    Turn,
+    st.sampled_from("AB"),
+    st.lists(
+        st.builds(
+            Segment,
+            st.sampled_from(("sd", "qý")),
+            st.lists(st.builds(EntityMention, st.sampled_from(("movie", "été", 'a"b')),
+                               st.sampled_from("SO")), max_size=1).map(tuple),
+            st.none() | st.sampled_from(("", "é\n", '"\\')),
+        ),
+        min_size=1, max_size=2,
+    ).map(tuple),
+)
+
+
+class TestLoadInterning:
+    """A loader parses each distinct turn of a file once and shares the Turn."""
+
+    @given(pool=st.lists(valid_turns, min_size=1, max_size=6), data=st.data())
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_round_trip_equals_an_uncached_parse(self, tmp_path, pool, data):
+        shared = st.sampled_from(pool)
+        instances = [
+            RankingInstance(
+                dialogue_id=data.draw(st.sampled_from(("d", "dé"))),
+                point_index=n,
+                context=tuple(data.draw(st.lists(shared, min_size=1, max_size=3))),
+                candidates=(Candidate(data.draw(shared), "original"),
+                            Candidate(data.draw(shared), data.draw(st.sampled_from(PROVENANCES[1:])))),
+                positive_position=0,
+            )
+            for n in range(data.draw(st.integers(1, 4)))
+        ]
+        path = tmp_path / "ds.jsonl"
+        save_instances(instances, path)
+        loaded = load_instances(path)
+        uncached = [instance_from_dict(json.loads(ln)) for ln in path.read_text("utf-8").splitlines()]
+        assert loaded == uncached == instances
+        assert_equal_turns_are_one_object(loaded)
+
+    def test_rated_testset_equals_an_uncached_parse(self, tmp_path):
+        split = synthetic_corpus(3, 10, seed=4)
+        instances, _ = build_selection_dataset(split, points_per_dialogue=3, n_neg=2, seed=5,
+                                               ctx_range=(1, 7))
+        rated = [
+            RatedInstance(i.context, tuple(
+                dataclasses.replace(c, ratings=(1 + k % 3, 2), mean_rating=(1 + k % 3 + 2) / 2)
+                for k, c in enumerate(i.candidates)), instance_id=f"r{n}")
+            for n, i in enumerate(instances)
+        ]
+        path = tmp_path / "rated.jsonl"
+        save_rated_testset(rated, path)
+        loaded = load_rated_testset(path)
+        uncached = [rated_instance_from_dict(json.loads(ln))
+                    for ln in path.read_text("utf-8").splitlines()]
+        assert loaded == uncached == rated
+        assert_equal_turns_are_one_object(loaded)
+
+
+def _pin_corpus() -> list[Dialogue]:
+    """synthetic_corpus(8, 12, seed=7) with the text dropped from the odd
+    dialogues, so that content-identical turns occur and are rejected, and
+    with a non-ASCII id and non-ASCII text, quotes, a backslash and a tab in
+    the first dialogue."""
+    out = []
+    for i, d in enumerate(synthetic_corpus(8, 12, seed=7)):
+        if i % 2:
+            d = Dialogue(d.id, tuple(
+                Turn(t.speaker, tuple(dataclasses.replace(s, text=None) for s in t.segments))
+                for t in d.turns))
+        elif i == 0:
+            d = Dialogue("séé", tuple(
+                Turn(t.speaker, tuple(
+                    dataclasses.replace(s, text=f'«{s.text}» "q" \\ \t') for s in t.segments))
+                for t in d.turns))
+        out.append(d)
+    return out
+
+
+# SHA-256 of gen-dataset's outputs on `_pin_corpus()`. They pin the dataset
+# generator and format: a change to these bytes changes the dataset that a
+# corpus and seed produce.
+PINNED_DIGESTS = {
+    "internal": {
+        "dataset.jsonl": "1c3fe75ca8604d918ab506e095227cadcc5191c76bcf3e58d566276546e048e3",
+        "manifest.json": "d881314666188086f5161428c61e4c597187ed548f94e6bdd027ebe11c654aeb",
+    },
+    "external": {
+        "dataset.jsonl": "c3dc75e874e8adb4e21bd9832254b1e07755fb3153a7b712086f339bfdd9e19e",
+        "manifest.json": "85fd925234f00980f5f422497aa5e620cc1d02dd35652d6a55d6f14c5b0c9ced",
+    },
+}
+
+
+@pytest.mark.parametrize("mode", sorted(PINNED_DIGESTS))
+def test_gen_dataset_bytes_are_pinned(tmp_path, mode):
+    corpus_path = tmp_path / "corpus.jsonl"
+    save_corpus(_pin_corpus(), corpus_path)
+    out = tmp_path / "out"
+    assert main([
+        "gen-dataset", str(corpus_path), "--mode", mode, "--points", "3", "--negatives", "3",
+        "--seed", "21", "--ctx-min", "1", "--ctx-max", "6", "--out", str(out),
+    ]) == 0
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+               for name in PINNED_DIGESTS[mode]}
+    assert digests == PINNED_DIGESTS[mode]
