@@ -22,11 +22,12 @@ import numpy as np
 from . import analysis, metrics, swapgen
 from .corpus import (
     derive_vocabularies,
-    iter_corpus_records,
     dialogue_from_dict,
+    iter_corpus_records,
     load_corpus,
     load_tagset,
     load_vocabularies,
+    parse_json,
     save_vocabularies,
     validate_dialogue,
 )
@@ -264,11 +265,10 @@ def cmd_eval_rating(args) -> int:
 
 def cmd_rate(args) -> int:
     model = load_checkpoint(args.checkpoint)
-    raw = sys.stdin.read() if args.input == "-" else Path(args.input).read_text(encoding="utf-8")
-    try:
-        obj = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise DataError(f"invalid JSON input: {exc.msg}") from exc
+    if args.input == "-":
+        obj = parse_json(sys.stdin.read(), "standard input")
+    else:
+        obj = parse_json(Path(args.input).read_bytes(), args.input)
     context, candidates = swapgen.parse_record(obj, default_provenance="external")
     ranked = rank_candidates(context, candidates, model)
     print("rank\tscore\tprovenance\trating\tsummary")

@@ -206,18 +206,33 @@ def validate_dialogue(d: Dialogue) -> list[str]:
     return problems
 
 
+def parse_json(data: str | bytes, source, line: int | None = None):
+    """The JSON value of `data` (text, or bytes taken as UTF-8), read from
+    `source` (a file name), at `line` of it for a JSONL record. Undecodable
+    input, or input nested too deeply to decode, is a CorpusFormatError (a
+    DataError) naming both."""
+    try:
+        return json.loads(data)
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError, UnicodeDecodeError
+        if isinstance(exc, RecursionError):
+            reason = "nested too deeply"
+        else:
+            reason = getattr(exc, "msg", str(exc))
+        where = source if line is None else f"{source} line {line}"
+        raise CorpusFormatError(f"{where}: invalid JSON ({reason})") from exc
+
+
 def iter_corpus_records(path) -> Iterator[tuple[int, dict]]:
     """Yield (line_number, parsed_json) for every nonblank line."""
+    line_no = 0
     with open(path, encoding="utf-8") as f:
-        for line_no, line in enumerate(f, start=1):
-            stripped = line.strip()
-            if not stripped:
-                continue
-            try:
-                obj = json.loads(stripped)
-            except json.JSONDecodeError as exc:
-                raise CorpusFormatError(f"invalid JSON ({exc.msg})", line=line_no) from exc
-            yield line_no, obj
+        try:
+            for line_no, line in enumerate(f, start=1):
+                stripped = line.strip()
+                if stripped:
+                    yield line_no, parse_json(stripped, path, line_no)
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: not UTF-8 text after line {line_no} ({exc.reason})") from exc
 
 
 def load_records(path, parse: Callable[[object], T], what: str) -> list[T]:
@@ -395,5 +410,4 @@ def save_vocabularies(vocabs: Vocabularies, path) -> None:
 
 
 def load_vocabularies(path) -> Vocabularies:
-    with open(path, encoding="utf-8") as f:
-        return Vocabularies.from_dict(json.load(f))
+    return Vocabularies.from_dict(parse_json(Path(path).read_bytes(), path))

@@ -152,9 +152,11 @@ def logistic(d: np.ndarray) -> np.ndarray:
 
     Branch-free: with e = exp(-|d|) it is 1 / (1 + e) for d >= 0 and
     e / (1 + e) below, the same float ops per element as splitting the array
-    by sign. min(d, -d) is -|d| that keeps a NaN's sign bit."""
+    by sign. min(d, -d) is -|d| that keeps a NaN's sign bit, and since
+    0 <= e <= 1 (or NaN), max(e, d >= 0) picks the numerator without the
+    per-element branch of np.where."""
     e = np.exp(np.minimum(d, -d))
-    return np.where(d >= 0, 1.0, e) / (1.0 + e)
+    return np.maximum(e, d >= 0) / (1.0 + e)
 
 
 def relu(x: Tensor) -> Tensor:

@@ -15,7 +15,8 @@ file fails the checksum. Parameters are stored and used in float32, so a
 save/load round trip reproduces scores bit-exactly. Loading reads the payload
 once into one buffer, hashes it, and hands out the arrays as views into it;
 a neural checkpoint must hold exactly the arrays, and shapes, its config
-needs.
+needs. Sorted names put each GRU layer's h, r and z gates back to back, so
+the stacked weights the model runs on are views of the payload too.
 """
 from __future__ import annotations
 
@@ -27,11 +28,10 @@ from dataclasses import fields
 
 import numpy as np
 
-from ..corpus import Vocabularies, expect_object, typed_field
-from ..engine.autodiff import Tensor
+from ..corpus import Vocabularies, expect_object, parse_json, typed_field
 from ..errors import ChecksumError, DataError
 from .linear import LinearRanker, LinearRankerConfig
-from .neural import NeuralConfig, NeuralScorer, param_shapes
+from .neural import NeuralConfig, NeuralScorer, param_shapes, params_from_arrays
 
 MAGIC = b"DLGCOH01"
 FORMAT_VERSION = 1
@@ -136,11 +136,7 @@ def load_checkpoint(path):
         payload_len = os.fstat(f.fileno()).st_size - 16 - header_len
         if payload_len < 0:
             raise ChecksumError(f"checkpoint header truncated: {path}")
-        try:
-            header = json.loads(f.read(header_len).decode("utf-8"))
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise DataError(f"unreadable checkpoint header: {exc}") from exc
-        header = expect_object(header, _HEADER)
+        header = expect_object(parse_json(f.read(header_len), f"{path} header"), _HEADER)
         if header.get("format_version") != FORMAT_VERSION:
             raise DataError(
                 f"unsupported checkpoint format version {header.get('format_version')!r}"
@@ -160,8 +156,9 @@ def load_checkpoint(path):
     if model_type == "neural":
         neural_config = _config(NeuralConfig, config)
         _check_neural_arrays(arrays, neural_config, vocabularies)
-        params = {name: Tensor(a, requires_grad=True) for name, a in arrays.items()}
-        return NeuralScorer(neural_config, vocabularies, params, manifest=manifest)
+        return NeuralScorer(
+            neural_config, vocabularies, params_from_arrays(arrays), manifest=manifest
+        )
     if model_type == "linear":
         if "weights" not in arrays:
             raise DataError(f"{_HEADER}.arrays: no 'weights' array")

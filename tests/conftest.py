@@ -145,18 +145,35 @@ def logistic_reference(d: np.ndarray) -> np.ndarray:
     return out
 
 
-def gru_reference(x: np.ndarray, p: GruCellParams, reverse: bool = False) -> np.ndarray:
+def gru_reference(
+    x: np.ndarray, p: GruCellParams, reverse: bool = False, lengths: np.ndarray | None = None
+) -> np.ndarray:
     """The GRU formulas scanned one step at a time from a zero state, in the
-    dtype of x: the oracle the fused `run_gru` is checked against."""
-    w = {name: t.data for name, t in vars(p).items()}
-    h = np.zeros((x.shape[0], p.hidden_size), dtype=x.dtype)
-    out = np.empty(x.shape[:2] + (p.hidden_size,), dtype=x.dtype)
-    for t in range(x.shape[1])[::-1] if reverse else range(x.shape[1]):
-        r = logistic_reference(x[:, t] @ w["w_r"].T + h @ w["u_r"].T + w["b_r"])
-        z = logistic_reference(x[:, t] @ w["w_z"].T + h @ w["u_z"].T + w["b_z"])
-        c = np.tanh(x[:, t] @ w["w_h"].T + (r * h) @ w["u_h"].T + w["b_h"])
-        h = (1.0 - z) * h + z * c
-        out[:, t] = h
+    dtype of x, as `run_gru` computed them before its rows shrank: every step
+    runs all rows through h @ U^T products, with the gates stacked r, z, h,
+    and np.where masks freeze each row past its length (in any row order)
+    and zero its outputs there. The oracle `run_gru` must match: within
+    float64 rounding, and bit for bit on float32 rows sorted longest first."""
+    w_h, w_r, w_z = np.split(p.w.data, 3)
+    u_h, u_r, u_z = np.split(p.u.data, 3)
+    b_h, b_r, b_z = np.split(p.b.data, 3)
+    batch, steps, _ = x.shape
+    hid = p.hidden_size
+    lengths = np.full(batch, steps) if lengths is None else lengths
+    xw = (x.reshape(batch * steps, -1) @ np.concatenate([w_r, w_z, w_h]).T)
+    xw = xw.reshape(batch, steps, 3 * hid)
+    u_rz = np.concatenate([u_r, u_z])
+    out = np.empty((batch, steps, hid), dtype=x.dtype)
+    h = np.zeros((batch, hid), dtype=x.dtype)
+    for t in range(steps)[::-1] if reverse else range(steps):
+        hu = h @ u_rz.T
+        r = logistic_reference(xw[:, t, :hid] + hu[:, :hid] + b_r)
+        z = logistic_reference(xw[:, t, hid : 2 * hid] + hu[:, hid:] + b_z)
+        c = np.tanh(xw[:, t, 2 * hid :] + (r * h) @ u_h.T + b_h)
+        h_next = (1.0 - z) * h + z * c
+        live = (t < lengths)[:, None]
+        h = np.where(live, h_next, h)
+        out[:, t] = np.where(live, h_next, 0.0)
     return out
 
 

@@ -111,6 +111,20 @@ def pipeline(tmp_path, corpus_path):
 
 
 class TestTrainEvalPipeline:
+    def test_trained_bits_are_pinned(self, pipeline):
+        """The trained weights and history, byte for byte. Float32 training
+        amplifies any last-bit change in a forward or backward product (Adam's
+        first step divides by the gradient's own magnitude), so an engine
+        change meant to be exact must leave both digests as they are. The
+        digests are those of OpenBLAS 0.3.31 (Haswell kernels); another BLAS
+        may round differently and needs its own."""
+        assert sha(pipeline["checkpoint"]) == (
+            "aee0b17142911f97e9578e26518e2e30df012f3e748640fee8f1db0643e5c01f"
+        )
+        assert sha(pipeline["model_dir"] / "checkpoint_history.json") == (
+            "da7b0242198b885a0945003cddd578de1eb0e9527a52898c1e16a07b98dfea21"
+        )
+
     def test_artifacts_written(self, pipeline):
         assert pipeline["checkpoint"].exists()
         summary = json.loads((pipeline["model_dir"] / "training_summary.json").read_text())

@@ -19,14 +19,13 @@ from dialcoh.errors import NumericError
 from dialcoh.models.neural import NeuralConfig, NeuralScorer, forward_scores
 
 
-def random_cell(rng, input_size=3, hidden_size=4) -> GruCellParams:
-    """float64 gate tensors, biases included, uniform in [-0.5, 0.5]."""
-    shapes = {"w": (hidden_size, input_size), "u": (hidden_size, hidden_size), "b": (hidden_size,)}
-    return GruCellParams(**{
-        f"{kind}_{gate}": Tensor(rng.uniform(-0.5, 0.5, shape), requires_grad=True)
-        for gate in GATES
-        for kind, shape in shapes.items()
-    })
+def random_cell(rng, input_size=3, hidden_size=4, dtype=np.float64) -> GruCellParams:
+    """Stacked gate tensors, biases included, uniform in [-0.5, 0.5]."""
+    rows = 3 * hidden_size
+    return GruCellParams(*(
+        Tensor(rng.uniform(-0.5, 0.5, shape).astype(dtype), requires_grad=True)
+        for shape in ((rows, input_size), (rows, hidden_size), (rows,))
+    ))
 
 
 def zeroed_cell() -> GruCellParams:
@@ -49,10 +48,11 @@ class TestGruCell:
         # With only b_h nonzero, z = sigmoid(0) = 0.5 and the candidate is
         # tanh(b_h) at every step, so h_t = 0.5 * h_{t-1} + 0.5 * tanh(b_h).
         p = zeroed_cell()
-        p.b_h.data[...] = [0.4, -0.2, 0.8, 0.1]
+        b_h = np.split(p.b.data, 3)[GATES.index("h")]
+        b_h[...] = [0.4, -0.2, 0.8, 0.1]
         out = run_gru(Tensor(np.ones((1, 4, 3))), p).data[0]
         halves = 1.0 - 0.5 ** np.arange(1, 5)
-        np.testing.assert_allclose(out, halves[:, None] * np.tanh(p.b_h.data), rtol=1e-12)
+        np.testing.assert_allclose(out, halves[:, None] * np.tanh(b_h), rtol=1e-12)
 
     def test_output_bounded_by_unit_state(self):
         rng = np.random.default_rng(7)
@@ -102,15 +102,15 @@ class TestGruLayer:
 
         report = grad_check(f, base, h=1e-5, tol=1e-4)
         assert report.passed, (report.max_rel_error, report.worst)
-        assert len(report.per_param) == 10
+        assert sorted(report.per_param) == ["b", "u", "w", "x"]
 
     @pytest.mark.parametrize("reverse", [False, True])
     def test_masked_rows_match_their_own_prefix(self, reverse):
-        """Rows of lengths 1..6 in one 6-step scan: each row's outputs are the
-        reference scan of its own prefix, then zeros."""
+        """Rows of lengths 6 down to 1 in one 6-step scan: each row's outputs
+        are the reference scan of its own prefix, then zeros."""
         rng = np.random.default_rng(21)
         p = random_cell(rng)
-        lengths = np.array([6, 1, 4, 3, 6, 2])
+        lengths = np.array([6, 6, 4, 3, 2, 1])
         x = rng.normal(size=(6, 6, 3))
         with no_grad():
             out = run_gru(Tensor(x), p, reverse=reverse, lengths=lengths).data
@@ -118,6 +118,30 @@ class TestGruLayer:
             own = gru_reference(x[row : row + 1, :n], p, reverse)[0]
             np.testing.assert_allclose(out[row, :n], own, rtol=0, atol=1e-12)
             assert (out[row, n:] == 0.0).all()
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    @pytest.mark.parametrize("lengths", [
+        [7, 7, 6, 6, 5, 3, 2, 2, 1],  # shrinks below MIN_ROWS live rows
+        [7, 7, 7, 7, 7, 7],
+        [7, 5, 2],  # fewer rows than MIN_ROWS
+        [7, 2],
+    ])
+    def test_float32_ragged_rows_equal_the_masked_scan_bitwise(self, lengths, reverse):
+        """Computing only the live rows (at least MIN_ROWS of them) gives
+        each row the bits of the scan that runs every row at every step."""
+        rng = np.random.default_rng(len(lengths))
+        p = random_cell(rng, input_size=24, hidden_size=32, dtype=np.float32)
+        lengths = np.array(lengths)
+        x = rng.normal(size=(len(lengths), 7, 24)).astype(np.float32)
+        with no_grad():
+            out = run_gru(Tensor(x), p, reverse=reverse, lengths=lengths).data
+        assert out.dtype == np.float32
+        assert np.array_equal(out, gru_reference(x, p, reverse, lengths))
+
+    def test_unsorted_lengths_are_rejected(self):
+        p = random_cell(np.random.default_rng(4))
+        with no_grad(), pytest.raises(ValueError, match="non-increasing"):
+            run_gru(Tensor(np.ones((3, 4, 3))), p, lengths=np.array([4, 2, 3]))
 
     def test_ragged_lengths_cannot_be_recorded(self):
         p = random_cell(np.random.default_rng(2))

@@ -277,3 +277,78 @@ def test_neural_arrays_must_match_the_config(setup, tmp_path, capsys, name):
     _mutated_checkpoint(root / "neural.ckpt", tmp_path / "bad.ckpt",
                         lambda h: {**h, "arrays": mutate(h["arrays"])})
     assert message in _rate_exits_with_data_error(tmp_path / "bad.ckpt", record, tmp_path, capsys)
+
+
+def test_non_finite_word_vector_is_a_data_error(setup, tmp_path, capsys):
+    root, record = setup
+    for value in ("nan", "inf", "1e39"):  # 1e39 overflows float32
+        vectors = tmp_path / "vectors.txt"
+        vectors.write_text(f"movie 0.1 0.2\nmovie 0.1 {value}\n", encoding="utf-8")
+        code = run(*_train_args(
+            root, record, tmp_path, "--model", "neural", "--pretrained-words", vectors,
+            "--emb-dim-word", "2", "--emb-dim", "2", "--layers", "1", "--hidden", "2",
+            "--head-hidden", "2", "--epochs", "1"))
+        assert code == 2, value
+        err = capsys.readouterr().err
+        assert str(vectors) in err and "line 2" in err and "non-finite" in err
+
+
+DEEP = "[" * 5000 + "]" * 5000  # deeper than json.loads can recurse
+
+
+def _corpus_input(root, record, path, text):
+    path.write_text(text, encoding="utf-8")
+    return ("validate", path)
+
+
+def _vocab_input(root, record, path, text):
+    path.write_text(text, encoding="utf-8")
+    data = path.with_name("data.jsonl")
+    data.write_text(json.dumps(record) + "\n", encoding="utf-8")
+    return ("train", "--model", "linear", "--train", data, "--vocab", path,
+            "--out", path.with_name("out"))
+
+
+def _rate_input(root, record, path, text):
+    path.write_text(text, encoding="utf-8")
+    return ("rate", "--checkpoint", root / "model.ckpt", "--input", path)
+
+
+def _header_input(root, record, path, text):
+    blob = (root / "model.ckpt").read_bytes()
+    n = int.from_bytes(blob[8:16], "little")
+    header = text.encode("utf-8")
+    path.write_bytes(MAGIC + len(header).to_bytes(8, "little") + header + blob[16 + n :])
+    request = path.with_name("request.json")
+    request.write_text(json.dumps(record), encoding="utf-8")
+    return ("rate", "--checkpoint", path, "--input", request)
+
+
+JSON_SITES = {
+    "corpus": (_corpus_input, "line 1"),
+    "vocabulary": (_vocab_input, ""),
+    "rate_request": (_rate_input, ""),
+    "checkpoint_header": (_header_input, "header"),
+}
+
+
+@pytest.mark.parametrize("text", ["not json", '{"id": ' + DEEP + "}"], ids=["garbage", "deep"])
+@pytest.mark.parametrize("site", sorted(JSON_SITES))
+def test_undecodable_json_is_a_data_error(setup, tmp_path, capsys, site, text):
+    """Each JSON reader reports text that is not JSON, or is nested too
+    deeply to decode, as a data error naming the file."""
+    root, record = setup
+    make, where = JSON_SITES[site]
+    path = tmp_path / f"{site}.json"
+    assert run(*make(root, record, path, text + "\n")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and str(path) in err and where in err
+    assert "invalid JSON" in err
+
+
+def test_corpus_that_is_not_utf8_is_a_data_error(tmp_path, capsys):
+    path = tmp_path / "corpus.jsonl"
+    path.write_bytes(b'{"id": "d\xff"}\n')
+    assert run("validate", path) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and str(path) in err and "UTF-8" in err

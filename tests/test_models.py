@@ -24,7 +24,7 @@ from dialcoh.models import (
     train_neural,
 )
 from dialcoh.models.linear import feature_dim
-from dialcoh.models.neural import forward_scores
+from dialcoh.models.neural import forward_scores, params_from_arrays
 from dialcoh.swapgen import Candidate, RankingInstance, build_selection_dataset
 
 from conftest import gru_reference, seg, synthetic_corpus, turn
@@ -182,19 +182,56 @@ class TestForwardScore:
         rng = np.random.default_rng(k + n)
         w = rng.uniform(-0.05, 0.05, (n, k)).astype(np.float32)
         x = rng.normal(size=(64, k)).astype(np.float32)
+        if n == 1:
+            forms = {"row-wise": lambda rows: ad.linear(Tensor(rows), Tensor(w)).data}
+        else:  # run_gru's recurrent products are weight-major
+            forms = {"x @ w.T": lambda rows: rows @ w.T,
+                     "weight-major (w @ x.T).T": lambda rows: (w @ rows.T).T}
+        for form, product in forms.items():
+            for m in range(4, 65):
+                full = product(x[:m])
+                for lo in sorted({0, m // 2 - 2, m - 4}):
+                    assert np.array_equal(full[lo : lo + 4], product(x[lo : lo + 4])), (
+                        f"{shape}, {form} ({m} x {k} @ {k} x {n}): rows {lo}..{lo + 3} differ "
+                        f"from the same rows as a 4-row block; scores would depend on their batch"
+                    )
 
-        def product(rows):
-            if n == 1:
-                return ad.linear(Tensor(rows), Tensor(w)).data
-            return rows @ w.T
+    @pytest.mark.parametrize("shape", ["[U_r; U_z]", "U_h"])
+    def test_weight_major_recurrent_product_equals_row_major(self, shape):
+        """run_gru's recurrent products are computed as (U @ h.T).T; the scan
+        is exact only if that gives the bits of h @ U.T, at every row count a
+        step can have."""
+        k, n = PAPER_PRODUCTS[shape]
+        rng = np.random.default_rng(n)
+        u = rng.uniform(-0.05, 0.05, (n, k)).astype(np.float32)
+        h = rng.uniform(-1.0, 1.0, (64, k)).astype(np.float32)
+        for m in range(1, 65):
+            assert np.array_equal((u @ h[:m].T).T, h[:m] @ u.T), (
+                f"{shape} ({m} x {k} @ {k} x {n}): the weight-major product differs"
+            )
 
-        for m in range(4, 65):
-            full = product(x[:m])
-            for lo in sorted({0, m // 2 - 2, m - 4}):
-                assert np.array_equal(full[lo : lo + 4], product(x[lo : lo + 4])), (
-                    f"{shape} ({m} x {k} @ {k} x {n}): rows {lo}..{lo + 3} differ from the "
-                    f"same rows as a 4-row block; scores would depend on their batch"
-                )
+    @pytest.mark.parametrize("size, digest", [
+        ("small", "9851ae18a9c8013b76d767eea7ba66dca1ebe30e51d653cc16989e938c588a9b"),
+        ("paper", "51d3c32a545223bde450a499c9e330aa37af8916e61549fadbb28cc4762021b9"),
+    ])
+    def test_scores_are_pinned(self, vocabs, dataset, size, digest):
+        """The score bits of a fixed scorer on 13 streams of lengths 4 to 9,
+        in buckets of 5, 5 and 3 streams (the last padded to MIN_ROWS), each
+        bucket ragged. An engine change meant to be exact must leave the
+        digest as it is. OpenBLAS 0.3.31 (Haswell kernels); another BLAS may
+        round differently and needs its own digest."""
+        dims = {"emb_dim_word": 6, "emb_dim_other": 4, "gru_hidden": 5, "head_hidden": 4}
+        cfg = NeuralConfig(channels=("word", "da", "turn"), batch_size=5, seed=7,
+                           **(dims if size == "small" else {}))
+        scorer = NeuralScorer.initialize(cfg, vocabs)
+        streams = [
+            encode_pairwise_inputs(inst.context, c.turn, scorer.encoding)
+            for inst in dataset[:4]
+            for c in inst.candidates
+        ][:13]
+        assert sorted(s.length for s in streams) == [4, 4, 4, 5, 5, 5, 5, 6, 6, 8, 8, 9, 9]
+        scores = scorer.score_streams(streams)
+        assert hashlib.sha256(scores.tobytes()).hexdigest() == digest
 
     def test_channel_mismatch_rejected(self, vocabs):
         scorer = NeuralScorer.initialize(small_config(), vocabs)
@@ -432,6 +469,36 @@ class TestCheckpoint:
         loaded = load_checkpoint(path)
         after = loaded.score_streams(probe)
         np.testing.assert_array_equal(before, after)
+
+    def test_loaded_parameters_are_views_of_one_payload(self, tmp_path, vocabs):
+        scorer = NeuralScorer.initialize(small_config(), vocabs)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(scorer, path)
+        loaded = load_checkpoint(path)
+        payload = loaded.params["emb_word"].data.base
+        assert payload is not None
+        assert all(t.data.base is payload for t in loaded.params.values())
+        for name, t in scorer.params.items():
+            assert np.array_equal(loaded.params[name].data, t.data)
+
+    def test_gates_stack_in_gate_order_from_any_layout(self, vocabs):
+        """Gates that do not lie back to back in one buffer, in GATES order,
+        are copied into the stack; the values are the same either way."""
+        scorer = NeuralScorer.initialize(small_config(), vocabs)
+        arrays = scorer.parameter_arrays()
+        names = sorted(arrays, reverse=True)  # z, r, h: not stackable in place
+        flat = np.concatenate([arrays[n].ravel() for n in names])
+        packed, at = {}, 0
+        for n in names:
+            packed[n] = flat[at : at + arrays[n].size].reshape(arrays[n].shape)
+            at += arrays[n].size
+        for layout in (packed, {n: a.copy() for n, a in arrays.items()}):
+            params = params_from_arrays(layout)
+            assert params.keys() == scorer.params.keys()
+            for name, t in scorer.params.items():
+                assert np.array_equal(params[name].data, t.data), name
+                if name.startswith("gru"):
+                    assert not np.shares_memory(params[name].data, flat)
 
     def test_truncated_file_fails_checksum(self, tmp_path, vocabs):
         scorer = NeuralScorer.initialize(small_config(), vocabs)
