@@ -28,6 +28,7 @@ from .corpus import (
     load_tagset,
     load_vocabularies,
     parse_json,
+    read_lines,
     save_vocabularies,
     validate_dialogue,
 )
@@ -94,17 +95,12 @@ def _comma_separated(convert):
     return parse
 
 
-def _split_ids(path) -> list[str]:
-    ids = [ln.strip() for ln in Path(path).read_text(encoding="utf-8").splitlines()]
-    return [i for i in ids if i]
-
-
 def _load_split(args) -> tuple[list, tuple[str, ...] | None]:
     """The corpus (restricted to --split) and the --tagset it was checked against."""
     tagset = load_tagset(args.tagset) if args.tagset else None
     corpus = load_corpus(args.corpus, tagset=tagset)
     if args.split:
-        wanted = set(_split_ids(args.split))
+        wanted = set(read_lines(args.split))
         corpus = [d for d in corpus if d.id in wanted]
         missing = wanted - {d.id for d in corpus}
         if missing:

@@ -249,10 +249,19 @@ def load_records(path, parse: Callable[[object], T], what: str) -> list[T]:
     return records
 
 
+def read_lines(path) -> list[str]:
+    """The nonblank lines of a UTF-8 text file, stripped; text that is not
+    UTF-8 is a DataError naming the file."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
+    return [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
+
+
 def load_tagset(path) -> tuple[str, ...]:
     """Read a newline-separated DA tagset file."""
-    labels = [ln.strip() for ln in Path(path).read_text(encoding="utf-8").splitlines()]
-    labels = [l for l in labels if l]
+    labels = read_lines(path)
     if not labels:
         raise DataError(f"empty tagset file: {path}")
     return tuple(labels)

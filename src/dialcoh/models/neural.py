@@ -1,21 +1,24 @@
 """Bidirectional-GRU coherence scorer and its response-selection trainer.
 
 Per-position channel embeddings are looked up for a whole (batch, length)
-block of ids and concatenated into one (batch, length, input) tensor, passed
+block of ids and concatenated into one (batch, length, input) array, passed
 through stacked bidirectional GRU layers (forward and backward states
 concatenated per layer), mean-pooled over positions, and mapped to a scalar
-score by a one-hidden-layer ReLU head. Each GRU layer and direction is one
-graph node with hand-written backpropagation through time (`run_gru`), so a
-forward pass builds the same small graph whatever the stream length.
-Training minimizes the margin-ranking loss over original/adversarial score
-pairs with Adam, early-stopping on development MRR.
+score by a one-hidden-layer ReLU head. `forward_scores` writes this pass out
+over plain numpy arrays; with `record` set it keeps what its backward pass
+needs and returns the scores with that backward pass, written by hand in the
+reverse order: head, pooling, each GRU layer's backpropagation through time
+(`run_gru`), then a scatter-add into the embedding tables. Training
+minimizes the margin-ranking loss over original/adversarial score pairs
+(`pairwise_hinge`, with its gradient) with Adam, early-stopping on
+development MRR.
 
-Parameters are held as the engine uses them: each GRU layer and direction
-as three stacked tensors "gru{layer}{f|b}.w", ".u" and ".b" (gate rows h,
-r, z; see `engine/rnn.py`). Checkpoints name the nine per-gate arrays
+Parameters are numpy arrays under their names: each GRU layer and direction
+as three stacked arrays "gru{layer}{f|b}.w", ".u" and ".b" (gate rows h, r,
+z; see `engine/rnn.py`). Checkpoints name the nine per-gate arrays
 ("gru0f.w_r", ...); `parameter_arrays` gives them as row views of the
-stacked tensors, and `params_from_arrays` stacks a loaded checkpoint's
-gates back, as views of its payload.
+stacked arrays, and `params_from_arrays` stacks a loaded checkpoint's gates
+back, as views of its payload.
 
 Scoring is batch-invariant: a stream's score is bit-identical whichever
 other streams share its pass. `score_streams` sorts streams longest first,
@@ -23,8 +26,10 @@ the row order `run_gru` requires, and runs buckets of at most `batch_size`
 rows, zero-padded to the block length and to at least MIN_ROWS rows;
 `run_gru` masks each row to its own length, pooling divides by it, and every
 product then gives each row the same bits at any row count from MIN_ROWS up
-(the head's one-output product is a row-wise sum, see `ad.linear`). Training
-steps still run one pass per exact stream length (`_batch_step` says why).
+(the head's one-output product is a row-wise sum: BLAS's matrix-vector
+product gives a row different bits depending on how many rows share the
+call). Training steps still run one pass per exact stream length
+(`_batch_step` says why).
 """
 from __future__ import annotations
 
@@ -35,11 +40,9 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from ..corpus import Turn, Vocabularies
-from ..engine import autodiff as ad
-from ..engine.autodiff import Tensor, no_grad
-from ..engine.losses import pairwise_hinge
+from ..engine.autodiff import Tensor
 from ..engine.optim import AdamState, adam_step
-from ..engine.rnn import GATES, MIN_ROWS, GruCellParams, run_gru
+from ..engine.rnn import GATES, MIN_ROWS, run_gru
 from ..errors import DataError, NumericError
 from ..linearize import CHANNELS, EncodingConfig, TokenStream, encode_pairwise_inputs
 from ..swapgen import RankingInstance
@@ -150,7 +153,7 @@ def param_shapes(config: NeuralConfig, vocabularies: Vocabularies) -> dict[str, 
 
 def init_params(
     config: NeuralConfig, vocabularies: Vocabularies, dtype=np.float32
-) -> dict[str, Tensor]:
+) -> dict[str, np.ndarray]:
     """Seeded parameter initialization: embeddings uniform in [-0.1, 0.1],
     GRU weights uniform in [-1/sqrt(hidden), 1/sqrt(hidden)], head weights
     uniform in [-1/sqrt(fan_in), 1/sqrt(fan_in)], zero biases. Draw order is
@@ -174,7 +177,7 @@ def init_params(
         else:
             bound = 1.0 / math.sqrt(shape[1])
         arrays[name][...] = rng.uniform(-bound, bound, shape)
-    return {key: Tensor(a, requires_grad=True) for key, a in data.items()}
+    return data
 
 
 def _stack_key(name: str) -> str:
@@ -194,17 +197,16 @@ def named_arrays(stacked: Mapping[str, np.ndarray]) -> dict[str, np.ndarray]:
     return arrays
 
 
-def params_from_arrays(arrays: Mapping[str, np.ndarray]) -> dict[str, Tensor]:
+def params_from_arrays(arrays: Mapping[str, np.ndarray]) -> dict[str, np.ndarray]:
     """Parameters from arrays under checkpoint names: each GRU layer and
     direction's per-gate arrays stacked, gate rows in GATES order."""
-    params: dict[str, Tensor] = {}
+    params: dict[str, np.ndarray] = {}
     for name, a in arrays.items():
         key = _stack_key(name)
         if key == name:
-            params[key] = Tensor(a, requires_grad=True)
+            params[key] = a
         elif key not in params:
-            parts = [arrays[f"{key}_{gate}"] for gate in GATES]
-            params[key] = Tensor(_stack_rows(parts), requires_grad=True)
+            params[key] = _stack_rows([arrays[f"{key}_{gate}"] for gate in GATES])
     return params
 
 
@@ -225,63 +227,159 @@ def _stack_rows(parts: Sequence[np.ndarray]) -> np.ndarray:
     return np.ndarray(shape, first.dtype, buffer=base, offset=starts[0] - base.ctypes.data)
 
 
-def load_word_vectors(path, vocabularies: Vocabularies, params: Mapping[str, Tensor]) -> int:
-    """Overwrite word-embedding rows from a text file of "token v1 ... vd"
-    lines; tokens outside the vocabulary are skipped, and a vocabulary token
-    with other than d values, or with a value that is not a finite number in
-    the embedding's precision, is a DataError. Returns the number of rows
-    filled."""
+def load_word_vectors(path, vocabularies: Vocabularies, params: Mapping[str, np.ndarray]) -> int:
+    """Overwrite word-embedding rows from a UTF-8 text file of "token v1 ...
+    vd" lines; tokens outside the vocabulary are skipped, and a vocabulary
+    token with other than d values, or with a value that is not a finite
+    number in the embedding's precision, is a DataError, as is text that is
+    not UTF-8. Returns the number of rows filled."""
     emb = params.get("emb_word")
     if emb is None:
         raise DataError("model has no word channel to load vectors into")
-    dim = emb.data.shape[1]
-    found = 0
+    dim = emb.shape[1]
+    found = line_no = 0
     with open(path, encoding="utf-8") as f:
-        for line_no, line in enumerate(f, 1):
-            parts = line.rstrip("\n").split(" ")
-            wid = vocabularies.words.get(parts[0])
-            if wid is None:
-                continue
-            if len(parts) != dim + 1:
-                raise DataError(
-                    f"{path} line {line_no}: {parts[0]!r} has {len(parts) - 1} values, "
-                    f"expected {dim} (the word embedding size)"
-                )
-            try:
-                with np.errstate(over="ignore"):
-                    vector = np.asarray([float(x) for x in parts[1:]], dtype=emb.data.dtype)
-            except ValueError as exc:
-                raise DataError(f"{path} line {line_no}: non-numeric vector value ({exc})") from exc
-            if not np.isfinite(vector).all():
-                raise DataError(f"{path} line {line_no}: {parts[0]!r} has a non-finite value")
-            emb.data[wid] = vector
-            found += 1
+        try:
+            for line_no, line in enumerate(f, 1):
+                parts = line.rstrip("\n").split(" ")
+                wid = vocabularies.words.get(parts[0])
+                if wid is None:
+                    continue
+                if len(parts) != dim + 1:
+                    raise DataError(
+                        f"{path} line {line_no}: {parts[0]!r} has {len(parts) - 1} values, "
+                        f"expected {dim} (the word embedding size)"
+                    )
+                try:
+                    with np.errstate(over="ignore"):
+                        vector = np.asarray([float(x) for x in parts[1:]], dtype=emb.dtype)
+                except ValueError as exc:
+                    raise DataError(
+                        f"{path} line {line_no}: non-numeric vector value ({exc})"
+                    ) from exc
+                if not np.isfinite(vector).all():
+                    raise DataError(f"{path} line {line_no}: {parts[0]!r} has a non-finite value")
+                emb[wid] = vector
+                found += 1
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: not UTF-8 text after line {line_no} ({exc.reason})") from exc
     return found
+
+
+def embed_channels(
+    ids_by_channel: Mapping[str, np.ndarray],
+    params: Mapping[str, np.ndarray],
+    channels: Sequence[str],
+):
+    """The (batch, length, input) embeddings of (batch, length) ids, the
+    channels' rows side by side; and their backward, which scatter-adds a
+    gradient of them into each table's entry of a gradient dict."""
+    x = np.concatenate([params[f"emb_{ch}"][ids_by_channel[ch]] for ch in channels], axis=-1)
+
+    def backward(d_x: np.ndarray, grads: dict[str, np.ndarray]) -> None:
+        at = 0
+        for ch in channels:
+            name = f"emb_{ch}"
+            dim = params[name].shape[1]
+            np.add.at(grads[name], ids_by_channel[ch], d_x[..., at : at + dim])
+            at += dim
+
+    return x, backward
+
+
+def mean_pool(states: np.ndarray, lengths: np.ndarray):
+    """Mean of (batch, time, dim) states over each row's own length: the sum
+    over time divided by the length, so states past it must be zero (as
+    `run_gru` leaves them); and its backward."""
+    k = lengths.astype(states.dtype)[:, None]
+    pooled = states.sum(axis=1)
+    pooled /= k
+    shape = states.shape
+    return pooled, lambda d_pooled: np.broadcast_to((d_pooled / k)[:, None], shape)
+
+
+def score_head(pooled: np.ndarray, params: Mapping[str, np.ndarray]):
+    """(batch,) scores of pooled states through a ReLU layer and one output,
+    and the backward that adds the head's gradients into a dict and returns
+    the pooled states' gradient. The output is a row-wise multiply-sum:
+    BLAS's matrix-vector product gives a row different bits depending on how
+    many rows share the call, and a score must not depend on its batch."""
+    w1, w2 = params["head.w1"], params["head.w2"]
+    hidden = np.maximum(pooled @ w1.T + params["head.b1"], 0)
+    scores = (hidden * w2).sum(axis=1) + params["head.b2"]
+
+    def backward(d_scores: np.ndarray, grads: dict[str, np.ndarray]) -> np.ndarray:
+        g = d_scores.reshape(-1, 1)
+        grads["head.w2"] += g.T @ hidden
+        grads["head.b2"] += g.sum(axis=0)
+        g = (g @ w2) * (hidden > 0)
+        grads["head.w1"] += g.T @ pooled
+        grads["head.b1"] += g.sum(axis=0)
+        return g @ w1
+
+    return scores, backward
 
 
 def forward_scores(
     ids_by_channel: Mapping[str, np.ndarray],
-    params: Mapping[str, Tensor],
+    params: Mapping[str, np.ndarray],
     config: NeuralConfig,
     lengths: np.ndarray | None = None,
+    record: bool = False,
 ) -> Tensor:
     """Score a block of streams; ids are (batch, length) arrays per channel.
     `lengths` gives each row's own length, its ids past it being padding
-    (default: every row fills the block). Returns a (batch,) score tensor."""
+    (default: every row fills the block). Returns the (batch,) scores; with
+    `record`, their `backward` adds each parameter's gradient into a dict
+    that holds an array for every parameter."""
     batch, steps = next(iter(ids_by_channel.values())).shape
     if lengths is None:
         lengths = np.full(batch, steps)
-    parts = [ad.take_rows(params[f"emb_{ch}"], ids_by_channel[ch]) for ch in config.channels]
-    x = parts[0] if len(parts) == 1 else ad.concat(parts, axis=-1)
+    x, embed_backward = embed_channels(ids_by_channel, params, config.channels)
+    layers = []  # per layer, each direction's (name, bptt) when recording
     for layer in range(config.gru_layers):
-        fwd = run_gru(x, GruCellParams.from_named(f"gru{layer}f", params), lengths=lengths)
-        bwd = run_gru(x, GruCellParams.from_named(f"gru{layer}b", params), reverse=True,
-                      lengths=lengths)
-        x = ad.concat([fwd, bwd], axis=-1)
-    pooled = ad.mean(x, lengths)
-    hidden = ad.relu(ad.add(ad.linear(pooled, params["head.w1"]), params["head.b1"]))
-    out = ad.add(ad.linear(hidden, params["head.w2"]), params["head.b2"])
-    return ad.reshape(out, (batch,))
+        states, bptts = [], []
+        for direction in "fb":
+            key = f"gru{layer}{direction}"
+            out = run_gru(x, params[f"{key}.w"], params[f"{key}.u"], params[f"{key}.b"],
+                          reverse=direction == "b", lengths=lengths, record=record)
+            if record:
+                out, bptt = out
+                bptts.append((key, bptt))
+            states.append(out)
+        layers.append(bptts)
+        x = np.concatenate(states, axis=-1)
+    pooled, pool_backward = mean_pool(x, lengths)
+    scores, head_backward = score_head(pooled, params)
+    if not record:
+        return Tensor(scores)
+
+    def backward(d_scores: np.ndarray, grads: dict[str, np.ndarray]) -> None:
+        d_x = pool_backward(head_backward(d_scores, grads))
+        for bptts in reversed(layers):
+            d_in = []
+            for (key, bptt), d_out in zip(bptts, np.split(d_x, 2, axis=-1)):
+                dx, *d_params = bptt(d_out)
+                for kind, d in zip("wub", d_params):
+                    grads[f"{key}.{kind}"] += d
+                # Dropped before the other direction runs, so that it reuses
+                # their memory.
+                del d_params
+                d_in.append(dx)
+            d_x = d_in[0] + d_in[1]
+        embed_backward(d_x, grads)
+
+    return Tensor(scores, backward)
+
+
+def pairwise_hinge(
+    s_pos: np.ndarray, s_neg: np.ndarray, margin: float = 0.5
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """Mean margin-ranking loss (y=+1) over aligned score vectors, and its
+    gradients with respect to s_pos and s_neg."""
+    excess = margin - (s_pos - s_neg)
+    d_neg = np.full_like(excess, 1.0 / excess.size) * (excess > 0)
+    return float(np.maximum(excess, 0).mean()), -d_neg, d_neg
 
 
 def _stack_streams(
@@ -312,7 +410,7 @@ class NeuralScorer:
         self,
         config: NeuralConfig,
         vocabularies: Vocabularies,
-        params: dict[str, Tensor],
+        params: dict[str, np.ndarray],
         manifest: dict | None = None,
     ):
         self.config = config
@@ -332,15 +430,14 @@ class NeuralScorer:
         out = np.zeros(len(streams), dtype=np.float64)
         order = sorted(range(len(streams)), key=lambda i: -streams[i].length)
         size = self.config.batch_size
-        with no_grad():
-            for start in range(0, len(order), size):
-                bucket = order[start : start + size]
-                ids, lengths = _stack_streams(
-                    [streams[i] for i in bucket], self.config.channels,
-                    rows=max(len(bucket), MIN_ROWS),
-                )
-                scores = forward_scores(ids, self.params, self.config, lengths)
-                out[bucket] = scores.data[: len(bucket)]
+        for start in range(0, len(order), size):
+            bucket = order[start : start + size]
+            ids, lengths = _stack_streams(
+                [streams[i] for i in bucket], self.config.channels,
+                rows=max(len(bucket), MIN_ROWS),
+            )
+            scores = forward_scores(ids, self.params, self.config, lengths)
+            out[bucket] = scores.data[: len(bucket)]
         return out
 
     def score_candidates(
@@ -358,14 +455,14 @@ class NeuralScorer:
 
     def parameter_arrays(self) -> dict[str, np.ndarray]:
         """The arrays a checkpoint stores, under its names."""
-        return named_arrays({name: t.data for name, t in self.params.items()})
+        return named_arrays(self.params)
 
     def clone_param_data(self) -> dict[str, np.ndarray]:
-        return {name: t.data.copy() for name, t in self.params.items()}
+        return {name: a.copy() for name, a in self.params.items()}
 
     def load_param_data(self, arrays: Mapping[str, np.ndarray]) -> None:
-        for name, t in self.params.items():
-            t.data[...] = arrays[name]
+        for name, a in self.params.items():
+            a[...] = arrays[name]
 
 
 @dataclass
@@ -492,31 +589,31 @@ def _batch_step(
     groups: dict[int, list[int]] = {}
     for sid in dict.fromkeys(sid for pair in chunk for sid in pair):
         groups.setdefault(streams[sid].length, []).append(sid)
-    for t in scorer.params.values():
-        t.zero_grad()
-    parts = []
+    grads = {name: np.zeros_like(a) for name, a in scorer.params.items()}
+    passes = []
     order: list[int] = []
     for _, group in sorted(groups.items()):
         ids, _ = _stack_streams([streams[s] for s in group], scorer.config.channels)
-        parts.append(forward_scores(ids, scorer.params, scorer.config))
+        passes.append(forward_scores(ids, scorer.params, scorer.config, record=True))
         order.extend(group)
-    all_scores = parts[0] if len(parts) == 1 else ad.concat(parts, axis=0)
+    scores = np.concatenate([p.data for p in passes])
     slot = {sid: i for i, sid in enumerate(order)}
     pos_idx = np.array([slot[p] for p, _ in chunk])
     neg_idx = np.array([slot[n] for _, n in chunk])
-    loss = pairwise_hinge(
-        ad.gather(all_scores, pos_idx),
-        ad.gather(all_scores, neg_idx),
-        margin=scorer.config.margin,
+    loss, d_pos, d_neg = pairwise_hinge(
+        scores[pos_idx], scores[neg_idx], margin=scorer.config.margin
     )
-    value = loss.item()
-    loss.backward()
+    d_scores = np.zeros_like(scores)
+    np.add.at(d_scores, pos_idx, d_pos)
+    np.add.at(d_scores, neg_idx, d_neg)
+    # Gradients add up group by group in ascending length: each parameter's
+    # float32 sum, and so the trained weights, depend on that order.
+    at = 0
+    for i, p in enumerate(passes):
+        passes[i] = None  # its recorded states go once its backward has run
+        p.backward(d_scores[at : at + len(p.data)], grads)
+        at += len(p.data)
     # Adam runs over the per-gate views: at paper size that is 1.5-2x faster
     # than over the stacked arrays, whose temporaries are three times larger.
-    adam_step(
-        scorer.parameter_arrays(),
-        named_arrays({name: t.grad for name, t in scorer.params.items()}),
-        state,
-        scorer.config.lr,
-    )
-    return value
+    adam_step(scorer.parameter_arrays(), named_arrays(grads), state, scorer.config.lr)
+    return loss

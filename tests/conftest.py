@@ -2,7 +2,8 @@
 from __future__ import annotations
 
 import json
-from typing import Sequence
+from dataclasses import dataclass
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 import pytest
@@ -17,9 +18,11 @@ from dialcoh.corpus import (
     derive_vocabularies,
     turn_to_dict,
 )
-from dialcoh.engine.rnn import GruCellParams
+from dialcoh.engine.rnn import run_gru
+from dialcoh.errors import NumericError
 from dialcoh.grid import ABSENT, ROLE_SYMBOLS, EntityGrid, TransitionConfig
 from dialcoh.models.linear import LinearRankerConfig
+from dialcoh.models.neural import embed_channels, mean_pool, pairwise_hinge, score_head
 from dialcoh.swapgen import RankingInstance, RatedInstance
 
 DA_TAGS = ("b", "qy", "sd")
@@ -146,7 +149,12 @@ def logistic_reference(d: np.ndarray) -> np.ndarray:
 
 
 def gru_reference(
-    x: np.ndarray, p: GruCellParams, reverse: bool = False, lengths: np.ndarray | None = None
+    x: np.ndarray,
+    w: np.ndarray,
+    u: np.ndarray,
+    b: np.ndarray,
+    reverse: bool = False,
+    lengths: np.ndarray | None = None,
 ) -> np.ndarray:
     """The GRU formulas scanned one step at a time from a zero state, in the
     dtype of x, as `run_gru` computed them before its rows shrank: every step
@@ -154,11 +162,11 @@ def gru_reference(
     and np.where masks freeze each row past its length (in any row order)
     and zero its outputs there. The oracle `run_gru` must match: within
     float64 rounding, and bit for bit on float32 rows sorted longest first."""
-    w_h, w_r, w_z = np.split(p.w.data, 3)
-    u_h, u_r, u_z = np.split(p.u.data, 3)
-    b_h, b_r, b_z = np.split(p.b.data, 3)
+    w_h, w_r, w_z = np.split(w, 3)
+    u_h, u_r, u_z = np.split(u, 3)
+    b_h, b_r, b_z = np.split(b, 3)
     batch, steps, _ = x.shape
-    hid = p.hidden_size
+    hid = u.shape[1]
     lengths = np.full(batch, steps) if lengths is None else lengths
     xw = (x.reshape(batch * steps, -1) @ np.concatenate([w_r, w_z, w_h]).T)
     xw = xw.reshape(batch, steps, 3 * hid)
@@ -175,6 +183,137 @@ def gru_reference(
         h = np.where(live, h_next, h)
         out[:, t] = np.where(live, h_next, 0.0)
     return out
+
+
+@dataclass
+class GradCheckReport:
+    max_rel_error: float
+    tol: float
+    worst: tuple[str, int]  # parameter name, flat coordinate
+    per_param: dict[str, float]
+
+    @property
+    def passed(self) -> bool:
+        return self.max_rel_error < self.tol
+
+
+def grad_check(
+    loss: Callable[[Mapping[str, np.ndarray]], float],
+    params: Mapping[str, np.ndarray],
+    analytic: Mapping[str, np.ndarray],
+    h: float = 1e-5,
+    tol: float = 1e-4,
+    floor: float = 1e-6,
+) -> GradCheckReport:
+    """Compare analytic gradients, one per parameter, with central
+    differences of `loss` (named float64 arrays -> scalar) around `params`.
+
+    Relative error per coordinate is |a - n| / max(|a|, |n|, floor); the check
+    passes when the maximum over all coordinates is below tol. It is only
+    meaningful where the loss is twice differentiable, so callers keep away
+    from kinks such as the hinge's."""
+    if h <= 0:
+        raise NumericError("finite-difference step h must be > 0")
+    if analytic.keys() != params.keys():
+        raise ValueError(f"gradients of {sorted(analytic)} for parameters {sorted(params)}")
+    arrays = {k: np.array(v, dtype=np.float64) for k, v in params.items()}
+
+    def evaluate() -> float:
+        value = float(loss(arrays))
+        if not np.isfinite(value):
+            raise NumericError("non-finite evaluation during gradient check")
+        return value
+
+    evaluate()
+    per_param: dict[str, float] = {}
+    worst = ("", -1)
+    max_rel = 0.0
+    for name, base in arrays.items():
+        flat = base.reshape(-1)
+        a_flat = np.asarray(analytic[name], dtype=np.float64).reshape(-1)
+        param_max = 0.0
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + h
+            up = evaluate()
+            flat[i] = orig - h
+            down = evaluate()
+            flat[i] = orig
+            numeric = (up - down) / (2.0 * h)
+            a = float(a_flat[i])
+            rel = abs(a - numeric) / max(abs(a), abs(numeric), floor)
+            param_max = max(param_max, rel)
+            if rel > max_rel:
+                max_rel = rel
+                worst = (name, i)
+        per_param[name] = param_max
+    return GradCheckReport(max_rel_error=max_rel, tol=tol, worst=worst, per_param=per_param)
+
+
+def _linear_loss(out: np.ndarray, weights: np.ndarray) -> float:
+    return float((out * weights).sum())
+
+
+def gradient_blocks(rng: np.random.Generator) -> dict[str, tuple]:
+    """One float64 case per block of the scorer's backward pass, at a random
+    point: name -> (loss, params, analytic gradients) for `grad_check`. Each
+    loss is a fixed random weighting of the block's output, so every output
+    element's gradient counts, and the analytic gradients are what the
+    block's backward gives for those weights."""
+    blocks: dict[str, tuple] = {}
+
+    ids = {"word": np.array([[0, 2, 0], [4, 2, 2]]), "da": np.array([[1, 1, 3], [0, 3, 1]])}
+    tables = {"emb_word": rng.normal(size=(5, 3)), "emb_da": rng.normal(size=(4, 2))}
+    weights = rng.normal(size=(2, 3, 5))
+    _, backward = embed_channels(ids, tables, ("word", "da"))
+    grads = {k: np.zeros_like(a) for k, a in tables.items()}
+    backward(weights, grads)
+    blocks["embedding gather, repeated ids"] = (
+        lambda p, w=weights: _linear_loss(embed_channels(ids, p, ("word", "da"))[0], w),
+        tables, grads,
+    )
+
+    for reverse in (False, True):
+        cell = {"x": rng.normal(size=(3, 5, 3)), "w": rng.uniform(-0.5, 0.5, (12, 3)),
+                "u": rng.uniform(-0.5, 0.5, (12, 4)), "b": rng.uniform(-0.5, 0.5, 12)}
+        weights = rng.normal(size=(3, 5, 4))
+        _, bptt = run_gru(cell["x"], cell["w"], cell["u"], cell["b"], reverse, record=True)
+        blocks[f"GRU layer, reverse={reverse}"] = (
+            lambda p, w=weights, r=reverse: _linear_loss(
+                run_gru(p["x"], p["w"], p["u"], p["b"], r), w),
+            cell, dict(zip("xwub", bptt(weights))),
+        )
+
+    for kind, lengths in (("full", np.array([4, 4, 4])), ("ragged", np.array([4, 2, 1]))):
+        states = {"states": rng.normal(size=(3, 4, 2))}
+        weights = rng.normal(size=(3, 2))
+        _, backward = mean_pool(states["states"], lengths)
+        blocks[f"pooling, {kind} lengths"] = (
+            lambda p, w=weights, n=lengths: _linear_loss(mean_pool(p["states"], n)[0], w),
+            states, {"states": backward(weights)},
+        )
+
+    head = {"pooled": rng.normal(size=(5, 6)), "head.w1": rng.normal(size=(4, 6)),
+            "head.b1": rng.normal(size=4), "head.w2": rng.normal(size=(1, 4)),
+            "head.b2": rng.normal(size=1)}
+    weights = rng.normal(size=5)
+    _, backward = score_head(head["pooled"], head)
+    grads = {k: np.zeros_like(a) for k, a in head.items() if k != "pooled"}
+    grads["pooled"] = backward(weights, grads)
+    blocks["head"] = (
+        lambda p, w=weights: _linear_loss(score_head(p["pooled"], p)[0], w), head, grads,
+    )
+
+    # Score differences 0.5 to 1.5 either side of the margin: off the kink.
+    s_neg = rng.normal(size=6)
+    offset = rng.uniform(0.5, 1.5, 6) * rng.choice([-1.0, 1.0], 6)
+    scores = {"s_pos": s_neg + 0.5 + offset, "s_neg": s_neg}
+    _, d_pos, d_neg = pairwise_hinge(scores["s_pos"], scores["s_neg"], margin=0.5)
+    blocks["hinge, off the kink"] = (
+        lambda p: pairwise_hinge(p["s_pos"], p["s_neg"], margin=0.5)[0],
+        scores, {"s_pos": d_pos, "s_neg": d_neg},
+    )
+    return blocks
 
 
 def reference_grid(turns: Sequence[Turn]) -> EntityGrid:

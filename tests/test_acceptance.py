@@ -25,8 +25,6 @@ from dialcoh.corpus import (
     derive_vocabularies,
     save_corpus,
 )
-from dialcoh.engine import Tensor, grad_check
-from dialcoh.engine import autodiff as ad
 from dialcoh.metrics import (
     expected_random_mrr,
     ndcg,
@@ -47,6 +45,8 @@ from dialcoh.swapgen import (
     build_selection_dataset,
     load_rated_testset,
 )
+
+from conftest import grad_check, gradient_blocks
 
 
 @contextmanager
@@ -192,34 +192,10 @@ def test_criterion_2_dataset_sizing_identity():
 
 
 def test_criterion_3_gradient_correctness(vocabs):
-    with criterion(3, "grad_check passes on every op and the full scorer (<1e-4)"):
+    with criterion(3, "grad_check passes on every block and the full scorer (<1e-4)"):
         start = time.monotonic()
-        rng = np.random.default_rng(42)
-        ops = {
-            "relu": lambda p: ad.reduce_mean(ad.relu(p["off_kink"])),
-            "add": lambda p: ad.reduce_mean(ad.add(p["v"], p["w"])),
-            "sub": lambda p: ad.reduce_mean(ad.sub(p["v"], p["w"])),
-            "rsub_const": lambda p: ad.reduce_mean(ad.rsub_const(p["v"], 0.5)),
-            "linear": lambda p: ad.reduce_mean(ad.linear(p["m"], p["sq"])),
-            "concat": lambda p: ad.reduce_mean(ad.concat([p["v"], p["w"]], axis=-1)),
-            "mean": lambda p: ad.reduce_mean(
-                ad.mean(ad.reshape(p["sq"], (2, 2, 4)), np.array([2, 2]))
-            ),
-            "take_rows": lambda p: ad.reduce_mean(ad.take_rows(p["sq"], np.array([1, 0, 1]))),
-            "gather": lambda p: ad.reduce_mean(ad.gather(p["v"], np.array([2, 0, 2]))),
-            "run_gru": None,  # covered inside the full scorer below
-        }
-        for name, fn in ops.items():
-            if fn is None:
-                continue
-            params = {
-                "v": rng.normal(size=4),
-                "w": rng.normal(size=4),
-                "m": rng.normal(size=(2, 4)),
-                "sq": rng.normal(size=(4, 4)),
-                "off_kink": rng.normal(size=4) + np.where(rng.random(4) > 0.5, 2.0, -2.0),
-            }
-            report = grad_check(fn, params, h=1e-4, tol=1e-4)
+        for name, (loss, params, analytic) in gradient_blocks(np.random.default_rng(42)).items():
+            report = grad_check(loss, params, analytic, h=1e-4, tol=1e-4)
             assert report.passed, (name, report.max_rel_error)
 
         cfg = NeuralConfig(
@@ -233,11 +209,11 @@ def test_criterion_3_gradient_correctness(vocabs):
             "da": np.array([[0, 2, 1]]),
             "turn": np.array([[0, 2, 1]]),
         }
+        params = {k: a.astype(np.float64) for k, a in scorer.params.items()}
+        analytic = {k: np.zeros_like(a) for k, a in params.items()}
+        forward_scores(ids, params, cfg, record=True).backward(np.ones(1), analytic)
         report = grad_check(
-            lambda p: ad.reshape(forward_scores(ids, p, cfg), ()),
-            {k: v.data for k, v in scorer.params.items()},
-            h=1e-4,
-            tol=1e-4,
+            lambda p: forward_scores(ids, p, cfg).data[0], params, analytic, h=1e-4, tol=1e-4
         )
         assert report.passed, (report.max_rel_error, report.worst)
         assert time.monotonic() - start < 60.0

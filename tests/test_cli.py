@@ -116,8 +116,10 @@ class TestTrainEvalPipeline:
         amplifies any last-bit change in a forward or backward product (Adam's
         first step divides by the gradient's own magnitude), so an engine
         change meant to be exact must leave both digests as they are. The
-        digests are those of OpenBLAS 0.3.31 (Haswell kernels); another BLAS
-        may round differently and needs its own."""
+        digests were recorded with OpenBLAS 0.3.31 on its SkylakeX kernel
+        (`OPENBLAS_VERBOSE=2` prints `Core: SkylakeX`); they fail under
+        `OPENBLAS_CORETYPE=Haswell`, and another BLAS or kernel may round
+        differently and need its own (see ROADMAP item 2)."""
         assert sha(pipeline["checkpoint"]) == (
             "aee0b17142911f97e9578e26518e2e30df012f3e748640fee8f1db0643e5c01f"
         )

@@ -1,38 +1,23 @@
 import numpy as np
 import pytest
 
-from conftest import gru_reference, logistic_reference, synthetic_corpus
-from dialcoh.corpus import derive_vocabularies
-from dialcoh.engine import (
-    AdamState,
-    GruCellParams,
-    Tensor,
-    adam_step,
-    grad_check,
-    no_grad,
-    pairwise_hinge,
-    run_gru,
-)
-from dialcoh.engine import autodiff as ad
+from conftest import grad_check, gradient_blocks, gru_reference, logistic_reference
+from dialcoh.engine import AdamState, adam_step, run_gru
+from dialcoh.engine.autodiff import logistic
 from dialcoh.engine.rnn import GATES
 from dialcoh.errors import NumericError
-from dialcoh.models.neural import NeuralConfig, NeuralScorer, forward_scores
+from dialcoh.models.neural import pairwise_hinge
 
 
-def random_cell(rng, input_size=3, hidden_size=4, dtype=np.float64) -> GruCellParams:
-    """Stacked gate tensors, biases included, uniform in [-0.5, 0.5]."""
+def random_cell(rng, input_size=3, hidden_size=4, dtype=np.float64) -> dict[str, np.ndarray]:
+    """Stacked gate arrays w, u and b, uniform in [-0.5, 0.5]."""
     rows = 3 * hidden_size
-    return GruCellParams(*(
-        Tensor(rng.uniform(-0.5, 0.5, shape).astype(dtype), requires_grad=True)
-        for shape in ((rows, input_size), (rows, hidden_size), (rows,))
-    ))
+    shapes = {"w": (rows, input_size), "u": (rows, hidden_size), "b": (rows,)}
+    return {k: rng.uniform(-0.5, 0.5, shape).astype(dtype) for k, shape in shapes.items()}
 
 
-def zeroed_cell() -> GruCellParams:
-    p = random_cell(np.random.default_rng(0))
-    for t in vars(p).values():
-        t.data[...] = 0.0
-    return p
+def zeroed_cell() -> dict[str, np.ndarray]:
+    return {k: np.zeros_like(a) for k, a in random_cell(np.random.default_rng(0)).items()}
 
 
 class TestGruCell:
@@ -42,15 +27,15 @@ class TestGruCell:
         p = zeroed_cell()
         x = np.random.default_rng(1).normal(size=(2, 6, 3))
         for reverse in (False, True):
-            np.testing.assert_array_equal(run_gru(Tensor(x), p, reverse=reverse).data, 0.0)
+            np.testing.assert_array_equal(run_gru(x, **p, reverse=reverse), 0.0)
 
     def test_zero_params_halve_state(self):
         # With only b_h nonzero, z = sigmoid(0) = 0.5 and the candidate is
         # tanh(b_h) at every step, so h_t = 0.5 * h_{t-1} + 0.5 * tanh(b_h).
         p = zeroed_cell()
-        b_h = np.split(p.b.data, 3)[GATES.index("h")]
+        b_h = np.split(p["b"], 3)[GATES.index("h")]
         b_h[...] = [0.4, -0.2, 0.8, 0.1]
-        out = run_gru(Tensor(np.ones((1, 4, 3))), p).data[0]
+        out = run_gru(np.ones((1, 4, 3)), **p)[0]
         halves = 1.0 - 0.5 ** np.arange(1, 5)
         np.testing.assert_allclose(out, halves[:, None] * np.tanh(b_h), rtol=1e-12)
 
@@ -60,22 +45,22 @@ class TestGruCell:
             p = random_cell(rng)
             x = rng.normal(size=(2, 30, 3)) * 3
             for reverse in (False, True):
-                assert np.all(np.abs(run_gru(Tensor(x), p, reverse=reverse).data) < 1.0)
+                assert np.all(np.abs(run_gru(x, **p, reverse=reverse)) < 1.0)
 
     def test_batched_matches_single(self):
         rng = np.random.default_rng(3)
         p = random_cell(rng)
         x = rng.normal(size=(5, 4, 3))
         for reverse in (False, True):
-            batch = run_gru(Tensor(x), p, reverse=reverse).data
+            batch = run_gru(x, **p, reverse=reverse)
             for i in range(5):
-                single = run_gru(Tensor(x[i : i + 1]), p, reverse=reverse).data
+                single = run_gru(x[i : i + 1], **p, reverse=reverse)
                 np.testing.assert_allclose(batch[i], single[0], rtol=1e-12, atol=0)
 
     def test_dimension_mismatch(self):
         p = zeroed_cell()
         with pytest.raises(ValueError):
-            run_gru(Tensor(np.zeros((1, 2, 5))), p)
+            run_gru(np.zeros((1, 2, 5)), **p)
 
 
 class TestGruLayer:
@@ -87,20 +72,20 @@ class TestGruLayer:
         rng = np.random.default_rng(steps)
         p = random_cell(rng)
         x = rng.normal(size=(3, steps, 3))
-        fused = run_gru(Tensor(x), p, reverse=reverse).data
-        np.testing.assert_allclose(fused, gru_reference(x, p, reverse), rtol=0, atol=1e-12)
+        fused = run_gru(x, **p, reverse=reverse)
+        np.testing.assert_allclose(fused, gru_reference(x, **p, reverse=reverse),
+                                   rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("reverse", [False, True])
     def test_gradients(self, reverse):
+        """The mean output's gradient with respect to x, w, u and b."""
         rng = np.random.default_rng(11)
-        base = {name: t.data for name, t in vars(random_cell(rng)).items()}
-        base["x"] = rng.normal(size=(3, 5, 3))
+        base = {"x": rng.normal(size=(3, 5, 3)), **random_cell(rng)}
+        out, bptt = run_gru(**base, reverse=reverse, record=True)
+        analytic = dict(zip("xwub", bptt(np.full_like(out, 1.0 / out.size))))
 
-        def f(p):
-            c = GruCellParams(**{k: v for k, v in p.items() if k != "x"})
-            return ad.reduce_mean(run_gru(p["x"], c, reverse=reverse))
-
-        report = grad_check(f, base, h=1e-5, tol=1e-4)
+        report = grad_check(lambda p: run_gru(**p, reverse=reverse).mean(), base, analytic,
+                            h=1e-5, tol=1e-4)
         assert report.passed, (report.max_rel_error, report.worst)
         assert sorted(report.per_param) == ["b", "u", "w", "x"]
 
@@ -112,10 +97,9 @@ class TestGruLayer:
         p = random_cell(rng)
         lengths = np.array([6, 6, 4, 3, 2, 1])
         x = rng.normal(size=(6, 6, 3))
-        with no_grad():
-            out = run_gru(Tensor(x), p, reverse=reverse, lengths=lengths).data
+        out = run_gru(x, **p, reverse=reverse, lengths=lengths)
         for row, n in enumerate(lengths):
-            own = gru_reference(x[row : row + 1, :n], p, reverse)[0]
+            own = gru_reference(x[row : row + 1, :n], **p, reverse=reverse)[0]
             np.testing.assert_allclose(out[row, :n], own, rtol=0, atol=1e-12)
             assert (out[row, n:] == 0.0).all()
 
@@ -133,42 +117,30 @@ class TestGruLayer:
         p = random_cell(rng, input_size=24, hidden_size=32, dtype=np.float32)
         lengths = np.array(lengths)
         x = rng.normal(size=(len(lengths), 7, 24)).astype(np.float32)
-        with no_grad():
-            out = run_gru(Tensor(x), p, reverse=reverse, lengths=lengths).data
+        out = run_gru(x, **p, reverse=reverse, lengths=lengths)
         assert out.dtype == np.float32
-        assert np.array_equal(out, gru_reference(x, p, reverse, lengths))
+        assert np.array_equal(out, gru_reference(x, **p, reverse=reverse, lengths=lengths))
 
     def test_unsorted_lengths_are_rejected(self):
         p = random_cell(np.random.default_rng(4))
-        with no_grad(), pytest.raises(ValueError, match="non-increasing"):
-            run_gru(Tensor(np.ones((3, 4, 3))), p, lengths=np.array([4, 2, 3]))
+        with pytest.raises(ValueError, match="non-increasing"):
+            run_gru(np.ones((3, 4, 3)), **p, lengths=np.array([4, 2, 3]))
 
     def test_ragged_lengths_cannot_be_recorded(self):
         p = random_cell(np.random.default_rng(2))
-        x = Tensor(np.ones((2, 3, 3)), requires_grad=True)
+        x = np.ones((2, 3, 3))
         with pytest.raises(ValueError, match="different lengths"):
-            run_gru(x, p, lengths=np.array([3, 2]))
+            run_gru(x, **p, lengths=np.array([3, 2]), record=True)
         # Full lengths record as usual.
-        assert run_gru(x, p, lengths=np.array([3, 3])).requires_grad
-
-    def test_graph_size_does_not_grow_with_length(self):
-        """One node per layer and direction: backward visits as many nodes
-        for a stream of 12 positions as for one of 3."""
-        vocabs = derive_vocabularies(synthetic_corpus(2, 6, seed=0))
-        cfg = NeuralConfig(channels=("word", "da", "turn"), emb_dim_word=4, emb_dim_other=2,
-                           gru_hidden=3, head_hidden=2)
-        scorer = NeuralScorer.initialize(cfg, vocabs)
-        sizes = []
-        for length in (3, 12):
-            ids = {ch: (np.arange(length) % 2)[None] for ch in cfg.channels}
-            sizes.append(len(forward_scores(ids, scorer.params, cfg).graph()))
-        assert sizes[0] == sizes[1]
+        out, bptt = run_gru(x, **p, lengths=np.array([3, 3]), record=True)
+        assert [g.shape for g in bptt(out)] == [x.shape, p["w"].shape, p["u"].shape,
+                                                p["b"].shape]
 
 
 def hinge(pos, neg, margin=0.5) -> np.ndarray:
     """Per-pair pairwise_hinge values: a batch of one pair at a time."""
     return np.array([
-        pairwise_hinge(Tensor(np.array([p])), Tensor(np.array([n])), margin).item()
+        pairwise_hinge(np.array([p]), np.array([n]), margin)[0]
         for p, n in zip(np.atleast_1d(pos), np.atleast_1d(neg))
     ])
 
@@ -243,7 +215,7 @@ class TestLogistic:
                       info.smallest_subnormal, -info.smallest_subnormal, info.max, -info.max,
                       88.7, -88.7, 709.8, -709.8, 745.2, -745.2], dtype=dtype)
         with np.errstate(over="ignore"):
-            self._same_bits(ad.logistic(d), logistic_reference(d))
+            self._same_bits(logistic(d), logistic_reference(d))
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_dense_sweep_and_random_bits(self, dtype):
@@ -253,7 +225,7 @@ class TestLogistic:
             0, np.iinfo(uint).max, 200_000, dtype=uint, endpoint=True).view(dtype)
         with np.errstate(invalid="ignore", over="ignore"):
             for d in (sweep, bits):
-                self._same_bits(ad.logistic(d), logistic_reference(d))
+                self._same_bits(logistic(d), logistic_reference(d))
 
     @staticmethod
     def _same_bits(a, b):
@@ -263,91 +235,36 @@ class TestLogistic:
         assert not differ.any(), f"{differ.sum()} elements differ, e.g. {a[differ][:3]}"
 
 
-class TestAutodiffBasics:
-    def test_shared_subexpression_accumulates(self):
-        x = Tensor(np.array([3.0]), requires_grad=True)
-        # (x + x) - (1 - x) = 3x - 1 -> grad 3
-        y = ad.reduce_mean(ad.sub(ad.add(x, x), ad.rsub_const(x, 1.0)))
-        y.backward()
-        assert x.grad == pytest.approx([3.0])
-
-    def test_no_grad_suppresses_graph(self):
-        x = Tensor(np.array(2.0), requires_grad=True)
-        with no_grad():
-            y = ad.add(x, x)
-        assert y._parents == ()
-        assert not y.requires_grad
-
-    def test_backward_requires_scalar(self):
-        x = Tensor(np.zeros(3), requires_grad=True)
-        with pytest.raises(NumericError):
-            ad.add(x, x).backward()
-
-
 class TestGradCheck:
     def test_quadratic(self):
-        # t @ t.T for a 1x1 t is t^2 -> grad 2t
         report = grad_check(
-            lambda p: ad.reshape(ad.linear(p["t"], p["t"]), ()),
-            {"t": np.array([[3.0]])}, h=1e-5, tol=1e-6,
+            lambda p: (p["t"] ** 2).sum(), {"t": np.array([[3.0]])}, {"t": np.array([[6.0]])},
+            h=1e-5, tol=1e-6,
         )
         assert report.passed
         assert report.max_rel_error < 1e-8
 
     def test_every_op(self):
-        """Each operation used by the scorers, at 10 random points."""
+        """Each block of the scorer's backward pass, every parameter of it,
+        at 10 random points."""
         rng = np.random.default_rng(123)
-        full, ragged = np.array([2, 2]), np.array([2, 1])  # pooled lengths
-
-        def states(p):
-            return ad.reshape(p["w"], (2, 2, 4))
-
-        cases = {
-            "add": lambda p: ad.reduce_mean(ad.add(p["a"], p["b"])),
-            "sub": lambda p: ad.reduce_mean(ad.sub(p["a"], p["b"])),
-            "add_bias_broadcast": lambda p: ad.reduce_mean(ad.add(p["m"], p["a"])),
-            "rsub_const": lambda p: ad.reduce_mean(ad.rsub_const(p["a"], 1.0)),
-            "linear": lambda p: ad.reduce_mean(ad.linear(p["m"], p["w"])),
-            "linear_one_output": lambda p: ad.reduce_mean(
-                ad.linear(p["m"], ad.reshape(p["a"], (1, 4)))
-            ),
-            "relu_away_from_kink": lambda p: ad.reduce_mean(ad.relu(p["shifted"])),
-            "concat": lambda p: ad.reduce_mean(ad.concat([p["a"], p["b"]], axis=-1)),
-            "mean": lambda p: ad.reduce_mean(ad.mean(states(p), full)),
-            "mean_ragged": lambda p: ad.reduce_mean(ad.mean(states(p), ragged)),
-            "take_rows": lambda p: ad.reduce_mean(ad.take_rows(p["w"], np.array([0, 2, 0]))),
-            "gather": lambda p: ad.reduce_mean(ad.gather(p["a"], np.array([0, 3, 0, 1]))),
-            "reshape": lambda p: ad.reduce_mean(ad.reshape(p["m"], (8,))),
-        }
-        for name, fn in cases.items():
-            for trial in range(10):
-                params = {
-                    "a": rng.normal(size=4),
-                    "b": rng.normal(size=4),
-                    "m": rng.normal(size=(2, 4)),
-                    "w": rng.normal(size=(4, 4)),
-                    "shifted": rng.normal(size=4) + np.where(rng.random(4) > 0.5, 2.0, -2.0),
-                }
-                report = grad_check(fn, params, h=1e-5, tol=1e-4)
+        for trial in range(10):
+            for name, (loss, params, analytic) in gradient_blocks(rng).items():
+                report = grad_check(loss, params, analytic, h=1e-5, tol=1e-4)
                 assert report.passed, f"{name} trial {trial}: {report.max_rel_error:.2e}"
 
     def test_hinge_kink_is_flagged(self):
         # At x1 - x2 = margin the loss is non-differentiable: the check fails
         # there, which is exactly the signal used to exclude such points.
-        def f(p):
-            return pairwise_hinge(p["s1"], p["s2"], margin=0.5)
+        def check(s1, s2):
+            _, d1, d2 = pairwise_hinge(s1, s2, margin=0.5)
+            return grad_check(lambda p: pairwise_hinge(p["s1"], p["s2"], margin=0.5)[0],
+                              {"s1": s1, "s2": s2}, {"s1": d1, "s2": d2}, h=1e-5, tol=1e-4)
 
-        at_kink = {"s1": np.array([0.5]), "s2": np.array([0.0])}
-        report = grad_check(f, at_kink, h=1e-5, tol=1e-4)
-        assert not report.passed
-
-        away = {"s1": np.array([0.9]), "s2": np.array([0.0])}
-        report = grad_check(f, away, h=1e-5, tol=1e-4)
-        assert report.passed
+        assert not check(np.array([0.5]), np.array([0.0])).passed
+        assert check(np.array([0.9]), np.array([0.0])).passed
 
     def test_non_finite_evaluation_raises(self):
-        def f(p):
-            return ad.reduce_mean(ad.add(p["a"], Tensor(np.array([np.inf]))))
-
         with pytest.raises(NumericError, match="non-finite"):
-            grad_check(f, {"a": np.array([1.0])})
+            grad_check(lambda p: (p["a"] + np.inf).sum(), {"a": np.array([1.0])},
+                       {"a": np.array([1.0])})

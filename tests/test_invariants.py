@@ -1,10 +1,14 @@
 """Source-level invariants of the package. Invariants raise explicit errors:
 `python -O` strips `assert` statements, so none may guard program state. And
-src/ holds only code that src/ uses, apart from a short allow-list."""
+src/ holds only code that src/ uses, apart from a short allow-list. And every
+function the benchmark's tracer wraps still exists."""
 import ast
+import importlib.util
+import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 
 
 def test_no_assert_statements_in_src():
@@ -20,8 +24,6 @@ def test_no_assert_statements_in_src():
 # Format writers and test tools: public API that no command calls.
 UNREFERENCED_API = {
     "cli.main",
-    "engine.gradcheck.grad_check",
-    "engine.gradcheck.GradCheckReport",
     "corpus.save_corpus",
     "swapgen.save_rated_testset",
     "linearize.stream_rows",
@@ -62,3 +64,17 @@ def test_every_module_level_definition_is_used_in_src():
         if qualified not in UNREFERENCED_API and not used_outside(node, node.name)
     )
     assert not dead, f"defined in src/ but referenced nowhere else in src/: {dead}"
+
+
+def test_every_benchmark_probe_target_resolves(monkeypatch):
+    """benchmarks/bench_trace.py times the program by wrapping functions it
+    names as "module:attr"; a target that no longer resolves leaves its
+    metric untraced, which only a benchmark run would otherwise show."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_trace_targets", ROOT / "benchmarks" / "bench_trace.py"
+    )
+    bench_trace = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, bench_trace)  # dataclasses look it up
+    spec.loader.exec_module(bench_trace)
+    missing = [p.target for p in bench_trace.PROBES if bench_trace._resolve(p.target) is None]
+    assert not missing, f"benchmark probe targets missing from the program: {missing}"

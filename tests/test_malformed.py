@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from dialcoh.cli import main
-from dialcoh.corpus import derive_vocabularies, save_vocabularies
+from dialcoh.corpus import derive_vocabularies, save_corpus, save_vocabularies
 from dialcoh.models import LinearRanker, LinearRankerConfig, save_checkpoint
 from dialcoh.models.checkpoint import MAGIC
 from dialcoh.models.linear import feature_dim
@@ -20,10 +20,11 @@ from conftest import instance_to_dict, synthetic_corpus
 
 @pytest.fixture(scope="module")
 def setup(tmp_path_factory):
-    """A linear and a neural checkpoint, their vocabulary file, and one valid
-    dataset record."""
+    """A linear and a neural checkpoint, their corpus and vocabulary files,
+    and one valid dataset record."""
     root = tmp_path_factory.mktemp("malformed")
     corpus = synthetic_corpus(4, 10, seed=3)
+    save_corpus(corpus, root / "corpus.jsonl")
     vocabs = derive_vocabularies(corpus)
     save_vocabularies(vocabs, root / "vocab.json")
     config = LinearRankerConfig()
@@ -350,5 +351,28 @@ def test_corpus_that_is_not_utf8_is_a_data_error(tmp_path, capsys):
     path = tmp_path / "corpus.jsonl"
     path.write_bytes(b'{"id": "d\xff"}\n')
     assert run("validate", path) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and str(path) in err and "UTF-8" in err
+
+
+NOT_UTF8_SIDE_FILES = {
+    "tagset": lambda root, record, tmp, path: (
+        "vocab", root / "corpus.jsonl", "-o", tmp / "vocab.json", "--tagset", path),
+    "split": lambda root, record, tmp, path: (
+        "gen-dataset", root / "corpus.jsonl", "--mode", "internal", "--split", path,
+        "--out", tmp / "gen"),
+    "pretrained_words": lambda root, record, tmp, path: _train_args(
+        root, record, tmp, "--model", "neural", "--pretrained-words", path,
+        "--emb-dim-word", "2", "--emb-dim", "2", "--layers", "1", "--hidden", "2",
+        "--head-hidden", "2", "--epochs", "1"),
+}
+
+
+@pytest.mark.parametrize("flag", sorted(NOT_UTF8_SIDE_FILES))
+def test_side_file_that_is_not_utf8_is_a_data_error(setup, tmp_path, capsys, flag):
+    root, record = setup
+    path = tmp_path / f"{flag}.txt"
+    path.write_bytes(b"movie 0.1 0.2\n\xff\n")
+    assert run(*NOT_UTF8_SIDE_FILES[flag](root, record, tmp_path, path)) == 2
     err = capsys.readouterr().err
     assert err.startswith("data error:") and str(path) in err and "UTF-8" in err

@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 
 from dialcoh.corpus import Dialogue, derive_vocabularies
-from dialcoh.engine import GruCellParams, Tensor, grad_check, pairwise_hinge
-from dialcoh.engine import autodiff as ad
+from dialcoh.engine import AdamState
 from dialcoh.errors import ChecksumError, DataError
 from dialcoh.linearize import TokenStream, encode_pairwise_inputs, linearize
 from dialcoh.models import (
@@ -23,11 +22,12 @@ from dialcoh.models import (
     train_linear_ranker,
     train_neural,
 )
+from dialcoh.models import neural
 from dialcoh.models.linear import feature_dim
-from dialcoh.models.neural import forward_scores, params_from_arrays
+from dialcoh.models.neural import _batch_step, forward_scores, init_params, params_from_arrays
 from dialcoh.swapgen import Candidate, RankingInstance, build_selection_dataset
 
-from conftest import gru_reference, seg, synthetic_corpus, turn
+from conftest import grad_check, gru_reference, seg, synthetic_corpus, turn
 
 
 def small_config(**overrides) -> NeuralConfig:
@@ -105,8 +105,8 @@ TOY_VOCABS = derive_vocabularies(
 class TestForwardScore:
     def test_all_zero_parameters_score_zero(self, vocabs, dataset):
         scorer = NeuralScorer.initialize(small_config(), vocabs)
-        for t in scorer.params.values():
-            t.data[...] = 0.0
+        for a in scorer.params.values():
+            a[...] = 0.0
         for scores in scorer.score_candidates(
             [(inst.context, [c.turn for c in inst.candidates]) for inst in dataset[:3]]
         ):
@@ -124,14 +124,16 @@ class TestForwardScore:
         # Recompute: embeddings -> the reference scan over one position per
         # direction and layer -> (single) output -> head.
         p = scorer.params
-        x = p["emb_word"].data[[3]][None]  # (batch 1, time 1, emb)
+        x = p["emb_word"][[3]][None]  # (batch 1, time 1, emb)
         for layer in range(cfg.gru_layers):
-            f = gru_reference(x, GruCellParams.from_named(f"gru{layer}f", p))
-            b = gru_reference(x, GruCellParams.from_named(f"gru{layer}b", p), reverse=True)
+            f, b = (
+                gru_reference(x, *(p[f"gru{layer}{d}.{k}"] for k in "wub"), reverse=d == "b")
+                for d in "fb"
+            )
             x = np.concatenate([f, b], axis=-1)
         single = x[:, 0]  # (1, 2H) with no pooling applied
-        hidden = np.maximum(single @ p["head.w1"].data.T + p["head.b1"].data, 0)
-        expected = float((hidden @ p["head.w2"].data.T + p["head.b2"].data)[0, 0])
+        hidden = np.maximum(single @ p["head.w1"].T + p["head.b1"], 0)
+        expected = float((hidden @ p["head.w2"].T + p["head.b2"])[0, 0])
         assert score == pytest.approx(expected, rel=1e-6)
 
     def test_order_sensitivity(self, vocabs):
@@ -183,7 +185,7 @@ class TestForwardScore:
         w = rng.uniform(-0.05, 0.05, (n, k)).astype(np.float32)
         x = rng.normal(size=(64, k)).astype(np.float32)
         if n == 1:
-            forms = {"row-wise": lambda rows: ad.linear(Tensor(rows), Tensor(w)).data}
+            forms = {"row-wise": lambda rows: (rows * w).sum(axis=1)}  # as neural.score_head
         else:  # run_gru's recurrent products are weight-major
             forms = {"x @ w.T": lambda rows: rows @ w.T,
                      "weight-major (w @ x.T).T": lambda rows: (w @ rows.T).T}
@@ -218,8 +220,11 @@ class TestForwardScore:
         """The score bits of a fixed scorer on 13 streams of lengths 4 to 9,
         in buckets of 5, 5 and 3 streams (the last padded to MIN_ROWS), each
         bucket ragged. An engine change meant to be exact must leave the
-        digest as it is. OpenBLAS 0.3.31 (Haswell kernels); another BLAS may
-        round differently and needs its own digest."""
+        digest as it is. Recorded with OpenBLAS 0.3.31 on its SkylakeX kernel
+        (`OPENBLAS_VERBOSE=2` prints `Core: SkylakeX`); under
+        `OPENBLAS_CORETYPE=Haswell` the paper-size digest differs, and another
+        BLAS or kernel may round differently and need its own digest (see
+        ROADMAP item 2)."""
         dims = {"emb_dim_word": 6, "emb_dim_other": 4, "gru_hidden": 5, "head_hidden": 4}
         cfg = NeuralConfig(channels=("word", "da", "turn"), batch_size=5, seed=7,
                            **(dims if size == "small" else {}))
@@ -238,6 +243,14 @@ class TestForwardScore:
         stream = TokenStream(length=1, word_ids=np.array([0]))  # no da/turn channels
         with pytest.raises(DataError):
             scorer.score_streams([stream])
+
+    def test_scoring_pass_keeps_no_backward(self, vocabs):
+        cfg = small_config()
+        scorer = NeuralScorer.initialize(cfg, vocabs)
+        scores = forward_scores({ch: np.zeros((1, 3), int) for ch in cfg.channels},
+                                scorer.params, cfg)
+        with pytest.raises(ValueError, match="did not record"):
+            scores.backward(np.ones(1), {})
 
 
 class TestTrainNeural:
@@ -283,7 +296,7 @@ class TestTrainNeural:
         a, _ = train_neural(dataset[:8], dataset[8:12], small_config(seed=0), vocabs)
         b, _ = train_neural(dataset[:8], dataset[8:12], small_config(seed=1), vocabs)
         assert any(
-            not np.array_equal(a.params[k].data, b.params[k].data) for k in a.params
+            not np.array_equal(a.params[k], b.params[k]) for k in a.params
         )
 
     def test_best_dev_mrr_is_what_evaluation_reports(self, vocabs, dataset):
@@ -294,43 +307,45 @@ class TestTrainNeural:
         with pytest.raises(DataError):
             train_neural(dataset, [], small_config(), vocabs)
 
-    def test_full_training_gradient_passes_grad_check(self, vocabs):
-        """Hinge(score(pos) - score(neg)) through the whole scorer, hidden 4,
-        3-position streams, away from the hinge kink."""
+    def test_full_training_gradient_passes_grad_check(self, vocabs, monkeypatch):
+        """The gradient `_batch_step` passes to Adam, in float64, against
+        central differences of the mean hinge over its pairs, with scores
+        from `score_streams`. Hidden 4; streams of 2, 3 and 4 positions, two
+        of them of length 3; one stream in two pairs; every pair away from
+        the hinge kink."""
         cfg = NeuralConfig(
             channels=("word", "role", "da", "turn"),
             emb_dim_word=3, emb_dim_other=2, gru_hidden=4, head_hidden=4, seed=5,
         )
-        scorer = NeuralScorer.initialize(cfg, vocabs)
-        # Scale the output layer so the score difference sits well away from
+        scorer = NeuralScorer(cfg, vocabs, init_params(cfg, vocabs, dtype=np.float64))
+        # Scale the output layer so the score differences sit well away from
         # the hinge kink at margin.
-        scorer.params["head.w2"].data *= 40.0
-        pos = TokenStream(
-            length=3,
-            word_ids=np.array([3, 2, 1]),
-            role_ids=np.array([1, 0, 2]),
-            da_ids=np.array([0, 2, 1]),
-            turn_ids=np.array([0, 2, 1]),
-        )
-        neg = TokenStream(
-            length=3,
-            word_ids=np.array([1, 1, 4]),
-            role_ids=np.array([0, 3, 2]),
-            da_ids=np.array([3, 2, 0]),
-            turn_ids=np.array([1, 3, 3]),
-        )
+        scorer.params["head.w2"] *= 40.0
+        rng = np.random.default_rng(2)
+        streams = [
+            TokenStream(length=n, **{
+                f"{ch}_ids": rng.integers(0, len(scorer.params[f"emb_{ch}"]), n)
+                for ch in cfg.channels
+            })
+            for n in (3, 2, 4, 3)
+        ]
+        chunk = [(0, 1), (0, 2), (3, 1)]
+        pos, neg = (np.array(ix) for ix in zip(*chunk))
 
-        def f(params):
-            ids_pos = {ch: pos.channel(ch)[None, :] for ch in cfg.channels}
-            ids_neg = {ch: neg.channel(ch)[None, :] for ch in cfg.channels}
-            s_pos = forward_scores(ids_pos, params, cfg)
-            s_neg = forward_scores(ids_neg, params, cfg)
-            return pairwise_hinge(s_pos, s_neg, margin=0.5)
+        def loss(arrays):
+            scores = NeuralScorer(cfg, vocabs, params_from_arrays(arrays)).score_streams(streams)
+            return np.maximum(0.0, cfg.margin - (scores[pos] - scores[neg])).mean()
 
-        arrays = {k: v.data for k, v in scorer.params.items()}
-        value = f({k: Tensor(np.asarray(v, np.float64)) for k, v in arrays.items()}).item()
-        assert 0.0 < value and abs(value - 0.5) > 1e-2  # off the kink
-        report = grad_check(f, arrays, h=1e-5, tol=1e-4)
+        captured = {}
+        monkeypatch.setattr(neural, "adam_step", lambda params, grads, state, lr: (
+            captured.update((k, g.copy()) for k, g in grads.items())))
+        arrays = scorer.parameter_arrays()
+        value = _batch_step(scorer, streams, chunk, AdamState.for_params(arrays))
+        assert value == pytest.approx(loss(arrays), rel=1e-12)
+        scores = scorer.score_streams(streams)
+        excess = cfg.margin - (scores[pos] - scores[neg])
+        assert (abs(excess) > 1e-2).all() and (excess > 0).any()  # off the kink, not all zero
+        report = grad_check(loss, arrays, captured, h=1e-5, tol=1e-4)
         assert report.passed, (report.max_rel_error, report.worst)
 
 
@@ -475,11 +490,11 @@ class TestCheckpoint:
         path = tmp_path / "model.ckpt"
         save_checkpoint(scorer, path)
         loaded = load_checkpoint(path)
-        payload = loaded.params["emb_word"].data.base
+        payload = loaded.params["emb_word"].base
         assert payload is not None
-        assert all(t.data.base is payload for t in loaded.params.values())
-        for name, t in scorer.params.items():
-            assert np.array_equal(loaded.params[name].data, t.data)
+        assert all(a.base is payload for a in loaded.params.values())
+        for name, a in scorer.params.items():
+            assert np.array_equal(loaded.params[name], a)
 
     def test_gates_stack_in_gate_order_from_any_layout(self, vocabs):
         """Gates that do not lie back to back in one buffer, in GATES order,
@@ -495,10 +510,10 @@ class TestCheckpoint:
         for layout in (packed, {n: a.copy() for n, a in arrays.items()}):
             params = params_from_arrays(layout)
             assert params.keys() == scorer.params.keys()
-            for name, t in scorer.params.items():
-                assert np.array_equal(params[name].data, t.data), name
+            for name, a in scorer.params.items():
+                assert np.array_equal(params[name], a), name
                 if name.startswith("gru"):
-                    assert not np.shares_memory(params[name].data, flat)
+                    assert not np.shares_memory(params[name], flat)
 
     def test_truncated_file_fails_checksum(self, tmp_path, vocabs):
         scorer = NeuralScorer.initialize(small_config(), vocabs)
