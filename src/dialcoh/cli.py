@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -204,7 +205,7 @@ def cmd_train(args) -> int:
             )
             name = "checkpoint.ckpt" if len(seeds) == 1 else f"checkpoint_seed{seed}.ckpt"
             save_checkpoint(scorer, out / name)
-            _dump_json(history.to_dict(), out / (Path(name).stem + "_history.json"))
+            _dump_json(asdict(history), out / (Path(name).stem + "_history.json"))
             reports.append({"seed": seed, "dev_mrr": history.best_dev_mrr,
                             "epochs_run": history.epochs_run, "checkpoint": name})
             print(f"seed {seed}: best dev MRR {history.best_dev_mrr:.4f} "

@@ -10,9 +10,10 @@ Standard reset-before-candidate formulation (Cho et al. 2014):
 Layout: each layer and direction stores its gates stacked by row, in gate
 order h, r, z: one W (3 hidden, input), one U (3 hidden, hidden) and one b
 (3 hidden,). That is the order in which a checkpoint's sorted names list
-them (b_h, b_r, b_z, u_h, ...), so a loaded checkpoint's stacked arrays are
-single views of its payload, the per-gate arrays a checkpoint names are
-row views of the stacked ones, and U[H:] is the contiguous [U_r; U_z].
+them (b_h, b_r, b_z, u_h, ...), and the scorer's one parameter buffer is
+laid out in that order (`models/neural.py`), so each stacked array is a
+single span of the buffer, the per-gate arrays a checkpoint names are row
+blocks of the stacked ones, and U[H:] is the contiguous [U_r; U_z].
 
 `run_gru` runs a whole layer in one direction over plain arrays, after
 Appleyard, Kocisky & Blunsom 2016 (arXiv:1604.01946): x is (batch, time,

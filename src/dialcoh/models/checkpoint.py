@@ -12,11 +12,14 @@ The header records the model type, full configuration, vocabularies, training
 manifest, per-array name/shape/offset, and the SHA-256 of the payload. A
 checkpoint therefore reloads without any corpus, and a truncated or corrupted
 file fails the checksum. Parameters are stored and used in float32, so a
-save/load round trip reproduces scores bit-exactly. Loading reads the payload
-once into one buffer, hashes it, and hands out the arrays as views into it;
-a neural checkpoint must hold exactly the arrays, and shapes, its config
-needs. Sorted names put each GRU layer's h, r and z gates back to back, so
-the stacked weights the model runs on are views of the payload too.
+save/load round trip reproduces scores bit-exactly.
+
+Arrays are listed, and lie in the payload, in sorted-name order. A neural
+model's parameter buffer has that very layout (`neural.param_layout`), so
+saving writes and hashes the buffer as it is, and loading reads the payload
+once, hashes it, and hands it to the model as its buffer. A neural
+checkpoint must therefore hold exactly the arrays its config needs, each
+with its shape and at the offset param_layout gives it.
 """
 from __future__ import annotations
 
@@ -24,14 +27,14 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import fields
+from dataclasses import asdict, fields
 
 import numpy as np
 
 from ..corpus import Vocabularies, expect_object, parse_json, typed_field
 from ..errors import ChecksumError, DataError
 from .linear import LinearRanker, LinearRankerConfig
-from .neural import NeuralConfig, NeuralScorer, param_shapes, params_from_arrays
+from .neural import NeuralConfig, NeuralScorer, layout_size, param_layout
 
 MAGIC = b"DLGCOH01"
 FORMAT_VERSION = 1
@@ -41,33 +44,23 @@ _HEADER = "checkpoint header"
 def save_checkpoint(model, path) -> None:
     """Serialize a NeuralScorer or LinearRanker."""
     if isinstance(model, NeuralScorer):
-        model_type = "neural"
-        config = model.config.to_dict()
+        model_type, flat, layout = "neural", model.flat, model.layout
     elif isinstance(model, LinearRanker):
-        model_type = "linear"
-        config = model.config.to_dict()
+        model_type, flat, layout = "linear", model.weights, {"weights": (0, model.weights.shape)}
     else:
         raise DataError(f"cannot checkpoint object of type {type(model).__name__}")
-    arrays = model.parameter_arrays()
-    entries = []
-    chunks = []
-    offset = 0
-    for name in sorted(arrays):
-        data = np.ascontiguousarray(arrays[name], dtype="<f4")
-        raw = data.tobytes()
-        entries.append(
-            {"name": name, "shape": list(data.shape), "offset": offset, "nbytes": len(raw)}
-        )
-        chunks.append(raw)
-        offset += len(raw)
-    payload = b"".join(chunks)
+    payload = np.ascontiguousarray(flat, dtype="<f4")
     header = {
         "format_version": FORMAT_VERSION,
         "model_type": model_type,
-        "config": config,
+        "config": asdict(model.config),
         "vocabularies": model.vocabularies.to_dict(),
         "manifest": model.manifest,
-        "arrays": entries,
+        "arrays": [
+            {"name": name, "shape": list(shape), "offset": 4 * at,
+             "nbytes": 4 * math.prod(shape)}
+            for name, (at, shape) in sorted(layout.items())
+        ],
         "payload_sha256": hashlib.sha256(payload).hexdigest(),
     }
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
@@ -78,9 +71,10 @@ def save_checkpoint(model, path) -> None:
         f.write(payload)
 
 
-def _read_arrays(entries: list, payload: np.ndarray) -> dict[str, np.ndarray]:
-    """Views into the payload buffer, one per header entry."""
-    arrays: dict[str, np.ndarray] = {}
+def _read_layout(entries: list, payload_size: int) -> dict[str, tuple[int, tuple[int, ...]]]:
+    """name -> (offset in floats, shape) of each header entry, every entry
+    checked to lie, aligned, in a payload of payload_size bytes."""
+    layout = {}
     for i, entry in enumerate(entries):
         if not (
             isinstance(entry, dict)
@@ -89,29 +83,33 @@ def _read_arrays(entries: list, payload: np.ndarray) -> dict[str, np.ndarray]:
             and all(type(n) is int and n >= 0 for n in entry["shape"])
             and all(type(entry.get(k)) is int for k in ("offset", "nbytes"))
             and entry["nbytes"] == 4 * math.prod(entry["shape"])
-            and 0 <= entry["offset"] <= payload.size - entry["nbytes"]
+            and 0 <= entry["offset"] <= payload_size - entry["nbytes"]
             and entry["offset"] % 4 == 0
         ):
             raise DataError(f"{_HEADER}.arrays[{i}]: malformed entry")
-        lo = entry["offset"]
-        raw = payload[lo : lo + entry["nbytes"]]
-        arrays[entry["name"]] = raw.view("<f4").reshape(entry["shape"])
-    return arrays
+        layout[entry["name"]] = (entry["offset"] // 4, tuple(entry["shape"]))
+    return layout
 
 
-def _check_neural_arrays(arrays: dict, config: NeuralConfig, vocabularies: Vocabularies) -> None:
-    """The arrays must be exactly the parameters the config needs."""
-    expected = param_shapes(config, vocabularies)
-    extra = sorted(arrays.keys() - expected.keys())
+def _check_neural_layout(found: dict, layout: dict) -> None:
+    """The header must list exactly the arrays param_layout gives the
+    config, each with its shape and where it puts it."""
+    extra = sorted(found.keys() - layout.keys())
     if extra:
         raise DataError(f"{_HEADER}.arrays: unexpected array {extra[0]!r}")
-    for name, shape in expected.items():
-        if name not in arrays:
+    for name, (at, shape) in layout.items():
+        if name not in found:
             raise DataError(f"{_HEADER}.arrays: missing array {name!r}")
-        if arrays[name].shape != shape:
+        found_at, found_shape = found[name]
+        if found_shape != shape:
             raise DataError(
-                f"{_HEADER}.arrays: array {name!r} has shape {list(arrays[name].shape)}, "
+                f"{_HEADER}.arrays: array {name!r} has shape {list(found_shape)}, "
                 f"the config needs {list(shape)}"
+            )
+        if found_at != at:
+            raise DataError(
+                f"{_HEADER}.arrays: array {name!r} is at byte {4 * found_at} of the payload, "
+                f"the config puts it at byte {4 * at}"
             )
 
 
@@ -120,8 +118,8 @@ def _config(cls, obj: dict):
     if unknown:
         raise DataError(f"{_HEADER}.config: unknown key {unknown[0]!r}")
     try:
-        return cls.from_dict(obj)
-    except (KeyError, TypeError) as exc:
+        return cls(**obj)
+    except TypeError as exc:
         raise DataError(f"{_HEADER}.config: {exc!r}") from exc
 
 
@@ -148,21 +146,25 @@ def load_checkpoint(path):
         raise ChecksumError(
             "checkpoint payload checksum mismatch (truncated or corrupt file)"
         )
-    arrays = _read_arrays(typed_field(header, "arrays", list, _HEADER), payload)
+    found = _read_layout(typed_field(header, "arrays", list, _HEADER), payload_len)
+    flat = payload[: payload_len - payload_len % 4].view("<f4")
     vocabularies = Vocabularies.from_dict(typed_field(header, "vocabularies", dict, _HEADER))
     manifest = header.get("manifest", {})
     model_type = typed_field(header, "model_type", str, _HEADER)
     config = typed_field(header, "config", dict, _HEADER)
     if model_type == "neural":
         neural_config = _config(NeuralConfig, config)
-        _check_neural_arrays(arrays, neural_config, vocabularies)
+        layout = param_layout(neural_config, vocabularies)
+        _check_neural_layout(found, layout)
         return NeuralScorer(
-            neural_config, vocabularies, params_from_arrays(arrays), manifest=manifest
+            neural_config, vocabularies, flat[: layout_size(layout)], manifest=manifest
         )
     if model_type == "linear":
-        if "weights" not in arrays:
+        if "weights" not in found:
             raise DataError(f"{_HEADER}.arrays: no 'weights' array")
-        model = LinearRanker(_config(LinearRankerConfig, config), vocabularies, arrays["weights"])
+        at, shape = found["weights"]
+        weights = flat[at : at + math.prod(shape)].reshape(shape)
+        model = LinearRanker(_config(LinearRankerConfig, config), vocabularies, weights)
         model.manifest = manifest
         return model
     raise DataError(f"unknown model type {model_type!r}")

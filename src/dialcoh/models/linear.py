@@ -40,21 +40,6 @@ class LinearRankerConfig:
             raise DataError(f"unknown feature set {self.features!r}")
         TransitionConfig(k=self.k, saliency=self.saliency)  # raises on k < 2, saliency < 1
 
-    def to_dict(self) -> dict:
-        return {
-            "features": self.features,
-            "k": self.k,
-            "saliency": self.saliency,
-            "l2": self.l2,
-            "lr": self.lr,
-            "epochs": self.epochs,
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "LinearRankerConfig":
-        return cls(**obj)
-
 
 class LinearRanker:
     """Grid-feature scorer with a learned weight vector (float32 storage so
@@ -84,9 +69,6 @@ class LinearRanker:
                 [float(self.weights @ f) for f in features.astype(np.float32)], dtype=np.float64
             ))
         return out
-
-    def parameter_arrays(self) -> dict[str, np.ndarray]:
-        return {"weights": self.weights}
 
 
 def feature_dim(config: LinearRankerConfig, vocabularies: Vocabularies) -> int:

@@ -13,12 +13,15 @@ minimizes the margin-ranking loss over original/adversarial score pairs
 (`pairwise_hinge`, with its gradient) with Adam, early-stopping on
 development MRR.
 
-Parameters are numpy arrays under their names: each GRU layer and direction
-as three stacked arrays "gru{layer}{f|b}.w", ".u" and ".b" (gate rows h, r,
-z; see `engine/rnn.py`). Checkpoints name the nine per-gate arrays
-("gru0f.w_r", ...); `parameter_arrays` gives them as row views of the
-stacked arrays, and `params_from_arrays` stacks a loaded checkpoint's gates
-back, as views of its payload.
+All parameters live in one buffer laid out as a checkpoint's payload is:
+the arrays a checkpoint names ("emb_word", "gru0f.w_r", "head.w1", ...),
+sorted by name, back to back. `param_layout` is the one place that knows
+each name's offset and shape. Sorted names put each GRU layer and
+direction's h, r and z arrays of one kind side by side, so the stacked
+"gru{layer}{f|b}.w", ".u" and ".b" that `run_gru` takes (gate rows h, r, z;
+see `engine/rnn.py`) are single spans of the buffer (`param_views`), and a
+loaded checkpoint's payload is the buffer itself. Gradients are a second
+buffer with the same layout and views, and Adam updates the buffers whole.
 
 Scoring is batch-invariant: a stream's score is bit-identical whichever
 other streams share its pass. `score_streams` sorts streams longest first,
@@ -79,28 +82,6 @@ class NeuralConfig:
             if getattr(self, name) < 1:
                 raise DataError(f"{name} must be >= 1")
 
-    def to_dict(self) -> dict:
-        return {
-            "channels": list(self.channels),
-            "emb_dim_word": self.emb_dim_word,
-            "emb_dim_other": self.emb_dim_other,
-            "gru_layers": self.gru_layers,
-            "gru_hidden": self.gru_hidden,
-            "head_hidden": self.head_hidden,
-            "lr": self.lr,
-            "batch_size": self.batch_size,
-            "max_epochs": self.max_epochs,
-            "margin": self.margin,
-            "patience": self.patience,
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "NeuralConfig":
-        obj = dict(obj)
-        obj["channels"] = tuple(obj["channels"])
-        return cls(**obj)
-
 
 def encoding_for(config: NeuralConfig, vocabularies: Vocabularies) -> EncodingConfig:
     return EncodingConfig(
@@ -128,10 +109,16 @@ def _channel_dims(config: NeuralConfig, enc: EncodingConfig) -> dict[str, tuple[
     return dims
 
 
-def param_shapes(config: NeuralConfig, vocabularies: Vocabularies) -> dict[str, tuple[int, ...]]:
-    """Name and shape of every array a checkpoint of this config holds, in
-    the order init_params draws them: embeddings, GRU layers (gates r, z, h,
-    each as w, u, b), head."""
+def param_layout(
+    config: NeuralConfig, vocabularies: Vocabularies
+) -> dict[str, tuple[int, tuple[int, ...]]]:
+    """Where each array a checkpoint names lies in the parameter buffer:
+    name -> (offset in elements, shape). The buffer holds the arrays back to
+    back in sorted-name order, which is the order of a checkpoint's payload,
+    and that puts each GRU layer and direction's h, r and z arrays of one
+    kind side by side in GATES order. The dict lists the arrays in the order
+    init_params draws them: embeddings, GRU layers (each direction's gates r,
+    z, h, each as w, u, b), head."""
     dims = _channel_dims(config, encoding_for(config, vocabularies))
     shapes: dict[str, tuple[int, ...]] = {f"emb_{ch}": dims[ch] for ch in config.channels}
     input_dim = sum(dim for _, dim in dims.values())
@@ -148,26 +135,49 @@ def param_shapes(config: NeuralConfig, vocabularies: Vocabularies) -> dict[str, 
     shapes["head.b1"] = (config.head_hidden,)
     shapes["head.w2"] = (1, config.head_hidden)
     shapes["head.b2"] = (1,)
-    return shapes
+    offsets, at = {}, 0
+    for name in sorted(shapes):
+        offsets[name] = at
+        at += math.prod(shapes[name])
+    return {name: (offsets[name], shape) for name, shape in shapes.items()}
+
+
+def layout_size(layout: Mapping[str, tuple[int, tuple[int, ...]]]) -> int:
+    """Elements in a buffer laid out by param_layout."""
+    return sum(math.prod(shape) for _, shape in layout.values())
+
+
+def param_views(
+    flat: np.ndarray, layout: Mapping[str, tuple[int, tuple[int, ...]]]
+) -> dict[str, np.ndarray]:
+    """The arrays the scorer reads, as views of a buffer laid out by
+    param_layout (the parameters, or their gradients): each GRU layer and
+    direction's stacked "w", "u" and "b" (gate rows h, r, z), each the span
+    of its three gate arrays, and every other array under its checkpoint
+    name."""
+    views = {}
+    for name, (at, shape) in layout.items():
+        if name.startswith("gru"):
+            name, gate = name.rsplit("_", 1)
+            if gate != GATES[0]:
+                continue
+            shape = (3 * shape[0],) + shape[1:]
+        views[name] = flat[at : at + math.prod(shape)].reshape(shape)
+    return views
 
 
 def init_params(
     config: NeuralConfig, vocabularies: Vocabularies, dtype=np.float32
-) -> dict[str, np.ndarray]:
-    """Seeded parameter initialization: embeddings uniform in [-0.1, 0.1],
-    GRU weights uniform in [-1/sqrt(hidden), 1/sqrt(hidden)], head weights
-    uniform in [-1/sqrt(fan_in), 1/sqrt(fan_in)], zero biases. Draw order is
-    that of param_shapes, for reproducibility; each draw goes straight into
-    its array, a GRU gate's being a row view of its stacked parameter."""
+) -> np.ndarray:
+    """The seeded parameter buffer, laid out by param_layout: embeddings
+    uniform in [-0.1, 0.1], GRU weights uniform in [-1/sqrt(hidden),
+    1/sqrt(hidden)], head weights uniform in [-1/sqrt(fan_in),
+    1/sqrt(fan_in)], zero biases. Draws follow param_layout's order, for
+    reproducibility, each straight into its view of the buffer."""
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0]))
-    shapes = param_shapes(config, vocabularies)
-    stacked: dict[str, tuple[int, ...]] = {}
-    for name, shape in shapes.items():
-        key = _stack_key(name)
-        stacked[key] = (stacked.get(key, (0,))[0] + shape[0],) + shape[1:]
-    data = {key: np.zeros(shape, dtype=dtype) for key, shape in stacked.items()}
-    arrays = named_arrays(data)
-    for name, shape in shapes.items():
+    layout = param_layout(config, vocabularies)
+    flat = np.zeros(layout_size(layout), dtype=dtype)
+    for name, (at, shape) in layout.items():
         if len(shape) == 1:
             continue
         if name.startswith("emb_"):
@@ -176,55 +186,8 @@ def init_params(
             bound = 1.0 / math.sqrt(config.gru_hidden)
         else:
             bound = 1.0 / math.sqrt(shape[1])
-        arrays[name][...] = rng.uniform(-bound, bound, shape)
-    return data
-
-
-def _stack_key(name: str) -> str:
-    """The parameter a checkpoint array belongs to: "gru0f.w" for "gru0f.w_r"."""
-    return name.rpartition("_")[0] if name.startswith("gru") else name
-
-
-def named_arrays(stacked: Mapping[str, np.ndarray]) -> dict[str, np.ndarray]:
-    """Arrays of the parameters (or of their gradients) under checkpoint
-    names, each GRU gate a row view of its stacked array."""
-    arrays: dict[str, np.ndarray] = {}
-    for key, a in stacked.items():
-        if key.startswith("gru"):
-            arrays.update((f"{key}_{gate}", rows) for gate, rows in zip(GATES, np.split(a, 3)))
-        else:
-            arrays[key] = a
-    return arrays
-
-
-def params_from_arrays(arrays: Mapping[str, np.ndarray]) -> dict[str, np.ndarray]:
-    """Parameters from arrays under checkpoint names: each GRU layer and
-    direction's per-gate arrays stacked, gate rows in GATES order."""
-    params: dict[str, np.ndarray] = {}
-    for name, a in arrays.items():
-        key = _stack_key(name)
-        if key == name:
-            params[key] = a
-        elif key not in params:
-            params[key] = _stack_rows([arrays[f"{key}_{gate}"] for gate in GATES])
-    return params
-
-
-def _stack_rows(parts: Sequence[np.ndarray]) -> np.ndarray:
-    """The parts stacked by row: a view when they lie back to back in one
-    array's buffer, as a loaded checkpoint's gates do (save_checkpoint writes
-    them in sorted-name order, which is GATES order), a copy otherwise."""
-    first, base = parts[0], parts[0].base
-    starts = [a.ctypes.data for a in parts]
-    if (
-        base is None
-        or not base.flags.c_contiguous
-        or any(a.base is not base or not a.flags.c_contiguous for a in parts)
-        or any(lo + a.nbytes != hi for a, lo, hi in zip(parts, starts, starts[1:]))
-    ):
-        return np.concatenate(parts)
-    shape = (sum(len(a) for a in parts),) + first.shape[1:]
-    return np.ndarray(shape, first.dtype, buffer=base, offset=starts[0] - base.ctypes.data)
+        flat[at : at + math.prod(shape)].reshape(shape)[...] = rng.uniform(-bound, bound, shape)
+    return flat
 
 
 def load_word_vectors(path, vocabularies: Vocabularies, params: Mapping[str, np.ndarray]) -> int:
@@ -404,18 +367,22 @@ def _stack_streams(
 
 
 class NeuralScorer:
-    """A configured biGRU scorer bundling parameters and vocabularies."""
+    """A configured biGRU scorer: its vocabularies, its parameter buffer
+    `flat` laid out by `layout` (param_layout), and `params`, the views of
+    it that the forward pass reads (param_views)."""
 
     def __init__(
         self,
         config: NeuralConfig,
         vocabularies: Vocabularies,
-        params: dict[str, np.ndarray],
+        flat: np.ndarray,
         manifest: dict | None = None,
     ):
         self.config = config
         self.vocabularies = vocabularies
-        self.params = params
+        self.layout = param_layout(config, vocabularies)
+        self.flat = flat
+        self.params = param_views(flat, self.layout)
         self.manifest = manifest or {}
         self.encoding = encoding_for(config, vocabularies)
 
@@ -453,17 +420,6 @@ class NeuralScorer:
         scores = self.score_streams(streams)
         return [scores[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
-    def parameter_arrays(self) -> dict[str, np.ndarray]:
-        """The arrays a checkpoint stores, under its names."""
-        return named_arrays(self.params)
-
-    def clone_param_data(self) -> dict[str, np.ndarray]:
-        return {name: a.copy() for name, a in self.params.items()}
-
-    def load_param_data(self, arrays: Mapping[str, np.ndarray]) -> None:
-        for name, a in self.params.items():
-            a[...] = arrays[name]
-
 
 @dataclass
 class TrainHistory:
@@ -471,14 +427,6 @@ class TrainHistory:
     best_epoch: int = 0
     best_dev_mrr: float = 0.0
     epochs_run: int = 0
-
-    def to_dict(self) -> dict:
-        return {
-            "epochs": self.epochs,
-            "best_epoch": self.best_epoch,
-            "best_dev_mrr": self.best_dev_mrr,
-            "epochs_run": self.epochs_run,
-        }
 
 
 def _instance_streams(
@@ -527,9 +475,9 @@ def train_neural(
         pairs.extend((pos, i) for i in idx if i != pos)
 
     shuffle_rng = np.random.default_rng(np.random.SeedSequence([config.seed, 1]))
-    state = AdamState.for_params(scorer.parameter_arrays())
+    state = AdamState(np.zeros_like(scorer.flat), np.zeros_like(scorer.flat))
     history = TrainHistory()
-    best = scorer.clone_param_data()
+    best = scorer.flat.copy()
     since_best = 0
 
     for epoch in range(1, config.max_epochs + 1):
@@ -551,7 +499,7 @@ def train_neural(
         if dev_mrr > history.best_dev_mrr or epoch == 1:
             history.best_dev_mrr = dev_mrr
             history.best_epoch = epoch
-            best = scorer.clone_param_data()
+            best = scorer.flat.copy()
             since_best = 0
         else:
             since_best += 1
@@ -559,7 +507,7 @@ def train_neural(
         if since_best >= config.patience:
             break
 
-    scorer.load_param_data(best)
+    scorer.flat[...] = best
     scorer.manifest = {
         "seed": config.seed,
         "epochs_run": history.epochs_run,
@@ -589,7 +537,8 @@ def _batch_step(
     groups: dict[int, list[int]] = {}
     for sid in dict.fromkeys(sid for pair in chunk for sid in pair):
         groups.setdefault(streams[sid].length, []).append(sid)
-    grads = {name: np.zeros_like(a) for name, a in scorer.params.items()}
+    grad = np.zeros_like(scorer.flat)
+    grads = param_views(grad, scorer.layout)
     passes = []
     order: list[int] = []
     for _, group in sorted(groups.items()):
@@ -613,7 +562,5 @@ def _batch_step(
         passes[i] = None  # its recorded states go once its backward has run
         p.backward(d_scores[at : at + len(p.data)], grads)
         at += len(p.data)
-    # Adam runs over the per-gate views: at paper size that is 1.5-2x faster
-    # than over the stacked arrays, whose temporaries are three times larger.
-    adam_step(scorer.parameter_arrays(), named_arrays(grads), state, scorer.config.lr)
+    adam_step(scorer.flat, grad, state, scorer.config.lr)
     return loss

@@ -30,16 +30,17 @@ candidate. In a `rate` request `provenance` is optional and defaults to
 external.
 
 A dataset repeats each turn in the context of every later insertion point,
-so loading and saving work per distinct turn: a file's loader parses and
-validates each distinct turn object once, and a writer encodes each
+and most candidates in several records, so loading and saving work per
+distinct part: a file's loader parses and validates each distinct turn
+object and each distinct candidate object once, and a writer encodes each
 distinct `Turn` object once per file.
 """
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import dataclass, field
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -321,32 +322,46 @@ def build_selection_dataset(
 # -- records ---------------------------------------------------------------------
 
 
-def _turn(obj, where: str, turn_cache: dict | None) -> Turn:
-    """The valid Turn of a decoded turn object. turn_cache, when given, maps
-    the repr of each valid turn object met so far in a file to its Turn: each
-    distinct turn is parsed and validated once, and equal turns share one
-    object. An invalid turn is never stored, so every occurrence raises."""
-    key = None
-    if turn_cache is not None:
-        try:
-            key = repr(obj)  # exact on decoded JSON: True, 1, 1.0 and "1" differ
-        except RecursionError:
-            pass  # too deep to key: parse it uncached, which rejects it
-        turn = turn_cache.get(key)
-        if turn is not None:
-            return turn
+@dataclass
+class RecordCache:
+    """One file's parsed turns and candidates, each under the repr of its
+    decoded object (exact on decoded JSON: True, 1, 1.0 and "1" differ), in
+    two dicts: a candidate object that happens to be a valid turn object
+    must not hit a cached Turn."""
+
+    turns: dict = field(default_factory=dict)
+    candidates: dict = field(default_factory=dict)
+
+
+def _interned(cache: dict | None, obj, parse: Callable, *args):
+    """parse(obj, *args), through a cache of the valid objects met so far:
+    each distinct object is parsed and validated once, and equal objects
+    share one result. parse raises on an invalid object, which is never
+    stored, so every occurrence raises."""
+    if cache is None:
+        return parse(obj, *args)
+    try:
+        key = repr(obj)
+    except RecursionError:
+        return parse(obj, *args)  # too deep to key: parse it uncached, which rejects it
+    hit = cache.get(key)
+    if hit is None:
+        hit = cache[key] = parse(obj, *args)
+    return hit
+
+
+def _turn(obj, where: str) -> Turn:
+    """The valid Turn of a decoded turn object."""
     turn = turn_from_dict(obj, where)
     problems = turn_problems(turn, where)
     if problems:
         raise CorpusFormatError(problems[0])
-    if key is not None:
-        turn_cache[key] = turn
     return turn
 
 
-def _candidate(obj, where: str, default_provenance, turn_cache: dict | None) -> Candidate:
+def _candidate(obj, where: str, default_provenance, turns: dict | None) -> Candidate:
     obj = expect_object(obj, where)
-    turn = _turn(typed_field(obj, "turn", dict, where), f"{where}.turn", turn_cache)
+    turn = _interned(turns, typed_field(obj, "turn", dict, where), _turn, f"{where}.turn")
     provenance = typed_field(obj, "provenance", str, where, default_provenance)
     if provenance not in PROVENANCES:
         raise CorpusFormatError(f"{where}: unknown provenance {provenance!r}")
@@ -366,26 +381,26 @@ def _candidate(obj, where: str, default_provenance, turn_cache: dict | None) -> 
 
 
 def parse_record(
-    obj, default_provenance=REQUIRED, turn_cache: dict | None = None
+    obj, default_provenance=REQUIRED, cache: RecordCache | None = None
 ) -> tuple[tuple[Turn, ...], tuple[Candidate, ...]]:
     """The type-checked context and candidates of one record (see the module
     docstring); a candidate without a provenance takes default_provenance,
-    which by default is required. turn_cache is the per-file cache of
-    `_turn`, or None to parse every turn."""
+    which by default is required. cache is the file's RecordCache, or None
+    to parse every turn and candidate."""
     obj = expect_object(obj, "record")
+    turns, candidates = (None, None) if cache is None else (cache.turns, cache.candidates)
     context = tuple(
-        _turn(t, f"context[{i}]", turn_cache)
+        _interned(turns, t, _turn, f"context[{i}]")
         for i, t in enumerate(typed_field(obj, "context", list, "record"))
     )
-    candidates = tuple(
-        _candidate(c, f"candidates[{i}]", default_provenance, turn_cache)
+    return context, tuple(
+        _interned(candidates, c, _candidate, f"candidates[{i}]", default_provenance, turns)
         for i, c in enumerate(typed_field(obj, "candidates", list, "record"))
     )
-    return context, candidates
 
 
-def instance_from_dict(obj, turn_cache: dict | None = None) -> RankingInstance:
-    context, candidates = parse_record(obj, turn_cache=turn_cache)
+def instance_from_dict(obj, cache: RecordCache | None = None) -> RankingInstance:
+    context, candidates = parse_record(obj, cache=cache)
     if not context:
         raise CorpusFormatError("record.context: expected at least one turn")
     position = typed_field(obj, "positive_position", int, "record")
@@ -407,8 +422,8 @@ def instance_from_dict(obj, turn_cache: dict | None = None) -> RankingInstance:
     )
 
 
-def rated_instance_from_dict(obj, turn_cache: dict | None = None) -> RatedInstance:
-    context, candidates = parse_record(obj, turn_cache=turn_cache)
+def rated_instance_from_dict(obj, cache: RecordCache | None = None) -> RatedInstance:
+    context, candidates = parse_record(obj, cache=cache)
     for i, c in enumerate(candidates):
         if c.mean_rating is None:
             raise CorpusFormatError(f"candidates[{i}]: needs either 'ratings' or 'mean_rating'")
@@ -416,23 +431,24 @@ def rated_instance_from_dict(obj, turn_cache: dict | None = None) -> RatedInstan
 
 
 def load_instances(path) -> list[RankingInstance]:
-    """Load a selection dataset. Each distinct turn of the file is parsed
-    and validated once; an error still names the first bad line."""
-    turn_cache: dict = {}
-    return load_records(path, lambda obj: instance_from_dict(obj, turn_cache), "dataset")
+    """Load a selection dataset. Each distinct turn and candidate of the
+    file is parsed and validated once; an error still names the first bad
+    line."""
+    cache = RecordCache()
+    return load_records(path, lambda obj: instance_from_dict(obj, cache), "dataset")
 
 
 def load_rated_testset(path, strict_swbd: bool = False) -> list[RatedInstance]:
-    """Load a graded turn-coherence test set, each distinct turn parsed once
-    as in `load_instances`.
+    """Load a graded turn-coherence test set, each distinct turn and
+    candidate parsed once as in `load_instances`.
 
     With strict_swbd=True every instance must follow the 7-candidate format
     (1 original, 3 internal, 3 external).
     """
-    turn_cache: dict = {}
+    cache = RecordCache()
 
     def parse(obj) -> RatedInstance:
-        inst = rated_instance_from_dict(obj, turn_cache)
+        inst = rated_instance_from_dict(obj, cache)
         if strict_swbd:
             counts = {p: sum(1 for c in inst.candidates if c.provenance == p) for p in PROVENANCES}
             if counts != {"original": 1, "internal": 3, "external": 3}:

@@ -250,6 +250,43 @@ def grad_check(
     return GradCheckReport(max_rel_error=max_rel, tol=tol, worst=worst, per_param=per_param)
 
 
+@dataclass
+class AdamReference:
+    """Per-array moments and the step counter of `adam_reference`."""
+
+    m: dict[str, np.ndarray]
+    v: dict[str, np.ndarray]
+    step: int = 0
+
+    @classmethod
+    def for_params(cls, params: Mapping[str, np.ndarray]) -> "AdamReference":
+        return cls({n: np.zeros_like(p) for n, p in params.items()},
+                   {n: np.zeros_like(p) for n, p in params.items()})
+
+
+def adam_reference(
+    params: Mapping[str, np.ndarray],
+    grads: Mapping[str, np.ndarray],
+    state: AdamReference,
+    lr: float,
+    beta1: float = 0.9,
+    beta2: float = 0.999,
+    eps: float = 1e-8,
+) -> None:
+    """Bias-corrected Adam, in place, one named array at a time: the oracle
+    the blocked update over one flat buffer must equal bit for bit."""
+    state.step += 1
+    c1 = 1.0 - beta1**state.step
+    c2 = 1.0 - beta2**state.step
+    for name, p in params.items():
+        g, m, v = grads[name], state.m[name], state.v[name]
+        m *= beta1
+        m += (1.0 - beta1) * g
+        v *= beta2
+        v += (1.0 - beta2) * (g * g)
+        p -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
+
+
 def _linear_loss(out: np.ndarray, weights: np.ndarray) -> float:
     return float((out * weights).sum())
 

@@ -1,9 +1,17 @@
 import numpy as np
 import pytest
 
-from conftest import grad_check, gradient_blocks, gru_reference, logistic_reference
+from conftest import (
+    AdamReference,
+    adam_reference,
+    grad_check,
+    gradient_blocks,
+    gru_reference,
+    logistic_reference,
+)
 from dialcoh.engine import AdamState, adam_step, run_gru
 from dialcoh.engine.autodiff import logistic
+from dialcoh.engine.optim import BLOCK
 from dialcoh.engine.rnn import GATES
 from dialcoh.errors import NumericError
 from dialcoh.models.neural import pairwise_hinge
@@ -164,45 +172,57 @@ class TestMarginLoss:
         np.testing.assert_array_equal(loss == 0.0, pos - neg >= 0.5)
 
 
+def _adam(params: np.ndarray) -> AdamState:
+    return AdamState(np.zeros_like(params), np.zeros_like(params))
+
+
 class TestAdam:
     def test_zero_grad_no_change(self):
-        params = {"w": np.array([1.0, -2.0])}
-        grads = {"w": np.zeros(2)}
-        state = AdamState.for_params(params)
-        adam_step(params, grads, state, lr=0.1)
-        np.testing.assert_allclose(params["w"], [1.0, -2.0])
+        params = np.array([1.0, -2.0])
+        adam_step(params, np.zeros(2), _adam(params), lr=0.1)
+        np.testing.assert_allclose(params, [1.0, -2.0])
 
     def test_first_step_magnitude_is_lr(self):
         # Bias correction makes m_hat = g and v_hat = g^2, so the first update
         # is lr * sign(g) up to eps.
         for g in (3.0, -0.25, 1e-3):
-            params = {"w": np.array([0.5])}
-            state = AdamState.for_params(params)
-            adam_step(params, {"w": np.array([g])}, state, lr=0.01)
-            assert abs(abs(0.5 - params["w"][0]) - 0.01) < 1e-6
+            params = np.array([0.5])
+            adam_step(params, np.array([g]), _adam(params), lr=0.01)
+            assert abs(abs(0.5 - params[0]) - 0.01) < 1e-6
 
     def test_outputs_stay_finite(self):
-        params = {"w": np.array([1.0])}
-        state = AdamState.for_params(params)
+        params = np.array([1.0])
+        state = _adam(params)
         for _ in range(5):
-            adam_step(params, {"w": np.array([1e4])}, state, lr=0.5)
-        assert np.isfinite(params["w"]).all()
+            adam_step(params, np.array([1e4]), state, lr=0.5)
+        assert np.isfinite(params).all()
 
     def test_deterministic(self):
         results = []
         for _ in range(2):
-            params = {"w": np.linspace(-1, 1, 5)}
-            state = AdamState.for_params(params)
+            params = np.linspace(-1, 1, 5)
+            state = _adam(params)
             for step in range(3):
-                adam_step(params, {"w": np.sin(params["w"] + step)}, state, lr=0.05)
-            results.append(params["w"].copy())
+                adam_step(params, np.sin(params + step), state, lr=0.05)
+            results.append(params.copy())
         np.testing.assert_array_equal(results[0], results[1])
 
-    def test_shape_mismatch(self):
-        params = {"w": np.zeros(3)}
-        state = AdamState.for_params(params)
-        with pytest.raises(NumericError):
-            adam_step(params, {"w": np.zeros(4)}, state, lr=0.1)
+    def test_blocked_update_equals_the_per_array_update_bitwise(self):
+        """Over several steps, on a float32 buffer of three whole blocks and
+        a ragged tail, cut into arrays that straddle the block edges."""
+        rng = np.random.default_rng(3)
+        size = 3 * BLOCK + 1234
+        params = rng.standard_normal(size).astype(np.float32)
+        cuts = [0, 1000, BLOCK + 7, 2 * BLOCK, 3 * BLOCK + 5, size]
+        named = {f"a{i}": params[lo:hi].copy() for i, (lo, hi) in enumerate(zip(cuts, cuts[1:]))}
+        state, reference = _adam(params), AdamReference.for_params(named)
+        for _ in range(4):
+            grads = rng.standard_normal(size).astype(np.float32)
+            adam_step(params, grads, state, lr=0.01)
+            adam_reference(named, {n: grads[lo:hi] for n, lo, hi in zip(named, cuts, cuts[1:])},
+                           reference, lr=0.01)
+            np.testing.assert_array_equal(params, np.concatenate(list(named.values())))
+        assert state.step == reference.step == 4
 
 
 class TestLogistic:

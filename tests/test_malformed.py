@@ -102,9 +102,11 @@ def test_valid_inputs_pass(setup, tmp_path):
 
 
 def _rated(rec):
-    """The dataset record as a rated record: one rating on every candidate."""
+    """The dataset record as a rated record: one rating on every candidate
+    that has none."""
     return {"context": rec["context"],
-            "candidates": [{**c, "ratings": [2]} for c in rec["candidates"]]}
+            "candidates": [{"ratings": [2], **c} if isinstance(c, dict) else c
+                           for c in rec["candidates"]]}
 
 
 def _with_bad_role(turn):
@@ -120,16 +122,30 @@ def _with_context_turn(rec, turn):
     return {**rec, "context": [turn, *rec["context"][1:]]}
 
 
-# A loader parses each distinct turn of a file once. These files repeat a
-# turn across lines; each must fail on the line a full parse fails on.
+# A loader parses each distinct turn and candidate of a file once. These
+# files repeat a turn or a candidate across lines; each must fail on the line
+# a full parse fails on, with the error a full parse gives.
+BAD_ROLE = "invalid role 'Q'"
 INTERNING_CASES = {
     "valid_turn_then_same_turn_with_bad_role": (
-        lambda rec: [rec, _with_context_turn(rec, _with_bad_role(rec["context"][0]))], 2),
+        lambda rec: [rec, _with_context_turn(rec, _with_bad_role(rec["context"][0]))], 2,
+        BAD_ROLE),
     "invalid_turn_repeated_on_later_lines": (
-        lambda rec: [rec] + [_with_context_turn(rec, _with_bad_role(rec["context"][0]))] * 3, 2),
+        lambda rec: [rec] + [_with_context_turn(rec, _with_bad_role(rec["context"][0]))] * 3, 2,
+        BAD_ROLE),
     "invalid_candidate_turn_repeated_in_a_later_context": (
         lambda rec: [rec, rec, _candidate(rec, turn=_with_bad_role(rec["context"][0])),
-                     _with_context_turn(rec, _with_bad_role(rec["context"][0]))], 3),
+                     _with_context_turn(rec, _with_bad_role(rec["context"][0]))], 3, BAD_ROLE),
+    "candidate_with_bad_provenance_repeated": (
+        lambda rec: [rec] + [_candidate(rec, provenance="bogus")] * 3, 2,
+        "unknown provenance 'bogus'"),
+    "candidate_with_rating_4_repeated": (
+        lambda rec: [rec, rec] + [_candidate(rec, ratings=[4])] * 2, 3, "rating 4 outside"),
+    # Valid as a turn, but a candidate needs a "turn" field: a cached Turn
+    # must not stand in for it.
+    "context_turn_object_as_a_candidate": (
+        lambda rec: [rec, {**rec, "candidates": [rec["context"][0], *rec["candidates"][1:]]}],
+        2, "candidates[0]: missing field 'turn'"),
 }
 INTERNING = [(kind, name) for kind in ("dataset", "rated") for name in sorted(INTERNING_CASES)]
 
@@ -137,14 +153,14 @@ INTERNING = [(kind, name) for kind in ("dataset", "rated") for name in sorted(IN
 @pytest.mark.parametrize("kind,name", INTERNING, ids=[f"{k}-{n}" for k, n in INTERNING])
 def test_repeated_turns_fail_on_the_first_bad_line(setup, tmp_path, capsys, kind, name):
     root, record = setup
-    make, bad_line = INTERNING_CASES[name]
+    make, bad_line, message = INTERNING_CASES[name]
     records = make(record) if kind == "dataset" else [_rated(r) for r in make(record)]
     path = tmp_path / "data.jsonl"
     path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
     command = "eval-selection" if kind == "dataset" else "eval-rating"
     assert run(command, "--checkpoint", root / "model.ckpt", "--data", path) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"data error: line {bad_line}: ") and "invalid role 'Q'" in err
+    assert err.startswith(f"data error: line {bad_line}: ") and message in err, err
     path.write_text("".join(json.dumps(r) + "\n" for r in records[:bad_line - 1]),
                     encoding="utf-8")
     assert run(command, "--checkpoint", root / "model.ckpt", "--data", path) == 0
@@ -234,6 +250,11 @@ def _rewrite(arrays, name, **changes):
     return [{**a, **changes} if a["name"] == name else a for a in arrays]
 
 
+def _swap_offsets(arrays, a, b):
+    offset = {e["name"]: e["offset"] for e in arrays}
+    return _rewrite(_rewrite(arrays, a, offset=offset[b]), b, offset=offset[a])
+
+
 # The neural checkpoint has gru_hidden 3 and an input of 4 + 2.
 NEURAL_ARRAY_CASES = {
     "missing_array": (
@@ -244,6 +265,10 @@ NEURAL_ARRAY_CASES = {
         lambda a: _rewrite(a, "gru0f.u_r", shape=[9]), "'gru0f.u_r' has shape [9]"),
     "input_shape_transposed": (
         lambda a: _rewrite(a, "gru0b.w_z", shape=[6, 3]), "'gru0b.w_z' has shape [6, 3]"),
+    # No writer has made such a file: a loaded model's buffer is the payload
+    # as it lies, so an array must lie where the config's layout puts it.
+    "gates_swapped": (
+        lambda a: _swap_offsets(a, "gru0f.u_h", "gru0f.u_r"), "array 'gru0f.u_r' is at byte"),
 }
 
 

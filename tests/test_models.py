@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 
@@ -24,7 +25,7 @@ from dialcoh.models import (
 )
 from dialcoh.models import neural
 from dialcoh.models.linear import feature_dim
-from dialcoh.models.neural import _batch_step, forward_scores, init_params, params_from_arrays
+from dialcoh.models.neural import _batch_step, forward_scores, init_params
 from dialcoh.swapgen import Candidate, RankingInstance, build_selection_dataset
 
 from conftest import grad_check, gru_reference, seg, synthetic_corpus, turn
@@ -288,7 +289,7 @@ class TestTrainNeural:
             path = tmp_path / f"run{run}.ckpt"
             save_checkpoint(scorer, path)
             digests.append(hashlib.sha256(path.read_bytes()).hexdigest())
-            histories.append(json.dumps(history.to_dict(), sort_keys=True))
+            histories.append(json.dumps(dataclasses.asdict(history), sort_keys=True))
         assert digests[0] == digests[1]
         assert histories[0] == histories[1]
 
@@ -333,14 +334,15 @@ class TestTrainNeural:
         pos, neg = (np.array(ix) for ix in zip(*chunk))
 
         def loss(arrays):
-            scores = NeuralScorer(cfg, vocabs, params_from_arrays(arrays)).score_streams(streams)
+            scores = NeuralScorer(cfg, vocabs, arrays["flat"]).score_streams(streams)
             return np.maximum(0.0, cfg.margin - (scores[pos] - scores[neg])).mean()
 
         captured = {}
         monkeypatch.setattr(neural, "adam_step", lambda params, grads, state, lr: (
-            captured.update((k, g.copy()) for k, g in grads.items())))
-        arrays = scorer.parameter_arrays()
-        value = _batch_step(scorer, streams, chunk, AdamState.for_params(arrays))
+            captured.update(flat=grads.copy())))
+        arrays = {"flat": scorer.flat}
+        state = AdamState(np.zeros_like(scorer.flat), np.zeros_like(scorer.flat))
+        value = _batch_step(scorer, streams, chunk, state)
         assert value == pytest.approx(loss(arrays), rel=1e-12)
         scores = scorer.score_streams(streams)
         excess = cfg.margin - (scores[pos] - scores[neg])
@@ -495,25 +497,6 @@ class TestCheckpoint:
         assert all(a.base is payload for a in loaded.params.values())
         for name, a in scorer.params.items():
             assert np.array_equal(loaded.params[name], a)
-
-    def test_gates_stack_in_gate_order_from_any_layout(self, vocabs):
-        """Gates that do not lie back to back in one buffer, in GATES order,
-        are copied into the stack; the values are the same either way."""
-        scorer = NeuralScorer.initialize(small_config(), vocabs)
-        arrays = scorer.parameter_arrays()
-        names = sorted(arrays, reverse=True)  # z, r, h: not stackable in place
-        flat = np.concatenate([arrays[n].ravel() for n in names])
-        packed, at = {}, 0
-        for n in names:
-            packed[n] = flat[at : at + arrays[n].size].reshape(arrays[n].shape)
-            at += arrays[n].size
-        for layout in (packed, {n: a.copy() for n, a in arrays.items()}):
-            params = params_from_arrays(layout)
-            assert params.keys() == scorer.params.keys()
-            for name, a in scorer.params.items():
-                assert np.array_equal(params[name], a), name
-                if name.startswith("gru"):
-                    assert not np.shares_memory(params[name], flat)
 
     def test_truncated_file_fails_checksum(self, tmp_path, vocabs):
         scorer = NeuralScorer.initialize(small_config(), vocabs)

@@ -358,11 +358,12 @@ class TestWriters:
         assert path.read_bytes() == oracle_jsonl(map(rated_instance_to_dict, instances))
 
 
-def assert_equal_turns_are_one_object(instances):
+def assert_equal_parts_are_one_object(instances):
+    """Equal turns, and equal candidates, of the instances are one object."""
     by_value: dict = {}
     for inst in instances:
-        for t in (*inst.context, *(c.turn for c in inst.candidates)):
-            assert by_value.setdefault(t, t) is t
+        for part in (*inst.context, *inst.candidates, *(c.turn for c in inst.candidates)):
+            assert by_value.setdefault(part, part) is part
 
 
 # Valid turns (lower-case heads, a DA label, at least one segment) from a
@@ -384,7 +385,8 @@ valid_turns = st.builds(
 
 
 class TestLoadInterning:
-    """A loader parses each distinct turn of a file once and shares the Turn."""
+    """A loader parses each distinct turn and candidate of a file once and
+    shares the Turn and the Candidate."""
 
     @given(pool=st.lists(valid_turns, min_size=1, max_size=6), data=st.data())
     @settings(max_examples=100, deadline=None,
@@ -407,7 +409,7 @@ class TestLoadInterning:
         loaded = load_instances(path)
         uncached = [instance_from_dict(json.loads(ln)) for ln in path.read_text("utf-8").splitlines()]
         assert loaded == uncached == instances
-        assert_equal_turns_are_one_object(loaded)
+        assert_equal_parts_are_one_object(loaded)
 
     def test_rated_testset_equals_an_uncached_parse(self, tmp_path):
         split = synthetic_corpus(3, 10, seed=4)
@@ -425,7 +427,7 @@ class TestLoadInterning:
         uncached = [rated_instance_from_dict(json.loads(ln))
                     for ln in path.read_text("utf-8").splitlines()]
         assert loaded == uncached == rated
-        assert_equal_turns_are_one_object(loaded)
+        assert_equal_parts_are_one_object(loaded)
 
 
 def _pin_corpus() -> list[Dialogue]:
