@@ -29,17 +29,6 @@ class TurnFeatureVector:
     da_indicators: tuple[int, ...]  # aligned with the tagset passed at extraction
     tagset: tuple[str, ...]
 
-    def group_vector(self, group: str) -> np.ndarray:
-        ent = [float(self.overlap_entities), float(self.novel_entities)]
-        das = [float(x) for x in self.da_indicators]
-        if group == "entities":
-            return np.asarray(ent)
-        if group == "das":
-            return np.asarray(das)
-        if group == "all":
-            return np.asarray(ent + das)
-        raise DataError(f"unknown feature group {group!r}")
-
 
 def extract_turn_features(
     context: Sequence[Turn], candidate: Turn, tagset: Sequence[str]
@@ -249,13 +238,11 @@ def fit_ols(X: np.ndarray, y: np.ndarray, names: Sequence[str] | None = None) ->
 
 
 def rated_design(
-    instances: Sequence[RatedInstance], group: str, tagset: Sequence[str]
+    instances: Sequence[RatedInstance], tagset: Sequence[str]
 ) -> tuple[np.ndarray, np.ndarray, list[str]]:
-    """Design matrix and mean-rating response, one row per candidate.
-
-    Constant columns cannot enter an OLS fit alongside the intercept, so they
-    are dropped; the surviving predictor names are returned.
-    """
+    """The "all" design matrix, one row per candidate (its overlap and novel
+    mention counts, then one indicator per tagset label), the mean-rating
+    response, and the column names."""
     rows = []
     y = []
     for inst in instances:
@@ -263,18 +250,27 @@ def rated_design(
             if cand.mean_rating is None:
                 raise DataError("regression requires a mean rating per candidate")
             feats = extract_turn_features(inst.context, cand.turn, tagset)
-            rows.append(feats.group_vector(group))
+            rows.append((feats.overlap_entities, feats.novel_entities, *feats.da_indicators))
             y.append(cand.mean_rating)
-    X = np.vstack(rows)
-    names = {
-        "entities": ["overlap_entities", "novel_entities"],
-        "das": [f"da:{t}" for t in tagset],
-        "all": ["overlap_entities", "novel_entities"] + [f"da:{t}" for t in tagset],
-    }[group]
-    keep = [j for j in range(X.shape[1]) if np.ptp(X[:, j]) > 0]
+    names = ["overlap_entities", "novel_entities", *(f"da:{t}" for t in tagset)]
+    return np.asarray(rows, dtype=np.float64), np.asarray(y), names
+
+
+def group_design(
+    X: np.ndarray, names: Sequence[str], group: str
+) -> tuple[np.ndarray, list[str]]:
+    """A feature group's columns of the "all" design and their names.
+
+    Constant columns cannot enter an OLS fit alongside the intercept, so they
+    are dropped.
+    """
+    columns = {"entities": range(2), "das": range(2, len(names)), "all": range(len(names))}
+    if group not in columns:
+        raise DataError(f"unknown feature group {group!r}")
+    keep = [j for j in columns[group] if np.ptp(X[:, j]) > 0]
     if not keep:
         raise DataError(f"all predictors in group {group!r} are constant")
-    return X[:, keep], np.asarray(y), [names[j] for j in keep]
+    return X[:, keep], [names[j] for j in keep]
 
 
 def default_tagset(instances: Sequence[RatedInstance]) -> tuple[str, ...]:
@@ -292,13 +288,16 @@ def mcc_report(
     tagset: Sequence[str] | None = None,
     groups: Sequence[str] = FEATURE_GROUPS,
 ) -> dict[str, OlsFit]:
-    """One regression per feature group predicting mean coherence ratings."""
+    """One regression per feature group predicting mean coherence ratings,
+    each on its columns of one design (every candidate's features are
+    extracted once)."""
     if tagset is None:
         tagset = default_tagset(instances)
+    X, y, names = rated_design(instances, tagset)
     report = {}
     for group in groups:
-        X, y, names = rated_design(instances, group, tagset)
-        report[group] = fit_ols(X, y, names=names)
+        columns, kept = group_design(X, names, group)
+        report[group] = fit_ols(columns, y, names=kept)
     return report
 
 

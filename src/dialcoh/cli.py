@@ -237,13 +237,16 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _write_eval_report(args, report: dict, stem: str) -> int:
-    """Print an evaluation report; with --out also write it as JSON and TSV."""
-    sys.stdout.write(_dump_json(report))
+def _write_report(args, report: dict, stem: str, extra: dict[str, str] | None = None) -> int:
+    """Print a report as JSON; with --out also write that text as
+    <stem>.json, each of extra's file name -> text, and run_config.json."""
+    text = _dump_json(report)
+    sys.stdout.write(text)
     if args.out:
         out = _out_dir(args)
-        _dump_json(report, out / f"{stem}.json")
-        (out / f"{stem}.tsv").write_text(report_tsv(report), encoding="utf-8")
+        (out / f"{stem}.json").write_text(text, encoding="utf-8")
+        for name, body in (extra or {}).items():
+            (out / name).write_text(body, encoding="utf-8")
         _write_run_config(args, out)
     return EXIT_OK
 
@@ -251,13 +254,17 @@ def _write_eval_report(args, report: dict, stem: str) -> int:
 def cmd_eval_selection(args) -> int:
     model = load_checkpoint(args.checkpoint)
     instances = swapgen.load_instances(args.data)
-    return _write_eval_report(args, evaluate_selection(model, instances), "selection_metrics")
+    report = evaluate_selection(model, instances)
+    return _write_report(args, report, "selection_metrics",
+                         {"selection_metrics.tsv": report_tsv(report)})
 
 
 def cmd_eval_rating(args) -> int:
     model = load_checkpoint(args.checkpoint)
     instances = swapgen.load_rated_testset(args.data, strict_swbd=args.strict)
-    return _write_eval_report(args, evaluate_rated(model, instances), "rating_metrics")
+    report = evaluate_rated(model, instances)
+    return _write_report(args, report, "rating_metrics",
+                         {"rating_metrics.tsv": report_tsv(report)})
 
 
 def cmd_rate(args) -> int:
@@ -288,14 +295,9 @@ def cmd_analyze(args) -> int:
         "group_stats": stats,
         "regressions": {g: f.summary_dict() for g, f in fits.items()},
     }
-    sys.stdout.write(_dump_json(report))
-    if args.out:
-        out = _out_dir(args)
-        _dump_json(report, out / "analysis.json")
-        for g, f in fits.items():
-            (out / f"coefficients_{g}.tsv").write_text(f.coefficient_table(), encoding="utf-8")
-        _write_run_config(args, out)
-    return EXIT_OK
+    return _write_report(args, report, "analysis", {
+        f"coefficients_{g}.tsv": f.coefficient_table() for g, f in fits.items()
+    })
 
 
 def cmd_agreement(args) -> int:
@@ -329,12 +331,7 @@ def cmd_agreement(args) -> int:
             "mean": loo.mean,
         },
     }
-    sys.stdout.write(_dump_json(report))
-    if args.out:
-        out = _out_dir(args)
-        _dump_json(report, out / "agreement.json")
-        _write_run_config(args, out)
-    return EXIT_OK
+    return _write_report(args, report, "agreement")
 
 
 def cmd_baseline(args) -> int:
@@ -346,12 +343,7 @@ def cmd_baseline(args) -> int:
         seed=args.seed,
         k=args.k,
     )
-    sys.stdout.write(_dump_json(report))
-    if args.out:
-        out = _out_dir(args)
-        _dump_json(report, out / "baseline.json")
-        _write_run_config(args, out)
-    return EXIT_OK
+    return _write_report(args, report, "baseline")
 
 
 # -- parser ----------------------------------------------------------------------

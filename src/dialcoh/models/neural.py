@@ -83,30 +83,12 @@ class NeuralConfig:
                 raise DataError(f"{name} must be >= 1")
 
 
-def encoding_for(config: NeuralConfig, vocabularies: Vocabularies) -> EncodingConfig:
-    return EncodingConfig(
-        use_word="word" in config.channels,
-        use_role="role" in config.channels,
-        use_da="da" in config.channels,
-        use_turn="turn" in config.channels,
-        vocabularies=vocabularies,
-    )
-
-
 def _channel_dims(config: NeuralConfig, enc: EncodingConfig) -> dict[str, tuple[int, int]]:
     """(vocab_size, embedding_dim) per active channel."""
-    v = enc.vocabularies
-    sizes = {
-        "word": len(v.words),
-        "role": len(v.roles),
-        "da": len(enc.da_vocab()),
-        "turn": len(v.turn),
+    return {
+        ch: (len(enc.vocab(ch)), config.emb_dim_word if ch == "word" else config.emb_dim_other)
+        for ch in config.channels
     }
-    dims = {}
-    for ch in config.channels:
-        dim = config.emb_dim_word if ch == "word" else config.emb_dim_other
-        dims[ch] = (sizes[ch], dim)
-    return dims
 
 
 def param_layout(
@@ -119,7 +101,7 @@ def param_layout(
     kind side by side in GATES order. The dict lists the arrays in the order
     init_params draws them: embeddings, GRU layers (each direction's gates r,
     z, h, each as w, u, b), head."""
-    dims = _channel_dims(config, encoding_for(config, vocabularies))
+    dims = _channel_dims(config, EncodingConfig(config.channels, vocabularies))
     shapes: dict[str, tuple[int, ...]] = {f"emb_{ch}": dims[ch] for ch in config.channels}
     input_dim = sum(dim for _, dim in dims.values())
     hid = config.gru_hidden
@@ -359,11 +341,24 @@ def _stack_streams(
     for ch in channels:
         ids[ch] = block = np.zeros((rows, lengths.max()), dtype=np.int64)
         for i, s in enumerate(streams):
-            chan = s.channel(ch)
+            chan = s.ids.get(ch)
             if chan is None:
                 raise DataError(f"stream is missing the {ch!r} channel")
             block[i, : s.length] = chan
     return ids, lengths
+
+
+def _candidate_streams(
+    pairs: Sequence[tuple[Sequence[Turn], Sequence[Turn]]], enc: EncodingConfig
+) -> tuple[list[TokenStream], list[int]]:
+    """The streams of each (context, candidates) pair's candidates, pair
+    after pair, and the bounds of each pair's run of them."""
+    streams: list[TokenStream] = []
+    bounds = [0]
+    for context, candidates in pairs:
+        streams.extend(encode_pairwise_inputs(context, c, enc) for c in candidates)
+        bounds.append(len(streams))
+    return streams, bounds
 
 
 class NeuralScorer:
@@ -384,7 +379,7 @@ class NeuralScorer:
         self.flat = flat
         self.params = param_views(flat, self.layout)
         self.manifest = manifest or {}
-        self.encoding = encoding_for(config, vocabularies)
+        self.encoding = EncodingConfig(config.channels, vocabularies)
 
     @classmethod
     def initialize(cls, config: NeuralConfig, vocabularies: Vocabularies) -> "NeuralScorer":
@@ -412,11 +407,7 @@ class NeuralScorer:
     ) -> list[np.ndarray]:
         """Scores of each (context, candidates) pair's candidates, all
         streams scored together."""
-        streams: list[TokenStream] = []
-        bounds = [0]
-        for context, candidates in pairs:
-            streams.extend(encode_pairwise_inputs(context, c, self.encoding) for c in candidates)
-            bounds.append(len(streams))
+        streams, bounds = _candidate_streams(pairs, self.encoding)
         scores = self.score_streams(streams)
         return [scores[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
@@ -427,24 +418,6 @@ class TrainHistory:
     best_epoch: int = 0
     best_dev_mrr: float = 0.0
     epochs_run: int = 0
-
-
-def _instance_streams(
-    instances: Sequence[RankingInstance], enc: EncodingConfig
-) -> tuple[list[TokenStream], list[list[int]], list[int]]:
-    """Pre-encode every candidate stream once. Returns the flat stream list,
-    per-instance stream indices, and per-instance positive stream index."""
-    streams: list[TokenStream] = []
-    by_instance: list[list[int]] = []
-    positives: list[int] = []
-    for inst in instances:
-        idx = []
-        for cand in inst.candidates:
-            idx.append(len(streams))
-            streams.append(encode_pairwise_inputs(inst.context, cand.turn, enc))
-        by_instance.append(idx)
-        positives.append(idx[inst.positive_position])
-    return streams, by_instance, positives
 
 
 def train_neural(
@@ -467,12 +440,13 @@ def train_neural(
     scorer = NeuralScorer.initialize(config, vocabularies)
     if pretrained_words is not None:
         load_word_vectors(pretrained_words, vocabularies, scorer.params)
-    enc = scorer.encoding
-
-    streams, by_instance, positives = _instance_streams(train, enc)
+    streams, bounds = _candidate_streams(
+        [(inst.context, [c.turn for c in inst.candidates]) for inst in train], scorer.encoding
+    )
     pairs: list[tuple[int, int]] = []
-    for idx, pos in zip(by_instance, positives):
-        pairs.extend((pos, i) for i in idx if i != pos)
+    for inst, lo, hi in zip(train, bounds, bounds[1:]):
+        pos = lo + inst.positive_position
+        pairs.extend((pos, i) for i in range(lo, hi) if i != pos)
 
     shuffle_rng = np.random.default_rng(np.random.SeedSequence([config.seed, 1]))
     state = AdamState(np.zeros_like(scorer.flat), np.zeros_like(scorer.flat))

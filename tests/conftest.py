@@ -10,6 +10,7 @@ import pytest
 
 from dialcoh.corpus import (
     Dialogue,
+    NO_ENT,
     EntityMention,
     Segment,
     Turn,
@@ -18,9 +19,11 @@ from dialcoh.corpus import (
     derive_vocabularies,
     turn_to_dict,
 )
+from dialcoh.analysis import FEATURE_GROUPS, default_tagset, extract_turn_features, fit_ols
 from dialcoh.engine.rnn import run_gru
-from dialcoh.errors import NumericError
+from dialcoh.errors import DataError, NumericError
 from dialcoh.grid import ABSENT, ROLE_SYMBOLS, EntityGrid, TransitionConfig
+from dialcoh.linearize import EncodingConfig, TokenStream
 from dialcoh.models.linear import LinearRankerConfig
 from dialcoh.models.neural import embed_channels, mean_pool, pairwise_hinge, score_head
 from dialcoh.swapgen import RankingInstance, RatedInstance
@@ -135,6 +138,121 @@ def oracle_jsonl(records) -> bytes:
     return "".join(
         json.dumps(r, ensure_ascii=False, separators=(",", ":")) + "\n" for r in records
     ).encode("utf-8")
+
+
+def _turn_tag_id(vocab: Vocab, speaker: str, first: bool) -> int:
+    prefix = "B" if first else "I"
+    tag = f"{prefix}-{speaker}"
+    tid = vocab.get(tag)
+    if tid is None:
+        raise DataError(f"turn tag {tag!r} not in turn vocabulary")
+    return tid
+
+
+def linearize_reference(turns: Sequence[Turn], cfg: EncodingConfig) -> TokenStream:
+    """The linearizer written out mode by mode, each mode with its own copy
+    of the turn-tag rule: the oracle `linearize` must match bit for bit."""
+    use_word, use_role, use_turn = (c in cfg.channels for c in ("word", "role", "turn"))
+    if not turns:
+        raise DataError("cannot linearize an empty turn sequence")
+    v = cfg.vocabularies
+    mode = cfg.mode
+    no_ent_word = v.words.id(NO_ENT)
+    no_ent_role = v.roles.id(NO_ENT)
+
+    words: list[int] = []
+    roles: list[int] = []
+    das: list[int] = []
+    tags: list[int] = []
+
+    def emit(head: str | None, role: str | None, da_id: int | None):
+        if use_word:
+            words.append(no_ent_word if head is None else v.word_id(head))
+        if use_role:
+            roles.append(no_ent_role if role is None else v.roles.id(role))
+        if da_id is not None:
+            das.append(da_id)
+
+    if mode == "entities":
+        for turn in turns:
+            start = max(len(words), len(roles))
+            mentions = turn.mentions()
+            if mentions:
+                for m in mentions:
+                    emit(m.head, m.role, None)
+            else:
+                emit(None, None, None)
+            if use_turn:
+                end = max(len(words), len(roles))
+                for pos in range(start, end):
+                    tags.append(_turn_tag_id(v.turn, turn.speaker, pos == start))
+    elif mode == "da":
+        base = v.da
+        for turn in turns:
+            for si, seg in enumerate(turn.segments):
+                das.append(base.id(seg.da))
+                if use_turn:
+                    tags.append(_turn_tag_id(v.turn, turn.speaker, si == 0))
+    else:  # entities_da
+        iob = cfg.vocab("da")
+        for turn in turns:
+            turn_start = len(das)
+            for seg in turn.segments:
+                b_id = iob.id(f"B-{seg.da}")
+                i_id = iob.id(f"I-{seg.da}")
+                if seg.entities:
+                    for mi, m in enumerate(seg.entities):
+                        emit(m.head, m.role, b_id if mi == 0 else i_id)
+                else:
+                    emit(None, None, b_id)
+            if use_turn:
+                for pos in range(turn_start, len(das)):
+                    tags.append(_turn_tag_id(v.turn, turn.speaker, pos == turn_start))
+
+    lengths = {len(c) for c in (words, roles, das, tags) if c}
+    if not lengths:
+        raise DataError("no positions emitted (turns without segments?)")
+    if len(lengths) != 1:
+        raise DataError(f"channel lengths diverged: {sorted(lengths)}")
+    (length,) = lengths
+    columns = {"word": words, "role": roles, "da": das, "turn": tags}
+    return TokenStream(
+        length, {ch: np.array(xs, dtype=np.int64) for ch, xs in columns.items() if xs}
+    )
+
+
+def stream_rows(stream: TokenStream, cfg: EncodingConfig) -> list[tuple[str, ...]]:
+    """Decode a stream back to token strings, one tuple per position."""
+    vocabs = [(cfg.vocab(ch), stream.ids[ch]) for ch in cfg.channels]
+    return [
+        tuple(vocab.token(int(ids[pos])) for vocab, ids in vocabs) for pos in range(stream.length)
+    ]
+
+
+def mcc_report_reference(instances: Sequence[RatedInstance], groups=FEATURE_GROUPS) -> dict:
+    """The regression study with each group building its own design, every
+    candidate's features extracted once per group: the oracle `mcc_report`
+    must match bit for bit."""
+    tagset = default_tagset(instances)
+    report = {}
+    for group in groups:
+        rows, y = [], []
+        for inst in instances:
+            for cand in inst.candidates:
+                feats = extract_turn_features(inst.context, cand.turn, tagset)
+                ent = [float(feats.overlap_entities), float(feats.novel_entities)]
+                das = [float(x) for x in feats.da_indicators]
+                rows.append(np.asarray({"entities": ent, "das": das, "all": ent + das}[group]))
+                y.append(cand.mean_rating)
+        X = np.vstack(rows)
+        names = {
+            "entities": ["overlap_entities", "novel_entities"],
+            "das": [f"da:{t}" for t in tagset],
+            "all": ["overlap_entities", "novel_entities"] + [f"da:{t}" for t in tagset],
+        }[group]
+        keep = [j for j in range(X.shape[1]) if np.ptp(X[:, j]) > 0]
+        report[group] = fit_ols(X[:, keep], np.asarray(y), names=[names[j] for j in keep])
+    return report
 
 
 def logistic_reference(d: np.ndarray) -> np.ndarray:

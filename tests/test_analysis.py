@@ -6,6 +6,7 @@ from dialcoh.analysis import (
     default_tagset,
     extract_turn_features,
     fit_ols,
+    group_design,
     group_stats,
     mcc_report,
     regularized_incomplete_beta,
@@ -15,7 +16,7 @@ from dialcoh.analysis import (
 from dialcoh.errors import DataError, NumericError
 from dialcoh.swapgen import Candidate, RatedInstance
 
-from conftest import seg, turn
+from conftest import mcc_report_reference, seg, turn
 
 
 class TestTurnFeatures:
@@ -57,11 +58,18 @@ class TestTurnFeatures:
         f2 = extract_turn_features(c1[::-1], candidate, ("sd",))
         assert f1.overlap_entities == f2.overlap_entities == 2
 
-    def test_group_vectors(self):
-        feats = extract_turn_features((), turn("B", seg("b")), ("b", "sd"))
-        assert list(feats.group_vector("entities")) == [0.0, 0.0]
-        assert list(feats.group_vector("das")) == [1.0, 0.0]
-        assert list(feats.group_vector("all")) == [0.0, 0.0, 1.0, 0.0]
+    def test_group_columns(self):
+        names = ["overlap_entities", "novel_entities", "da:b", "da:sd"]
+        X = np.array([[1.0, 0.0, 1.0, 0.0], [2.0, 0.0, 0.0, 1.0]])
+        columns, kept = group_design(X, names, "entities")
+        assert kept == ["overlap_entities"]  # the constant novel count is dropped
+        assert columns.tolist() == [[1.0], [2.0]]
+        assert group_design(X, names, "das")[1] == ["da:b", "da:sd"]
+        columns, kept = group_design(X, names, "all")
+        assert kept == ["overlap_entities", "da:b", "da:sd"]
+        assert columns.tolist() == [[1.0, 1.0, 0.0], [2.0, 0.0, 1.0]]
+        with pytest.raises(DataError, match="unknown feature group"):
+            group_design(X, names, "prosody")
 
 
 class TestIncompleteBeta:
@@ -225,6 +233,17 @@ class TestCorpusStudy:
         coef = all_fit.summary_dict()["coefficients"]
         assert coef["overlap_entities"]["coefficient"] > 0
         assert report["all"].r_squared >= report["entities"].r_squared - 1e-9
+
+    def test_fits_equal_per_group_extraction_bitwise(self, rated):
+        got, want = mcc_report(rated), mcc_report_reference(rated)
+        assert list(got) == list(want)
+        for group, w in want.items():
+            g = got[group]
+            assert g.names == w.names
+            for name in ("coefficients", "standard_errors", "t_statistics", "p_values"):
+                assert getattr(g, name).tobytes() == getattr(w, name).tobytes(), (group, name)
+            assert (g.r_squared, g.adj_r_squared, g.n, g.n_predictors) == (
+                w.r_squared, w.adj_r_squared, w.n, w.n_predictors)
 
     def test_constant_ratings_r2_zero(self):
         rng = np.random.default_rng(3)

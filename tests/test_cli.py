@@ -81,8 +81,8 @@ class TestGenDataset:
 
 
 @pytest.fixture
-def pipeline(tmp_path, corpus_path):
-    """corpus -> vocab -> datasets -> tiny neural checkpoint."""
+def datasets(tmp_path, corpus_path):
+    """corpus -> vocab -> train and dev datasets."""
     vocab = tmp_path / "vocab.json"
     assert run("vocab", corpus_path, "-o", vocab) == 0
     train_dir = tmp_path / "train_ds"
@@ -93,21 +93,40 @@ def pipeline(tmp_path, corpus_path):
             "--negatives", "3", "--seed", seed, "--ctx-min", "1", "--ctx-max", "8",
             "--out", out,
         ) == 0
+    return {"vocab": vocab, "train": train_dir / "dataset.jsonl", "dev": dev_dir / "dataset.jsonl"}
+
+
+def train_neural_args(datasets, out, channels):
+    return ("train", "--model", "neural", "--train", datasets["train"], "--dev", datasets["dev"],
+            "--vocab", datasets["vocab"], "--out", out, "--channels", channels)
+
+
+@pytest.fixture
+def pipeline(tmp_path, datasets):
+    """corpus -> vocab -> datasets -> tiny neural checkpoint."""
     model_dir = tmp_path / "model"
     assert run(
-        "train", "--model", "neural", "--train", train_dir / "dataset.jsonl",
-        "--dev", dev_dir / "dataset.jsonl", "--vocab", vocab, "--out", model_dir,
-        "--channels", "word,da,turn", "--emb-dim-word", "6", "--emb-dim", "4",
+        *train_neural_args(datasets, model_dir, "word,da,turn"),
+        "--emb-dim-word", "6", "--emb-dim", "4",
         "--hidden", "5", "--head-hidden", "4", "--epochs", "2", "--batch-size", "8",
         "--lr", "0.01",
     ) == 0
     return {
-        "vocab": vocab,
-        "train": train_dir / "dataset.jsonl",
-        "dev": dev_dir / "dataset.jsonl",
+        **datasets,
         "checkpoint": model_dir / "checkpoint.ckpt",
         "model_dir": model_dir,
     }
+
+
+@pytest.mark.parametrize("channels, rule", [
+    ("turn", "at least one of word/role/da channels is required"),
+    ("", "at least one of word/role/da channels is required"),
+    ("word,bogus", "unknown channels ['bogus']"),
+])
+def test_train_rejects_a_channel_set_outside_the_rule(datasets, tmp_path, capsys,
+                                                      channels, rule):
+    assert run(*train_neural_args(datasets, tmp_path / "model", channels)) == 2
+    assert capsys.readouterr().err == f"data error: {rule}\n"
 
 
 class TestTrainEvalPipeline:
@@ -211,29 +230,57 @@ class TestAnalyze:
         assert (out / "coefficients_all.tsv").exists()
 
 
-class TestAgreement:
-    def test_agreement_stats(self, tmp_path, capsys):
-        from dialcoh.swapgen import Candidate, RatedInstance
+@pytest.fixture
+def workers_path(tmp_path):
+    """A rated test set with three workers' ratings per candidate."""
+    from dialcoh.swapgen import Candidate, RatedInstance
 
-        rng = np.random.default_rng(3)
-        instances = []
-        for i in range(12):
-            inst = make_rated_instance(i, rng)
-            rated_cands = []
-            for c in inst.candidates:
-                base = int(np.clip(round(c.mean_rating), 1, 3))
-                scores = tuple(
-                    int(np.clip(base + rng.integers(-1, 2), 1, 3)) for _ in range(3)
-                )
-                rated_cands.append(Candidate(c.turn, c.provenance, ratings=scores))
-            instances.append(RatedInstance(context=inst.context, candidates=tuple(rated_cands)))
-        path = tmp_path / "workers.jsonl"
-        save_rated_testset(instances, path)
-        assert run("agreement", "--data", path) == 0
+    rng = np.random.default_rng(3)
+    instances = []
+    for i in range(12):
+        inst = make_rated_instance(i, rng)
+        rated_cands = []
+        for c in inst.candidates:
+            base = int(np.clip(round(c.mean_rating), 1, 3))
+            scores = tuple(
+                int(np.clip(base + rng.integers(-1, 2), 1, 3)) for _ in range(3)
+            )
+            rated_cands.append(Candidate(c.turn, c.provenance, ratings=scores))
+        instances.append(RatedInstance(context=inst.context, candidates=tuple(rated_cands)))
+    path = tmp_path / "workers.jsonl"
+    save_rated_testset(instances, path)
+    return path
+
+
+class TestAgreement:
+    def test_agreement_stats(self, workers_path, capsys):
+        assert run("agreement", "--data", workers_path) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["raters"] == 3
         assert -1.0 <= report["mean_quadratic_kappa"] <= 1.0
         assert len(report["leave_one_out"]["per_rater"]) == 3
+
+
+def assert_reports_written(capsys, argv, out, files):
+    """argv run twice with --out: each time the written report equals
+    stdout, and the second run rewrites every file byte for byte."""
+    written = []
+    for _ in range(2):
+        assert run(*argv, "--out", out) == 0
+        report_text = capsys.readouterr().out
+        assert sorted(p.name for p in out.iterdir()) == sorted(files)
+        assert (out / files[0]).read_text(encoding="utf-8") == report_text
+        written.append({name: (out / name).read_bytes() for name in files})
+    assert written[0] == written[1]
+
+
+def test_agreement_and_baseline_write_their_reports(tmp_path, capsys, workers_path):
+    assert_reports_written(capsys, ("agreement", "--data", workers_path), tmp_path / "agreement",
+                           ["agreement.json", "run_config.json"])
+    assert_reports_written(
+        capsys, ("baseline", "--candidates", "5", "--metric", "ndcg", "--trials", "500",
+                 "--ratings", "3,2,2,1,1"),
+        tmp_path / "baseline", ["baseline.json", "run_config.json"])
 
 
 class TestBaseline:

@@ -28,7 +28,6 @@ UNREFERENCED_API = {
     "cli.main",
     "corpus.save_corpus",
     "swapgen.save_rated_testset",
-    "linearize.stream_rows",
 }
 
 

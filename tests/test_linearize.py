@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,14 +7,17 @@ from hypothesis import strategies as st
 
 from dialcoh.corpus import NO_ENT, UNK, derive_vocabularies
 from dialcoh.errors import DataError
-from dialcoh.linearize import (
-    EncodingConfig,
-    encode_pairwise_inputs,
-    linearize,
-    stream_rows,
-)
+from dialcoh.linearize import CHANNELS, EncodingConfig, encode_pairwise_inputs, linearize
+from dialcoh.models import NeuralConfig
 
-from conftest import seg, synthetic_corpus, synthetic_dialogue, turn
+from conftest import (
+    linearize_reference,
+    seg,
+    stream_rows,
+    synthetic_corpus,
+    synthetic_dialogue,
+    turn,
+)
 
 # Module-level vocabularies for hypothesis tests (fixtures are not reset
 # between generated examples; these are read-only anyway).
@@ -29,7 +34,17 @@ def two_turn():
 
 
 def enc(vocabs, word=False, role=False, da=False, turn=False):
-    return EncodingConfig(word, role, da, turn, vocabs)
+    on = (word, role, da, turn)
+    return EncodingConfig(tuple(c for c, use in zip(CHANNELS, on) if use), vocabs)
+
+
+# Every channel subset NeuralConfig accepts: at least one of word/role/da.
+CHANNEL_SETS = [
+    chans
+    for n in range(1, len(CHANNELS) + 1)
+    for chans in combinations(CHANNELS, n)
+    if chans != ("turn",)
+]
 
 
 class TestModes:
@@ -87,9 +102,9 @@ class TestModes:
         with pytest.raises(DataError):
             linearize((), enc(vocabs, word=True))
 
-    def test_config_requires_content_channel(self, vocabs):
-        with pytest.raises(ValueError):
-            EncodingConfig(False, False, False, True, vocabs)
+    def test_config_requires_content_channel(self):
+        with pytest.raises(DataError, match="at least one of word/role/da"):
+            NeuralConfig(channels=("turn",))
 
 
 class TestPairwiseEncoding:
@@ -102,8 +117,8 @@ class TestPairwiseEncoding:
         cfg = enc(vocabs, word=True, role=True, turn=True)
         a = encode_pairwise_inputs(two_turn, turn("A", seg("sd", [("movie", "S")])), cfg)
         b = encode_pairwise_inputs(two_turn, turn("A", seg("sd", [("hands", "O")])), cfg)
-        np.testing.assert_array_equal(a.word_ids[:2], b.word_ids[:2])
-        assert a.word_ids[2] != b.word_ids[2]
+        np.testing.assert_array_equal(a.ids["word"][:2], b.ids["word"][:2])
+        assert a.ids["word"][2] != b.ids["word"][2]
 
     def test_true_next_turn_matches_full_dialogue(self, vocabs):
         d = synthetic_dialogue(3, 6)
@@ -111,7 +126,7 @@ class TestPairwiseEncoding:
         stream = encode_pairwise_inputs(d.turns[:4], d.turns[4], cfg)
         full = linearize(d.turns[:5], cfg)
         assert stream.length == full.length
-        np.testing.assert_array_equal(stream.word_ids, full.word_ids)
+        np.testing.assert_array_equal(stream.ids["word"], full.ids["word"])
 
     def test_empty_context_is_error(self, vocabs, two_turn):
         with pytest.raises(DataError):
@@ -137,33 +152,23 @@ def dialogues(draw):
     return tuple(ds)
 
 
-CONFIG_FLAGS = [
-    (True, False, False, False),
-    (True, True, False, True),
-    (False, False, True, True),
-    (True, False, True, True),
-    (True, True, True, True),
-]
-
-
 class TestInvariants:
-    @given(turns=dialogues(), flags=st.sampled_from(CONFIG_FLAGS))
+    @given(turns=dialogues(), channels=st.sampled_from(CHANNEL_SETS))
     @settings(max_examples=80, deadline=None)
-    def test_channel_alignment(self, turns, flags):
-        cfg = EncodingConfig(*flags, vocabularies=VOCABS)
+    def test_channel_alignment(self, turns, channels):
+        cfg = EncodingConfig(channels, VOCABS)
         stream = linearize(turns, cfg)
-        for name in cfg.channels:
-            assert len(stream.channel(name)) == stream.length
-        for name in set(("word", "role", "da", "turn")) - set(cfg.channels):
-            assert stream.channel(name) is None
+        assert set(stream.ids) == set(cfg.channels)
+        for ids in stream.ids.values():
+            assert ids.shape == (stream.length,)
 
-    @given(turns=dialogues(), flags=st.sampled_from(CONFIG_FLAGS))
+    @given(turns=dialogues(), channels=st.sampled_from(CHANNEL_SETS))
     @settings(max_examples=80, deadline=None)
-    def test_turn_channel_well_formed(self, turns, flags):
-        cfg = EncodingConfig(*flags, vocabularies=VOCABS)
-        if not cfg.use_turn:
+    def test_turn_channel_well_formed(self, turns, channels):
+        cfg = EncodingConfig(channels, VOCABS)
+        if "turn" not in cfg.channels:
             return
-        tags = [VOCABS.turn.token(int(i)) for i in linearize(turns, cfg).turn_ids]
+        tags = [VOCABS.turn.token(int(i)) for i in linearize(turns, cfg).ids["turn"]]
         assert tags[0].startswith("B-")
         for prev, cur in zip(tags, tags[1:]):
             if cur.startswith("I-"):
@@ -178,12 +183,77 @@ class TestInvariants:
         both_cfg = enc(VOCABS, word=True, da=True)
         assert linearize(turns, both_cfg).length >= n_segments
 
-    @given(turns=dialogues(), flags=st.sampled_from(CONFIG_FLAGS))
+    @given(turns=dialogues(), channels=st.sampled_from(CHANNEL_SETS))
     @settings(max_examples=40, deadline=None)
-    def test_determinism(self, turns, flags):
-        cfg = EncodingConfig(*flags, vocabularies=VOCABS)
+    def test_determinism(self, turns, channels):
+        cfg = EncodingConfig(channels, VOCABS)
         a = linearize(turns, cfg)
         b = linearize(turns, cfg)
         for name in cfg.channels:
-            np.testing.assert_array_equal(a.channel(name), b.channel(name))
+            np.testing.assert_array_equal(a.ids[name], b.ids[name])
+
+
+def outcome(encode, turns, cfg):
+    """The stream an encoder returns, or the type of the exception it raises."""
+    try:
+        return encode(turns, cfg)
+    except Exception as exc:  # the type is what is compared
+        return type(exc)
+
+
+def assert_same_outcome(turns, cfg):
+    got, want = outcome(linearize, turns, cfg), outcome(linearize_reference, turns, cfg)
+    if isinstance(want, type) or isinstance(got, type):
+        assert got is want
+        return
+    assert got.length == want.length
+    assert set(got.ids) == set(want.ids) == set(cfg.channels)
+    for ch in cfg.channels:
+        assert got.ids[ch].dtype == want.ids[ch].dtype == np.int64
+        assert got.ids[ch].tobytes() == want.ids[ch].tobytes(), ch
+
+
+@st.composite
+def rough_dialogues(draw):
+    """Turn sequences that are sometimes bad: no turns, turns without
+    segments, an unknown DA label, role or speaker."""
+    turns = []
+    for _ in range(draw(st.integers(0, 5))):
+        segs = []
+        for _ in range(draw(st.integers(0, 3))):
+            ents = [
+                (draw(st.sampled_from(["movie", "iowa", "unknowable"])),
+                 draw(st.sampled_from(["S", "O", "X"] * 6 + ["Q"])))
+                for _ in range(draw(st.integers(0, 3)))
+            ]
+            segs.append(seg(draw(st.sampled_from(["b", "qy", "sd"] * 6 + ["zzz"])), ents))
+        turns.append(turn(draw(st.sampled_from(["A", "B"] * 9 + ["C"])), *segs))
+    return tuple(turns)
+
+
+class TestMatchesReference:
+    """`linearize` equals the mode-by-mode reference on every channel subset:
+    the same length and id bytes, or the same exception type."""
+
+    @pytest.mark.parametrize("channels", CHANNEL_SETS, ids="+".join)
+    def test_every_context_prefix(self, channels):
+        cfg = EncodingConfig(channels, VOCABS)
+        for d in synthetic_corpus(4, 10, seed=7):
+            for n in range(len(d.turns) + 1):
+                assert_same_outcome(d.turns[:n], cfg)
+
+    @given(turns=rough_dialogues(), channels=st.sampled_from(CHANNEL_SETS))
+    @settings(max_examples=200, deadline=None)
+    def test_rough_dialogues(self, turns, channels):
+        assert_same_outcome(turns, EncodingConfig(channels, VOCABS))
+
+    @pytest.mark.parametrize("channels", CHANNEL_SETS, ids="+".join)
+    def test_bad_input_raises_the_same_type(self, channels):
+        cfg = EncodingConfig(channels, VOCABS)
+        bad = [()]
+        if "da" in channels:  # a DA label is only looked up when the stream carries it
+            bad.append((turn("A", seg("zzz", [("movie", "S")])),))
+        for turns in bad:
+            assert outcome(linearize, turns, cfg) is DataError
+            assert_same_outcome(turns, cfg)
 

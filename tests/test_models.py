@@ -119,7 +119,7 @@ class TestForwardScore:
         vector. Verified by comparing against a manual head computation."""
         cfg = small_config(channels=("word",))
         scorer = NeuralScorer.initialize(cfg, vocabs)
-        stream = TokenStream(length=1, word_ids=np.array([3]))
+        stream = TokenStream(1, {"word": np.array([3])})
         [score] = scorer.score_streams([stream])
 
         # Recompute: embeddings -> the reference scan over one position per
@@ -140,8 +140,8 @@ class TestForwardScore:
     def test_order_sensitivity(self, vocabs):
         cfg = small_config(channels=("word",), seed=4)
         scorer = NeuralScorer.initialize(cfg, vocabs)
-        a = TokenStream(length=4, word_ids=np.array([3, 4, 5, 6]))
-        b = TokenStream(length=4, word_ids=np.array([3, 5, 4, 6]))
+        a = TokenStream(4, {"word": np.array([3, 4, 5, 6])})
+        b = TokenStream(4, {"word": np.array([3, 5, 4, 6])})
         score_a, score_b = scorer.score_streams([a]), scorer.score_streams([b])
         assert score_a[0] != pytest.approx(score_b[0], abs=1e-9)
 
@@ -241,7 +241,7 @@ class TestForwardScore:
 
     def test_channel_mismatch_rejected(self, vocabs):
         scorer = NeuralScorer.initialize(small_config(), vocabs)
-        stream = TokenStream(length=1, word_ids=np.array([0]))  # no da/turn channels
+        stream = TokenStream(1, {"word": np.array([0])})  # no da/turn channels
         with pytest.raises(DataError):
             scorer.score_streams([stream])
 
@@ -324,9 +324,8 @@ class TestTrainNeural:
         scorer.params["head.w2"] *= 40.0
         rng = np.random.default_rng(2)
         streams = [
-            TokenStream(length=n, **{
-                f"{ch}_ids": rng.integers(0, len(scorer.params[f"emb_{ch}"]), n)
-                for ch in cfg.channels
+            TokenStream(n, {
+                ch: rng.integers(0, len(scorer.params[f"emb_{ch}"]), n) for ch in cfg.channels
             })
             for n in (3, 2, 4, 3)
         ]
