@@ -9,18 +9,25 @@ Every command that writes artifacts also writes its fully resolved
 configuration (run_config.json) next to them; all randomness derives from the
 --seed flag, so reruns reproduce outputs byte for byte. Exit codes: 0 ok,
 1 usage, 2 data error, 3 numeric error.
+
+`validate` and `vocab` need only `corpus`, so they start without numpy: at
+import this module loads nothing more. Every other command first binds
+numpy, `swapgen`, `analysis`, `metrics` and the `models` names into this
+module's globals (`_bind_heavy`). Those names stay attributes of
+`dialcoh.cli`, because callers wrap them there by name (the benchmark's
+tracer does): `getattr(dialcoh.cli, name)` binds them on first access
+(PEP 562), and binding keeps a name already set, so a command calls the
+wrapper that was put in place.
 """
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import sys
 from dataclasses import asdict
 from pathlib import Path
 
-import numpy as np
-
-from . import analysis, metrics, swapgen
 from .corpus import (
     derive_vocabularies,
     dialogue_from_dict,
@@ -34,22 +41,49 @@ from .corpus import (
     validate_dialogue,
 )
 from .errors import CorpusFormatError, DataError, DialcohError, NumericError
-from .models import (
-    LinearRanker,
-    LinearRankerConfig,
-    NeuralConfig,
-    build_pair_features,
-    evaluate_rated,
-    evaluate_selection,
-    load_checkpoint,
-    rank_candidates,
-    ranking_accuracy,
-    save_checkpoint,
-    summarize_runs,
-    train_linear_ranker,
-    train_neural,
-)
-from .models.evaluate import report_tsv
+
+LIGHT_COMMANDS = frozenset({"validate", "vocab"})
+
+# What the other commands use: name -> (module, attribute or None for the
+# module itself).
+_HEAVY = {
+    "np": ("numpy", None),
+    **{m: (f".{m}", None) for m in ("analysis", "metrics", "swapgen")},
+    "report_tsv": (".models.evaluate", "report_tsv"),
+    **{name: (".models", name) for name in (
+        "LinearRanker",
+        "LinearRankerConfig",
+        "NeuralConfig",
+        "build_pair_features",
+        "evaluate_rated",
+        "evaluate_selection",
+        "load_checkpoint",
+        "rank_candidates",
+        "ranking_accuracy",
+        "save_checkpoint",
+        "summarize_runs",
+        "train_linear_ranker",
+        "train_neural",
+    )},
+}
+
+
+def _bind_heavy() -> None:
+    """Import what `_HEAVY` names and bind it into this module's globals,
+    keeping any name already bound (a wrapper set on the module)."""
+    scope = globals()
+    for name, (module, attr) in _HEAVY.items():
+        obj = importlib.import_module(module, __package__)
+        scope.setdefault(name, obj if attr is None else getattr(obj, attr))
+
+
+def __getattr__(name: str):
+    """PEP 562 hook: a `_HEAVY` name read from outside binds them all."""
+    if name not in _HEAVY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _bind_heavy()
+    return globals()[name]
+
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -458,6 +492,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    if args.command not in LIGHT_COMMANDS:
+        _bind_heavy()
     try:
         return args.func(args)
     except NumericError as exc:

@@ -18,6 +18,7 @@ turns: B-<speaker> at a turn's first position and I-<speaker> after it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -41,12 +42,18 @@ class EncodingConfig:
             return "entities"
         return "entities_da" if {"word", "role"} & set(self.channels) else "da"
 
+    @cached_property
+    def _da_vocab(self) -> Vocab:
+        v = self.vocabularies
+        return v.iob_da() if self.mode == "entities_da" else v.da
+
     def vocab(self, channel: str) -> Vocab:
         """The vocabulary a channel indexes into (the da channel's is
-        IOB2-expanded when entities and DAs are combined)."""
-        v = self.vocabularies
+        IOB2-expanded when entities and DAs are combined, built once per
+        config)."""
         if channel == "da":
-            return v.iob_da() if self.mode == "entities_da" else v.da
+            return self._da_vocab
+        v = self.vocabularies
         return {"word": v.words, "role": v.roles, "turn": v.turn}[channel]
 
 

@@ -2,12 +2,17 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 import pytest
 
+import dialcoh
 from dialcoh.corpus import (
     Dialogue,
     NO_ENT,
@@ -99,6 +104,17 @@ def turn_fingerprint(turn: Turn) -> str:
         for seg in turn.segments
     ]
     return json.dumps(payload, ensure_ascii=False, separators=(",", ":"), sort_keys=True)
+
+
+def run_fresh_python(script: str, *args, cwd=None) -> subprocess.CompletedProcess:
+    """Run `script` with `args` in a new interpreter that imports dialcoh from
+    the same source tree, so no module an earlier test imported can hide an
+    import."""
+    return subprocess.run(
+        [sys.executable, "-c", script, *map(str, args)],
+        cwd=cwd, capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(Path(dialcoh.__file__).resolve().parents[1])},
+    )
 
 
 def instance_to_dict(inst: RankingInstance) -> dict:

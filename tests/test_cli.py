@@ -7,7 +7,7 @@ from dialcoh.cli import main
 from dialcoh.corpus import save_corpus
 from dialcoh.swapgen import save_rated_testset
 
-from conftest import synthetic_corpus
+from conftest import run_fresh_python, synthetic_corpus
 from test_analysis import make_rated_instance
 import numpy as np
 
@@ -60,6 +60,43 @@ class TestValidateAndVocab:
 
     def test_missing_file_is_data_error(self, tmp_path):
         assert run("validate", tmp_path / "nope.jsonl") == 2
+
+
+# Runs `cli.main` on argv, adds the heavy modules it loaded as a last line
+# of stderr, and exits with its code.
+LIGHT_RUN = """
+import sys
+from dialcoh.cli import main
+code = main(sys.argv[1:])
+print([m for m in ("numpy", "dialcoh.models", "dialcoh.swapgen") if m in sys.modules],
+      file=sys.stderr)
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize("argv, code, stdout, stderr", [
+    (["validate", "corpus.jsonl"], 0, "checked 6 dialogues: 0 violations\n", ""),
+    (["validate", "bad.jsonl"], 2,
+     "line 1 (d): turns[0].speaker: invalid speaker 'Z'\nchecked 1 dialogues: 1 violations\n",
+     ""),
+    (["validate", "empty.jsonl"], 2, "", "data error: empty corpus: empty.jsonl\n"),
+    (["vocab", "corpus.jsonl", "-o", "vocab.json"], 0,
+     "wrote vocab.json: |words|=11 |roles|=4 |da|=3 |turn|=4\n", ""),
+    (["vocab", "corpus.jsonl", "-o", "vocab.json", "--tagset", "tagset.txt"], 2, "",
+     "data error: tagset.txt: not UTF-8 text (invalid start byte at byte 3)\n"),
+], ids=["clean", "violation", "empty", "vocab", "non-utf8-tagset"])
+def test_light_commands_start_without_numpy(corpus_path, argv, code, stdout, stderr):
+    """`validate` and `vocab` in a fresh interpreter load neither numpy nor
+    the models or swap generation, and report as they always have."""
+    where = corpus_path.parent
+    (where / "bad.jsonl").write_text(
+        '{"id": "d", "turns": [{"speaker": "Z", "segments": [{"da": "sd"}]}]}\n',
+        encoding="utf-8",
+    )
+    (where / "empty.jsonl").write_bytes(b"")
+    (where / "tagset.txt").write_bytes(b"sd\n\xff\n")
+    proc = run_fresh_python(LIGHT_RUN, *argv, cwd=where)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, stdout, stderr + "[]\n")
 
 
 class TestGenDataset:

@@ -64,6 +64,14 @@ class TestModes:
         rows = stream_rows(linearize(turns, cfg), cfg)
         assert rows == [("iowa", "B-sd", "B-A"), ("hands", "I-sd", "I-A")]
 
+    def test_da_vocab_is_built_once_per_config(self, vocabs):
+        cfg = enc(vocabs, word=True, da=True)
+        iob = cfg.vocab("da")
+        assert iob.tokens == vocabs.iob_da().tokens
+        assert cfg.vocab("da") is iob
+        plain = enc(vocabs, da=True)
+        assert plain.vocab("da") is vocabs.da
+
     def test_entities_da_empty_segment_emits_no_ent(self, vocabs, two_turn):
         cfg = enc(vocabs, word=True, role=True, da=True)
         rows = stream_rows(linearize(two_turn, cfg), cfg)
