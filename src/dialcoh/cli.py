@@ -151,6 +151,7 @@ def _load_split(args) -> tuple[list, tuple[str, ...] | None]:
 def cmd_validate(args) -> int:
     problems_total = 0
     n = 0
+    seen_ids: set[str] = set()
     for line_no, obj in iter_corpus_records(args.corpus):
         n += 1
         try:
@@ -159,7 +160,7 @@ def cmd_validate(args) -> int:
             print(f"line {line_no}: {exc}")
             problems_total += 1
             continue
-        for problem in validate_dialogue(d):
+        for problem in validate_dialogue(d, seen_ids):
             print(f"line {line_no} ({d.id}): {problem}")
             problems_total += 1
     if n == 0:

@@ -23,7 +23,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence, TypeVar
+from typing import Callable, Collection, Iterable, Iterator, Sequence, TypeVar
 
 from .errors import CorpusFormatError, DataError
 
@@ -194,8 +194,12 @@ def turn_problems(turn: Turn, where: str) -> list[str]:
     return problems
 
 
-def validate_dialogue(d: Dialogue) -> list[str]:
-    """Check type invariants; returns a list of violations (empty when valid)."""
+def validate_dialogue(
+    d: Dialogue, seen_ids: set[str] | None = None, tagset: Collection[str] | None = None
+) -> list[str]:
+    """Every violation of one corpus record, empty when valid: the type
+    invariants; with seen_ids (the ids of the records before it, to which
+    d's id is added) a duplicate id; with a tagset each DA label outside it."""
     problems: list[str] = []
     if not d.id:
         problems.append("id: empty")
@@ -203,6 +207,15 @@ def validate_dialogue(d: Dialogue) -> list[str]:
         problems.append("turns: empty turn list")
     for ti, turn in enumerate(d.turns):
         problems.extend(turn_problems(turn, f"turns[{ti}]"))
+    if seen_ids is not None:
+        if d.id in seen_ids:
+            problems.append(f"duplicate dialogue id {d.id!r}")
+        seen_ids.add(d.id)
+    if tagset is not None:
+        for ti, turn in enumerate(d.turns):
+            for si, seg in enumerate(turn.segments):
+                if seg.da not in tagset:
+                    problems.append(f"turns[{ti}].segments[{si}].da: unknown DA tag {seg.da!r}")
     return problems
 
 
@@ -270,28 +283,19 @@ def load_tagset(path) -> tuple[str, ...]:
 def load_corpus(path, tagset: Sequence[str] | None = None) -> Corpus:
     """Load and validate a JSONL corpus.
 
-    Raises CorpusFormatError naming the offending line on any parse error,
-    invariant violation, duplicate dialogue id, or (when a tagset is given)
-    unknown DA label. An empty file is an error.
+    Raises CorpusFormatError naming the offending line on a parse error or
+    on the record's first `validate_dialogue` problem: an invariant
+    violation, duplicate dialogue id, or (when a tagset is given) unknown DA
+    label. An empty file is an error.
     """
     seen_ids: set[str] = set()
     allowed = set(tagset) if tagset is not None else None
 
     def parse(obj) -> Dialogue:
         d = dialogue_from_dict(obj)
-        problems = validate_dialogue(d)
+        problems = validate_dialogue(d, seen_ids, allowed)
         if problems:
             raise CorpusFormatError(problems[0])
-        if d.id in seen_ids:
-            raise CorpusFormatError(f"duplicate dialogue id {d.id!r}")
-        seen_ids.add(d.id)
-        if allowed is not None:
-            for ti, turn in enumerate(d.turns):
-                for si, seg in enumerate(turn.segments):
-                    if seg.da not in allowed:
-                        raise CorpusFormatError(
-                            f"turns[{ti}].segments[{si}].da: unknown DA tag {seg.da!r}"
-                        )
         return d
 
     return load_records(path, parse, "corpus")

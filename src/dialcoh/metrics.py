@@ -1,10 +1,13 @@
 """Ranking and agreement metrics with pessimistic tie handling.
 
 Whenever a model assigns two candidates the same score, the model is assumed
-to be wrong: relevant (or higher-rated) candidates are ordered after tied
-others, and tied pairs count as errors in pairwise accuracy. All per-instance
-metrics lie in [0, 1]; corpus-level values are arithmetic means over
-instances, taken by the caller.
+to be wrong: higher-gain candidates are ordered after tied others, and tied
+pairs count as errors in pairwise accuracy. The ranking metrics read gains in
+predicted order along the last axis, so one call scores one ranking (1-D) or
+a stack of equally long rankings (2-D, one value per row). A candidate is
+relevant when its gain reaches the ranking's top gain and that gain is
+positive. All per-ranking metrics lie in [0, 1]; corpus-level values are
+arithmetic means over instances, taken by the caller.
 """
 from __future__ import annotations
 
@@ -16,99 +19,73 @@ import numpy as np
 from .errors import DataError, NumericError
 
 
-def pessimistic_order(scores: Sequence[float], relevance: Sequence[float]) -> list[int]:
+def pessimistic_order(scores: Sequence[float], gains: Sequence[float]) -> list[int]:
     """Indices in predicted rank order: descending score, ties broken by
-    ascending relevance (higher-relevance candidates last), then by index."""
+    ascending gain (higher-gain candidates last), then by index."""
     scores = [float(s) for s in scores]
-    relevance = [float(r) for r in relevance]
-    if len(scores) != len(relevance):
-        raise DataError("scores and relevance must align")
-    return sorted(range(len(scores)), key=lambda i: (-scores[i], relevance[i], i))
-
-
-def ranked_relevance(scores: Sequence[float], relevance: Sequence[float]) -> np.ndarray:
-    """Relevance values rearranged into the pessimistic predicted order."""
-    order = pessimistic_order(scores, relevance)
-    return np.asarray([relevance[i] for i in order], dtype=np.float64)
-
-
-def pairwise_accuracy(pos_score: float, neg_scores: Sequence[float]) -> float:
-    """Fraction of adversarial candidates scored strictly below the original;
-    a tie counts as an error."""
-    neg_scores = list(neg_scores)
-    if not neg_scores:
-        raise DataError("pairwise accuracy needs at least one negative score")
-    wins = sum(1 for s in neg_scores if pos_score > s)
-    return wins / len(neg_scores)
+    gains = [float(g) for g in gains]
+    if len(scores) != len(gains):
+        raise DataError("scores and gains must align")
+    return sorted(range(len(scores)), key=lambda i: (-scores[i], gains[i], i))
 
 
 def graded_pairwise_accuracy(
-    scores: Sequence[float], ratings: Sequence[float]
+    scores: Sequence[float], gains: Sequence[float]
 ) -> tuple[float, int]:
-    """Accuracy over candidate pairs with non-identical ratings: a pair is
-    correct when the higher-rated candidate scores strictly higher. Returns
-    (accuracy, number of evaluated pairs); accuracy is 0.0 when no pair with
-    distinct ratings exists."""
+    """Accuracy over candidate pairs with distinct gains: a pair is correct
+    when the higher-gain candidate scores strictly higher, so a tie is an
+    error. Returns (accuracy, number of evaluated pairs); accuracy is 0.0
+    when no pair with distinct gains exists."""
     scores = [float(s) for s in scores]
-    ratings = [float(r) for r in ratings]
+    gains = [float(g) for g in gains]
     correct = 0
     total = 0
     for i in range(len(scores)):
         for j in range(i + 1, len(scores)):
-            if ratings[i] == ratings[j]:
+            if gains[i] == gains[j]:
                 continue
             total += 1
-            hi, lo = (i, j) if ratings[i] > ratings[j] else (j, i)
+            hi, lo = (i, j) if gains[i] > gains[j] else (j, i)
             if scores[hi] > scores[lo]:
                 correct += 1
     return (correct / total if total else 0.0), total
 
 
-def reciprocal_rank(relevance_in_order: Sequence[float]) -> float:
-    """1 / rank of the first relevant item; relevance is binary here."""
-    for i, rel in enumerate(relevance_in_order):
-        if rel > 0:
-            return 1.0 / (i + 1)
-    raise DataError("no relevant candidate in ranking")
+def _relevant(gains_in_order) -> np.ndarray:
+    """Mask of the relevant candidates: positive gain equal to the top gain."""
+    gains = np.asarray(gains_in_order, dtype=np.float64)
+    return (gains > 0) & (gains == gains.max(axis=-1, keepdims=True, initial=0.0))
 
 
-def recall_at_k(relevance_in_order: Sequence[float], k: int) -> float:
-    """1.0 iff a relevant candidate appears within the top k positions."""
-    n = len(relevance_in_order)
+def reciprocal_rank(gains_in_order) -> np.ndarray:
+    """1 / rank of the first relevant candidate."""
+    relevant = _relevant(gains_in_order)
+    if not relevant.any(axis=-1).all():
+        raise DataError("no relevant candidate in ranking")
+    return 1.0 / (np.argmax(relevant, axis=-1) + 1.0)
+
+
+def recall_at_k(gains_in_order, k: int) -> np.ndarray:
+    """1.0 where a relevant candidate appears within the top k positions."""
+    relevant = _relevant(gains_in_order)
+    n = relevant.shape[-1]
     if not 1 <= k <= n:
         raise DataError(f"k={k} outside [1, {n}]")
-    return 1.0 if any(r > 0 for r in relevance_in_order[:k]) else 0.0
+    return relevant[..., :k].any(axis=-1).astype(np.float64)
 
 
-def dcg(gains_in_order: Sequence[float]) -> float:
+def dcg(gains_in_order) -> np.ndarray:
     gains = np.asarray(gains_in_order, dtype=np.float64)
-    discounts = np.log2(np.arange(2, len(gains) + 2))
-    return float((gains / discounts).sum())
+    return (gains / np.log2(np.arange(2, gains.shape[-1] + 2))).sum(axis=-1)
 
 
-def ndcg(gains_in_order: Sequence[float]) -> float:
+def ndcg(gains_in_order) -> np.ndarray:
     """Normalized discounted cumulative gain with linear gains: DCG of the
     predicted order over DCG of the gain-sorted ideal order."""
     gains = np.asarray(gains_in_order, dtype=np.float64)
-    if gains.size == 0 or not (gains > 0).any():
+    if not (gains > 0).any(axis=-1).all():
         raise DataError("nDCG requires at least one positive gain")
-    ideal = np.sort(gains)[::-1]
-    return dcg(gains) / dcg(ideal)
-
-
-def ndcg_from_scores(scores: Sequence[float], gains: Sequence[float]) -> float:
-    """nDCG of a scored candidate list under the pessimistic tie rule."""
-    order = pessimistic_order(scores, gains)
-    return ndcg([gains[i] for i in order])
-
-
-def dynamic_relevance(ratings: Sequence[float]) -> np.ndarray:
-    """Binary labels marking every candidate that reaches the instance's
-    maximum mean rating."""
-    ratings = np.asarray(ratings, dtype=np.float64)
-    if ratings.size == 0:
-        raise DataError("empty rating list")
-    return (ratings == ratings.max()).astype(np.float64)
+    return dcg(gains) / dcg(np.sort(gains, axis=-1)[..., ::-1])
 
 
 def harmonic(n: int) -> float:
@@ -132,9 +109,10 @@ def random_baseline(
 ) -> dict:
     """Monte Carlo estimate of a metric under uniformly random orderings.
 
-    relevance defaults to a single relevant candidate (binary metrics) and is
-    the gain vector for ndcg. Returns the estimate, its standard error, and a
-    closed form when one is known (single-relevant MRR and R@k).
+    relevance defaults to a single relevant candidate. It is the gain vector
+    for ndcg; mrr and recall count each positive entry as relevant. Returns
+    the estimate, its standard error (None for a single trial), and a closed
+    form when one is known (single-relevant MRR and R@k).
     """
     if trials < 1:
         raise DataError("trials must be >= 1")
@@ -167,29 +145,21 @@ def random_baseline(
         perm = np.argsort(keys, axis=1)
         arranged = rel[perm]
         if metric == "mrr":
-            first = np.argmax(arranged > 0, axis=1)
-            if not (arranged > 0).any(axis=1).all():
-                raise DataError("mrr baseline needs at least one relevant candidate")
-            values = 1.0 / (first + 1.0)
+            values = reciprocal_rank(arranged > 0)
             if single_relevant:
                 closed_form = expected_random_mrr(n_candidates)
         elif metric == "recall":
-            if not 1 <= k <= n_candidates:
-                raise DataError(f"k={k} outside [1, {n_candidates}]")
-            values = (arranged[:, :k] > 0).any(axis=1).astype(np.float64)
+            values = recall_at_k(arranged > 0, k)
             if single_relevant:
                 closed_form = k / n_candidates
         elif metric == "ndcg":
-            if not (rel > 0).any():
-                raise DataError("ndcg baseline needs at least one positive gain")
-            discounts = np.log2(np.arange(2, n_candidates + 2))
-            ideal = dcg(np.sort(rel)[::-1])
-            values = (arranged / discounts).sum(axis=1) / ideal
+            values = ndcg(arranged)
         else:
             raise DataError(f"unknown metric {metric!r}")
 
     estimate = float(values.mean())
-    se = float(values.std(ddof=1) / np.sqrt(trials)) if trials > 1 else float("nan")
+    # One trial has no spread to estimate: null, since JSON has no NaN.
+    se = float(values.std(ddof=1) / np.sqrt(trials)) if trials > 1 else None
     out = {
         "metric": metric,
         "n_candidates": n_candidates,

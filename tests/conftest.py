@@ -551,3 +551,122 @@ def sequence_features(
                                    vocabularies.da)
         )
     return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+
+
+# -- evaluation oracle ------------------------------------------------------------
+
+
+def _ranked_relevance(scores, relevance) -> np.ndarray:
+    order = sorted(range(len(scores)), key=lambda i: (-float(scores[i]), float(relevance[i]), i))
+    return np.asarray([relevance[i] for i in order], dtype=np.float64)
+
+
+def _pairwise_accuracy(pos_score: float, neg_scores) -> float:
+    neg_scores = list(neg_scores)
+    if not neg_scores:
+        raise DataError("pairwise accuracy needs at least one negative score")
+    return sum(1 for s in neg_scores if pos_score > s) / len(neg_scores)
+
+
+def _reciprocal_rank(relevance_in_order) -> float:
+    for i, rel in enumerate(relevance_in_order):
+        if rel > 0:
+            return 1.0 / (i + 1)
+    raise DataError("no relevant candidate in ranking")
+
+
+def _recall_at_k(relevance_in_order, k: int) -> float:
+    return 1.0 if any(r > 0 for r in relevance_in_order[:k]) else 0.0
+
+
+def _dcg(gains: np.ndarray) -> float:
+    return float((gains / np.log2(np.arange(2, len(gains) + 2))).sum())
+
+
+def _ndcg_from_scores(scores, gains) -> float:
+    in_order = _ranked_relevance(scores, gains)
+    if not (in_order > 0).any():
+        raise DataError("nDCG requires at least one positive gain")
+    return _dcg(in_order) / _dcg(np.sort(in_order)[::-1])
+
+
+def _graded_pairwise_accuracy(scores, ratings) -> tuple[float, int]:
+    correct = total = 0
+    for i in range(len(scores)):
+        for j in range(i + 1, len(scores)):
+            if ratings[i] == ratings[j]:
+                continue
+            total += 1
+            hi, lo = (i, j) if ratings[i] > ratings[j] else (j, i)
+            correct += float(scores[hi]) > float(scores[lo])
+    return (correct / total if total else 0.0), total
+
+
+def evaluate_reference(model, instances) -> dict:
+    """Selection or rated evaluation as two separate loops, each instance
+    sorted once per relevance notion: the binary positive label for a
+    `RankingInstance` set, and for a `RatedInstance` set dynamic relevance
+    (reaching the best mean rating) for MRR and R@1, then again on the mean
+    ratings for nDCG. The oracle `evaluate_selection` and `evaluate_rated`
+    must equal with `==`."""
+    if not instances:
+        raise DataError("no instances to evaluate")
+    rated = isinstance(instances[0], RatedInstance)
+    if rated and any(c.mean_rating is None for inst in instances for c in inst.candidates):
+        raise DataError("rated evaluation requires a mean rating per candidate")
+    all_scores = model.score_candidates(
+        [(inst.context, [c.turn for c in inst.candidates]) for inst in instances]
+    )
+    acc, mrr, r1, r2, ndcgs = [], [], [], [], []
+    pairs = 0
+    for inst, scores in zip(instances, all_scores):
+        if rated:
+            ratings = [c.mean_rating for c in inst.candidates]
+            if not ratings:
+                raise DataError("empty rating list")
+            instance_acc, n_pairs = _graded_pairwise_accuracy(scores, ratings)
+            if n_pairs:
+                acc.append(instance_acc)
+                pairs += n_pairs
+            relevance = [float(r == max(ratings)) for r in ratings]
+            ndcgs.append(_ndcg_from_scores(scores, ratings))
+        else:
+            pos = inst.positive_position
+            negs = [s for i, s in enumerate(scores) if i != pos]
+            acc.append(_pairwise_accuracy(scores[pos], negs))
+            pairs += len(negs)
+            relevance = [1.0 if i == pos else 0.0 for i in range(len(scores))]
+        in_order = _ranked_relevance(scores, relevance)
+        mrr.append(_reciprocal_rank(in_order))
+        r1.append(_recall_at_k(in_order, 1))
+        r2.append(_recall_at_k(in_order, min(2, len(in_order))))
+    if rated:
+        return {
+            "accuracy": float(np.mean(acc)) if acc else 0.0,
+            "mrr": float(np.mean(mrr)),
+            "r_at_1": float(np.mean(r1)),
+            "ndcg": float(np.mean(ndcgs)),
+            "instances": len(instances),
+            "accuracy_pairs": pairs,
+        }
+    return {
+        "accuracy": float(np.mean(acc)),
+        "mrr": float(np.mean(mrr)),
+        "r_at_1": float(np.mean(r1)),
+        "r_at_2": float(np.mean(r2)),
+        "instances": len(instances),
+        "pairs": pairs,
+    }
+
+
+class FixedScorer:
+    """A `Scorer` that returns preset scores: the i-th pair of a call gets
+    scores[i]."""
+
+    def __init__(self, scores: Sequence[Sequence[float]]):
+        self.scores = [np.asarray(s, dtype=np.float64) for s in scores]
+
+    def score_candidates(self, pairs):
+        if len(pairs) != len(self.scores):
+            raise ValueError("one score list per pair")
+        return list(self.scores)

@@ -27,8 +27,8 @@ from dialcoh.corpus import (
 )
 from dialcoh.metrics import (
     expected_random_mrr,
+    graded_pairwise_accuracy,
     ndcg,
-    pairwise_accuracy,
     quadratic_weighted_kappa,
     random_baseline,
 )
@@ -273,10 +273,11 @@ def test_criterion_6_metric_oracles():
         y = list(rng.integers(1, 4, size=10_000))
         assert abs(quadratic_weighted_kappa(x, y)) <= 0.05
 
-        # pessimistic tie rules
-        assert pairwise_accuracy(0.8, [0.1, 0.9, 0.8]) == pytest.approx(1 / 3)
-        assert pairwise_accuracy(0.5, [0.5, 0.5]) == 0.0
-        assert pairwise_accuracy(1.0, [0.0]) == 1.0
+        # pessimistic tie rules: selection accuracy is graded accuracy on
+        # binary gains (1 for the positive)
+        assert graded_pairwise_accuracy([0.8, 0.1, 0.9, 0.8], [1, 0, 0, 0]) == (1 / 3, 3)
+        assert graded_pairwise_accuracy([0.5, 0.5, 0.5], [1, 0, 0]) == (0.0, 2)
+        assert graded_pairwise_accuracy([1.0, 0.0], [1, 0]) == (1.0, 1)
 
 
 def test_criterion_7_regression_oracle():

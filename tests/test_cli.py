@@ -80,20 +80,29 @@ sys.exit(code)
      "line 1 (d): turns[0].speaker: invalid speaker 'Z'\nchecked 1 dialogues: 1 violations\n",
      ""),
     (["validate", "empty.jsonl"], 2, "", "data error: empty corpus: empty.jsonl\n"),
+    (["validate", "twice.jsonl"], 2,
+     "line 2 (d1): duplicate dialogue id 'd1'\nchecked 2 dialogues: 1 violations\n", ""),
+    (["vocab", "twice.jsonl", "-o", "vocab.json"], 2, "",
+     "data error: line 2: duplicate dialogue id 'd1'\n"),
     (["vocab", "corpus.jsonl", "-o", "vocab.json"], 0,
      "wrote vocab.json: |words|=11 |roles|=4 |da|=3 |turn|=4\n", ""),
     (["vocab", "corpus.jsonl", "-o", "vocab.json", "--tagset", "tagset.txt"], 2, "",
      "data error: tagset.txt: not UTF-8 text (invalid start byte at byte 3)\n"),
-], ids=["clean", "violation", "empty", "vocab", "non-utf8-tagset"])
+], ids=["clean", "violation", "empty", "duplicate-id", "vocab-duplicate-id", "vocab",
+        "non-utf8-tagset"])
 def test_light_commands_start_without_numpy(corpus_path, argv, code, stdout, stderr):
     """`validate` and `vocab` in a fresh interpreter load neither numpy nor
-    the models or swap generation, and report as they always have."""
+    the models or swap generation, and report as listed."""
     where = corpus_path.parent
     (where / "bad.jsonl").write_text(
         '{"id": "d", "turns": [{"speaker": "Z", "segments": [{"da": "sd"}]}]}\n',
         encoding="utf-8",
     )
     (where / "empty.jsonl").write_bytes(b"")
+    (where / "twice.jsonl").write_text(
+        '{"id": "d1", "turns": [{"speaker": "A", "segments": [{"da": "sd"}]}]}\n' * 2,
+        encoding="utf-8",
+    )
     (where / "tagset.txt").write_bytes(b"sd\n\xff\n")
     proc = run_fresh_python(LIGHT_RUN, *argv, cwd=where)
     assert (proc.returncode, proc.stdout, proc.stderr) == (code, stdout, stderr + "[]\n")
@@ -256,6 +265,98 @@ class TestEvalRating:
             assert 0.0 <= report[key] <= 1.0
 
 
+# The report bytes of the tiny neural checkpoint and of a linear one, which
+# `evaluate_reference` gives too: how the metrics are computed must not move
+# a bit of them. The JSON has sorted keys, the TSV keeps report order. The
+# neural figures rest on the checkpoint's bits (see
+# `test_trained_bits_are_pinned`).
+PINNED_EVAL_REPORTS = {
+    ("neural", "eval-selection"): ("""{
+  "accuracy": 0.574074074074074,
+  "instances": 18,
+  "mrr": 0.6064814814814814,
+  "pairs": 54,
+  "r_at_1": 0.3888888888888889,
+  "r_at_2": 0.6111111111111112
+}
+""", """metric\tvalue
+accuracy\t0.574074074074074
+mrr\t0.6064814814814814
+r_at_1\t0.3888888888888889
+r_at_2\t0.6111111111111112
+instances\t18
+pairs\t54
+"""),
+    ("neural", "eval-rating"): ("""{
+  "accuracy": 0.4666666666666666,
+  "accuracy_pairs": 75,
+  "instances": 25,
+  "mrr": 0.62,
+  "ndcg": 0.9509115231610044,
+  "r_at_1": 0.36
+}
+""", """metric\tvalue
+accuracy\t0.4666666666666666
+mrr\t0.62
+r_at_1\t0.36
+ndcg\t0.9509115231610044
+instances\t25
+accuracy_pairs\t75
+"""),
+    ("linear", "eval-selection"): ("""{
+  "accuracy": 0.7037037037037037,
+  "instances": 18,
+  "mrr": 0.6712962962962963,
+  "pairs": 54,
+  "r_at_1": 0.4444444444444444,
+  "r_at_2": 0.7222222222222222
+}
+""", """metric\tvalue
+accuracy\t0.7037037037037037
+mrr\t0.6712962962962963
+r_at_1\t0.4444444444444444
+r_at_2\t0.7222222222222222
+instances\t18
+pairs\t54
+"""),
+    ("linear", "eval-rating"): ("""{
+  "accuracy": 0.4666666666666666,
+  "accuracy_pairs": 75,
+  "instances": 25,
+  "mrr": 0.6,
+  "ndcg": 0.9419274092121063,
+  "r_at_1": 0.32
+}
+""", """metric\tvalue
+accuracy\t0.4666666666666666
+mrr\t0.6
+r_at_1\t0.32
+ndcg\t0.9419274092121063
+instances\t25
+accuracy_pairs\t75
+"""),
+}
+
+
+def test_eval_reports_are_pinned(pipeline, rated_path, tmp_path, capsys):
+    linear = tmp_path / "linear"
+    assert run("train", "--model", "linear", "--train", pipeline["train"],
+               "--vocab", pipeline["vocab"], "--out", linear, "--features", "joint",
+               "--epochs", "5") == 0
+    written = {}
+    for model, checkpoint in (("neural", pipeline["checkpoint"]),
+                              ("linear", linear / "checkpoint.ckpt")):
+        for command, data, stem in (("eval-selection", pipeline["dev"], "selection_metrics"),
+                                    ("eval-rating", rated_path, "rating_metrics")):
+            out = tmp_path / f"{model}-{command}"
+            assert run(command, "--checkpoint", checkpoint, "--data", data, "--out", out) == 0
+            written[model, command] = tuple(
+                (out / f"{stem}.{ext}").read_text(encoding="utf-8") for ext in ("json", "tsv")
+            )
+    capsys.readouterr()
+    assert written == PINNED_EVAL_REPORTS
+
+
 class TestAnalyze:
     def test_report(self, rated_path, tmp_path, capsys):
         out = tmp_path / "analysis"
@@ -327,6 +428,47 @@ class TestBaseline:
         report = json.loads(capsys.readouterr().out)
         assert abs(report["estimate"] - 0.2929) <= 0.005
         assert report["closed_form"] == pytest.approx(0.29289682539682538)
+
+    # The report bytes, which the metric code must keep. A graded profile
+    # counts every positive entry as relevant for mrr and recall.
+    @pytest.mark.parametrize("argv, report", [
+        (["--metric", "mrr"],
+         {"closed_form": 0.37040816326530607, "estimate": 0.3674547619047619,
+          "standard_error": 0.008751381922078954}),
+        (["--metric", "mrr", "--ratings", "0,1,0,1,0,0,0"],
+         {"estimate": 0.5286499999999998, "standard_error": 0.009924613505371821}),
+        (["--metric", "mrr", "--ratings", "3,0,2,0,1,0,0"],
+         {"estimate": 0.6591833333333332, "standard_error": 0.009662952455132446}),
+        (["--metric", "recall", "--k", "2"],
+         {"closed_form": 0.2857142857142857, "estimate": 0.29, "k": 2,
+          "standard_error": 0.01435639599990562}),
+        (["--metric", "recall", "--k", "3", "--ratings", "0,1,1,0,0,0,0"],
+         {"estimate": 0.728, "k": 3, "standard_error": 0.01407885699246264}),
+        (["--metric", "ndcg", "--ratings", "3,2,2,1,1,1,1"],
+         {"estimate": 0.8453038008105387, "standard_error": 0.0020970901165441947}),
+        (["--metric", "accuracy"],
+         {"closed_form": 0.5, "estimate": 0.5045, "standard_error": 0.010687977907941687}),
+    ], ids=["mrr", "mrr-two-relevant", "mrr-graded", "recall", "recall-two-relevant", "ndcg",
+            "accuracy"])
+    def test_reports_are_pinned(self, capsys, argv, report):
+        assert run("baseline", "--candidates", "7", "--trials", "1000", "--seed", "2", *argv) == 0
+        expected = {"metric": argv[1], "n_candidates": 7, "seed": 2, "trials": 1000, **report}
+        assert capsys.readouterr().out == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+
+    def test_single_trial_has_null_standard_error(self, capsys):
+        """One trial has no spread: the report writes null, which JSON has,
+        where it wrote NaN, which JSON does not."""
+        assert run("baseline", "--candidates", "7", "--metric", "mrr", "--trials", "1",
+                   "--seed", "2") == 0
+
+        def reject(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        report = json.loads(capsys.readouterr().out, parse_constant=reject)
+        assert report == {
+            "closed_form": 0.37040816326530607, "estimate": 0.3333333333333333, "metric": "mrr",
+            "n_candidates": 7, "seed": 2, "standard_error": None, "trials": 1,
+        }
 
     def test_invalid_metric_usage_error(self):
         assert run("baseline", "--candidates", "10", "--metric", "nope") == 1

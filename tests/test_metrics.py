@@ -6,39 +6,64 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dialcoh.errors import DataError, NumericError
+from dialcoh.models import evaluate_rated, evaluate_selection
+from dialcoh.swapgen import Candidate, RankingInstance, RatedInstance
 from dialcoh.metrics import (
     dcg,
-    dynamic_relevance,
     expected_random_mrr,
     graded_pairwise_accuracy,
     harmonic,
     leave_one_out_correlation,
     ndcg,
-    ndcg_from_scores,
-    pairwise_accuracy,
     pearson,
     pessimistic_order,
     quadratic_weighted_kappa,
     random_baseline,
-    ranked_relevance,
     recall_at_k,
     reciprocal_rank,
 )
 
+from conftest import FixedScorer, evaluate_reference, seg, turn
+
+
+def ranked_gains(scores, gains) -> list[float]:
+    """gains rearranged into the pessimistic predicted order."""
+    return [gains[i] for i in pessimistic_order(scores, gains)]
+
+
+# Few distinct values, so that scores tie often, top ratings tie and some
+# instances have a single rating throughout.
+TIED_SCORES = st.sampled_from([-1.0, 0.0, 0.25, 0.5, 0.5, 1.0])
+RATINGS = st.sampled_from([1.0, 1.5, 2.0, 2.5, 3.0])
+
+
+def _candidates(n: int, ratings=None) -> tuple:
+    ratings = ratings or [None] * n
+    return tuple(
+        Candidate(turn("A", seg("sd", text=f"c{i}")), "original" if i == 0 else "external",
+                  mean_rating=r)
+        for i, r in enumerate(ratings)
+    )
+
 
 class TestPairwiseAccuracy:
+    """Selection accuracy: graded accuracy on binary gains counts exactly the
+    (positive, negative) pairs."""
+
     def test_tie_counts_as_error(self):
-        assert pairwise_accuracy(0.8, [0.1, 0.9, 0.8]) == pytest.approx(1 / 3)
+        assert graded_pairwise_accuracy([0.8, 0.1, 0.9, 0.8], [1, 0, 0, 0]) == (1 / 3, 3)
 
     def test_clear_win(self):
-        assert pairwise_accuracy(1.0, [0.0]) == 1.0
+        assert graded_pairwise_accuracy([1.0, 0.0], [1, 0]) == (1.0, 1)
 
     def test_all_ties_zero(self):
-        assert pairwise_accuracy(0.5, [0.5, 0.5, 0.5]) == 0.0
+        assert graded_pairwise_accuracy([0.5, 0.5, 0.5, 0.5], [0, 0, 1, 0]) == (0.0, 3)
 
     def test_needs_negatives(self):
+        assert graded_pairwise_accuracy([1.0], [1]) == (0.0, 0)
+        lone = RankingInstance("d", 0, (), _candidates(1), positive_position=0)
         with pytest.raises(DataError):
-            pairwise_accuracy(1.0, [])
+            evaluate_selection(FixedScorer([[1.0]]), [lone])
 
 
 class TestReciprocalRank:
@@ -56,9 +81,9 @@ class TestReciprocalRank:
     def test_pessimistic_tie_ordering(self):
         # positive tied at 0.5 with one negative, another negative at 0.9
         scores = [0.5, 0.5, 0.9]
-        relevance = [1.0, 0.0, 0.0]
-        assert list(ranked_relevance(scores, relevance)) == [0.0, 0.0, 1.0]
-        assert reciprocal_rank(ranked_relevance(scores, relevance)) == pytest.approx(1 / 3)
+        gains = [1.0, 0.0, 0.0]
+        assert ranked_gains(scores, gains) == [0.0, 0.0, 1.0]
+        assert reciprocal_rank(ranked_gains(scores, gains)) == pytest.approx(1 / 3)
 
     def test_expected_random_matches_closed_form(self):
         # Monte Carlo oracle for E[1/rank] with 1 relevant among 10.
@@ -74,7 +99,7 @@ class TestReciprocalRank:
 
 class TestRecallAtK:
     def test_rank_two(self):
-        rel = ranked_relevance([0.4, 0.6], [1.0, 0.0])
+        rel = ranked_gains([0.4, 0.6], [1.0, 0.0])
         assert recall_at_k(rel, 1) == 0.0
         assert recall_at_k(rel, 2) == 1.0
 
@@ -109,7 +134,7 @@ class TestNdcg:
 
     def test_scores_with_tie_rule(self):
         # equal scores: higher gain goes later, so nDCG drops below 1
-        value = ndcg_from_scores([0.5, 0.5], [1.0, 3.0])
+        value = ndcg(ranked_gains([0.5, 0.5], [1.0, 3.0]))
         assert value == pytest.approx((1 + 3 / math.log2(3)) / (3 + 1 / math.log2(3)))
 
     @given(
@@ -124,12 +149,37 @@ class TestNdcg:
         assert ndcg(shuffled) <= 1.0 + 1e-12
 
 
+class TestLastAxis:
+    @given(
+        rows=st.integers(1, 6),
+        n=st.integers(1, 12),
+        seed=st.integers(0, 10_000),
+        k=st.integers(1, 12),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_rows_equal_one_dimensional_calls_bit_for_bit(self, rows, n, seed, k):
+        rng = np.random.default_rng(seed)
+        # Few distinct gains, so top gains tie; every row has a positive one.
+        gains = rng.choice([0.0, 1.0, 1.5, 2.0, 3.0], size=(rows, n))
+        gains[:, rng.integers(0, n)] = 3.0
+        k = min(k, n)
+        for metric in (reciprocal_rank, lambda g: recall_at_k(g, k), ndcg):
+            stacked = metric(gains)
+            assert stacked.shape == (rows,)
+            assert [v.tobytes() for v in stacked] == [metric(row).tobytes() for row in gains]
+
+
 class TestDynamicRelevance:
+    """On rated rankings the relevant candidates are those reaching the top
+    gain (the best mean rating)."""
+
     def test_ties_at_max_all_relevant(self):
-        assert list(dynamic_relevance([2.6, 2.6, 1.0])) == [1.0, 1.0, 0.0]
+        assert reciprocal_rank([1.0, 2.6, 2.6]) == 0.5
+        assert recall_at_k([2.6, 1.0, 2.6], 1) == 1.0
 
     def test_strictly_decreasing_single_relevant(self):
-        assert list(dynamic_relevance([3.0, 2.0, 1.0])) == [1.0, 0.0, 0.0]
+        assert reciprocal_rank([2.0, 1.0, 3.0]) == pytest.approx(1 / 3)
+        assert recall_at_k([2.0, 1.0, 3.0], 2) == 0.0
 
     def test_graded_accuracy_excludes_identical_rating_pairs(self):
         # ratings [2, 2, 1]: only pairs (0,2) and (1,2) are counted.
@@ -291,9 +341,9 @@ class TestRankInvariance:
         scores = rng.normal(size=n)
         relevance = np.zeros(n)
         relevance[rng.integers(0, n)] = 1.0
-        base = ranked_relevance(scores, relevance)
-        transformed = ranked_relevance(np.tanh(scores) * 5 + 2, relevance)
-        np.testing.assert_array_equal(base, transformed)
+        base = ranked_gains(scores, relevance)
+        transformed = ranked_gains(np.tanh(scores) * 5 + 2, relevance)
+        assert base == transformed
         assert reciprocal_rank(base) == reciprocal_rank(transformed)
 
     def test_pessimistic_order_is_deterministic(self):
@@ -307,3 +357,56 @@ def test_pearson_basic():
     assert pearson([1, 2, 3], [3, 2, 1]) == pytest.approx(-1.0)
     with pytest.raises(NumericError):
         pearson([1, 1, 1], [1, 2, 3])
+
+
+@st.composite
+def scored_selection_sets(draw):
+    instances, scores = [], []
+    for j in range(draw(st.integers(1, 5))):
+        n = draw(st.integers(2, 10))
+        scores.append(draw(st.lists(TIED_SCORES, min_size=n, max_size=n)))
+        instances.append(RankingInstance(
+            dialogue_id=f"d{j}", point_index=0, context=(), candidates=_candidates(n),
+            positive_position=draw(st.integers(0, n - 1)),
+        ))
+    return instances, scores
+
+
+@st.composite
+def scored_rated_sets(draw):
+    instances, scores = [], []
+    for _ in range(draw(st.integers(1, 5))):
+        n = draw(st.integers(1, 10))
+        scores.append(draw(st.lists(TIED_SCORES, min_size=n, max_size=n)))
+        if draw(st.booleans()):
+            ratings = [draw(RATINGS)] * n
+        else:
+            ratings = draw(st.lists(RATINGS, min_size=n, max_size=n))
+        instances.append(RatedInstance(context=(), candidates=_candidates(n, ratings)))
+    return instances, scores
+
+
+class TestEvaluationMatchesReference:
+    """Selection is rated evaluation with binary gains: both evaluators must
+    report what the two separate loops of `evaluate_reference` report, key
+    order included, under heavy score ties."""
+
+    @given(scored_selection_sets())
+    @settings(max_examples=300, deadline=None)
+    def test_selection(self, case):
+        instances, scores = case
+        report = evaluate_selection(FixedScorer(scores), instances)
+        expected = evaluate_reference(FixedScorer(scores), instances)
+        assert list(report.items()) == list(expected.items())
+
+    @given(scored_rated_sets())
+    @settings(max_examples=300, deadline=None)
+    def test_rated(self, case):
+        instances, scores = case
+        report = evaluate_rated(FixedScorer(scores), instances)
+        expected = evaluate_reference(FixedScorer(scores), instances)
+        assert list(report.items()) == list(expected.items())
+
+    def test_a_rated_instance_without_candidates_is_a_data_error(self):
+        with pytest.raises(DataError):
+            evaluate_rated(FixedScorer([[]]), [RatedInstance(context=(), candidates=())])
