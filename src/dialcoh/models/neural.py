@@ -148,6 +148,9 @@ def param_views(
     return views
 
 
+_INIT_BLOCK = 1 << 16  # elements drawn at a time: a 512 KiB float64 block
+
+
 def init_params(
     config: NeuralConfig, vocabularies: Vocabularies, dtype=np.float32
 ) -> np.ndarray:
@@ -155,7 +158,9 @@ def init_params(
     uniform in [-0.1, 0.1], GRU weights uniform in [-1/sqrt(hidden),
     1/sqrt(hidden)], head weights uniform in [-1/sqrt(fan_in),
     1/sqrt(fan_in)], zero biases. Draws follow param_layout's order, for
-    reproducibility, each straight into its view of the buffer."""
+    reproducibility, each straight into its view of the buffer in blocks of
+    rows. The generator's stream is sequential, so the values are those of
+    one draw per array, without its float64 temporary."""
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0]))
     layout = param_layout(config, vocabularies)
     flat = np.zeros(layout_size(layout), dtype=dtype)
@@ -168,7 +173,11 @@ def init_params(
             bound = 1.0 / math.sqrt(config.gru_hidden)
         else:
             bound = 1.0 / math.sqrt(shape[1])
-        flat[at : at + math.prod(shape)].reshape(shape)[...] = rng.uniform(-bound, bound, shape)
+        view = flat[at : at + math.prod(shape)].reshape(shape)
+        rows = max(1, _INIT_BLOCK // shape[1])
+        for lo in range(0, shape[0], rows):
+            block = view[lo : lo + rows]
+            block[...] = rng.uniform(-bound, bound, block.shape)
     return flat
 
 
@@ -451,10 +460,12 @@ def train_neural(
     shuffle_rng = np.random.default_rng(np.random.SeedSequence([config.seed, 1]))
     state = AdamState(np.zeros_like(scorer.flat), np.zeros_like(scorer.flat))
     history = TrainHistory()
-    best = scorer.flat.copy()
+    best = None  # the best epoch's weights, copied only before an epoch trains over them
     since_best = 0
 
     for epoch in range(1, config.max_epochs + 1):
+        if epoch > 1 and history.best_epoch == epoch - 1:
+            best = scorer.flat.copy()
         order = shuffle_rng.permutation(len(pairs))
         loss_sum = 0.0
         for start in range(0, len(order), config.batch_size):
@@ -473,7 +484,6 @@ def train_neural(
         if dev_mrr > history.best_dev_mrr or epoch == 1:
             history.best_dev_mrr = dev_mrr
             history.best_epoch = epoch
-            best = scorer.flat.copy()
             since_best = 0
         else:
             since_best += 1
@@ -481,7 +491,8 @@ def train_neural(
         if since_best >= config.patience:
             break
 
-    scorer.flat[...] = best
+    if history.best_epoch != history.epochs_run:
+        scorer.flat[...] = best
     scorer.manifest = {
         "seed": config.seed,
         "epochs_run": history.epochs_run,

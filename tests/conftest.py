@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -30,7 +31,15 @@ from dialcoh.errors import DataError, NumericError
 from dialcoh.grid import ABSENT, ROLE_SYMBOLS, EntityGrid, TransitionConfig
 from dialcoh.linearize import EncodingConfig, TokenStream
 from dialcoh.models.linear import LinearRankerConfig
-from dialcoh.models.neural import embed_channels, mean_pool, pairwise_hinge, score_head
+from dialcoh.models.neural import (
+    NeuralConfig,
+    embed_channels,
+    layout_size,
+    mean_pool,
+    pairwise_hinge,
+    param_layout,
+    score_head,
+)
 from dialcoh.swapgen import RankingInstance, RatedInstance
 
 DA_TAGS = ("b", "qy", "sd")
@@ -419,6 +428,27 @@ def adam_reference(
         v *= beta2
         v += (1.0 - beta2) * (g * g)
         p -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
+
+
+def init_params_reference(
+    config: NeuralConfig, vocabularies: Vocabularies, dtype=np.float32
+) -> np.ndarray:
+    """`init_params` as one float64 draw per 2-D array, in param_layout's
+    order: the oracle its row-blocked draws must equal bit for bit."""
+    rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0]))
+    layout = param_layout(config, vocabularies)
+    flat = np.zeros(layout_size(layout), dtype=dtype)
+    for name, (at, shape) in layout.items():
+        if len(shape) == 1:
+            continue
+        if name.startswith("emb_"):
+            bound = 0.1
+        elif name.startswith("gru"):
+            bound = 1.0 / math.sqrt(config.gru_hidden)
+        else:
+            bound = 1.0 / math.sqrt(shape[1])
+        flat[at : at + math.prod(shape)].reshape(shape)[...] = rng.uniform(-bound, bound, shape)
+    return flat
 
 
 def _linear_loss(out: np.ndarray, weights: np.ndarray) -> float:

@@ -144,6 +144,27 @@ class TestFitOls:
         assert fit.r_squared == pytest.approx(ref.rsquared)
         assert fit.adj_r_squared == pytest.approx(ref.rsquared_adj)
 
+    @pytest.mark.parametrize("seed, n, p", [(0, 30, 1), (1, 45, 3), (2, 80, 6)])
+    def test_matches_closed_form_inference(self, seed, n, p):
+        """Coefficients from lstsq, standard errors from the unbiased residual
+        variance times the diagonal of (X'X)^-1, and two-sided p-values from
+        scipy's t distribution."""
+        stats = pytest.importorskip("scipy.stats")
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(n, p)) * rng.uniform(0.5, 3.0, size=p)
+        y = rng.normal() + X @ rng.normal(size=p) + rng.normal(scale=2.0, size=n)
+        design = np.hstack([np.ones((n, 1)), X])
+        beta, ssr, rank, _ = np.linalg.lstsq(design, y, rcond=None)
+        assert rank == p + 1
+        df = n - p - 1
+        se = np.sqrt(ssr[0] / df * np.diag(np.linalg.inv(design.T @ design)))
+        p_values = 2 * stats.t.sf(np.abs(beta / se), df)
+        fit = fit_ols(X, y)
+        np.testing.assert_allclose(fit.coefficients, beta, rtol=1e-9, atol=1e-12)
+        np.testing.assert_allclose(fit.standard_errors, se, rtol=1e-9)
+        np.testing.assert_allclose(fit.t_statistics, beta / se, rtol=1e-8, atol=1e-12)
+        np.testing.assert_allclose(fit.p_values, p_values, rtol=1e-7, atol=1e-12)
+
     def test_adding_predictor_never_decreases_r2(self):
         rng = np.random.default_rng(4)
         X = rng.normal(size=(50, 3))

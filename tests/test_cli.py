@@ -180,13 +180,20 @@ class TestTrainEvalPipeline:
         """The trained weights and history, byte for byte. Float32 training
         amplifies any last-bit change in a forward or backward product (Adam's
         first step divides by the gradient's own magnitude), so an engine
-        change meant to be exact must leave both digests as they are. The
-        digests were recorded with OpenBLAS 0.3.31 on its SkylakeX kernel
+        change meant to be exact must leave the payload and history digests
+        as they are. The whole file's digest also pins the header, which a
+        format change moves while the weights stay. The digests were
+        recorded with OpenBLAS 0.3.31 on its SkylakeX kernel
         (`OPENBLAS_VERBOSE=2` prints `Core: SkylakeX`); they fail under
         `OPENBLAS_CORETYPE=Haswell`, and another BLAS or kernel may round
         differently and need its own (see ROADMAP item 2)."""
+        blob = pipeline["checkpoint"].read_bytes()
+        payload = blob[16 + int.from_bytes(blob[8:16], "little") :]
+        assert hashlib.sha256(payload).hexdigest() == (
+            "553e8d81f36b3f8e2fc3804182e1daf88078d255c4b80b4c91706c071544422d"
+        )
         assert sha(pipeline["checkpoint"]) == (
-            "aee0b17142911f97e9578e26518e2e30df012f3e748640fee8f1db0643e5c01f"
+            "1a312ec5c611ba9680124e608a9ecb8231c64f9e9b2f7945c7126a450afddc9c"
         )
         assert sha(pipeline["model_dir"] / "checkpoint_history.json") == (
             "da7b0242198b885a0945003cddd578de1eb0e9527a52898c1e16a07b98dfea21"

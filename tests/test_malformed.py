@@ -2,6 +2,7 @@
 checkpoint arrays and word-vector files reach the user through `cli.main` as
 data errors (exit 2), and malformed list flags as usage errors (exit 1),
 never as tracebacks."""
+import hashlib
 import json
 
 import numpy as np
@@ -9,11 +10,11 @@ import pytest
 
 from dialcoh.cli import main
 from dialcoh.corpus import derive_vocabularies, save_corpus, save_vocabularies
-from dialcoh.models import LinearRanker, LinearRankerConfig, save_checkpoint
+from dialcoh.models import LinearRanker, LinearRankerConfig, load_checkpoint, save_checkpoint
 from dialcoh.models.checkpoint import MAGIC
 from dialcoh.models.linear import feature_dim
 from dialcoh.models.neural import NeuralConfig, NeuralScorer
-from dialcoh.swapgen import build_selection_dataset
+from dialcoh.swapgen import build_selection_dataset, parse_record
 
 from conftest import instance_to_dict, synthetic_corpus
 
@@ -243,6 +244,14 @@ HEADER_CASES = {
     "config_k_below_2": (lambda h: {**h, "config": {**h["config"], "k": 1}}, "k must be"),
     "vocabulary_not_a_list": (
         lambda h: {**h, "vocabularies": {**h["vocabularies"], "words": 3}}, "words"),
+    "no_chunk_bytes": (_without("chunk_bytes"), "chunk_bytes"),
+    "chunk_bytes_zero": (lambda h: {**h, "chunk_bytes": 0}, "chunk_bytes"),
+    "chunk_bytes_negative": (lambda h: {**h, "chunk_bytes": -64}, "chunk_bytes"),
+    "chunk_bytes_bool": (lambda h: {**h, "chunk_bytes": True}, "chunk_bytes"),
+    "chunk_bytes_float": (lambda h: {**h, "chunk_bytes": 4194304.0}, "chunk_bytes"),
+    "payload_sha256_not_a_list": (
+        lambda h: {**h, "payload_sha256": h["payload_sha256"][0]}, "payload_sha256"),
+    "payload_sha256_holds_a_number": (lambda h: {**h, "payload_sha256": [7]}, "payload_sha256"),
 }
 
 
@@ -303,6 +312,34 @@ def test_neural_arrays_must_match_the_config(setup, tmp_path, capsys, name):
     _mutated_checkpoint(root / "neural.ckpt", tmp_path / "bad.ckpt",
                         lambda h: {**h, "arrays": mutate(h["arrays"])})
     assert message in _rate_exits_with_data_error(tmp_path / "bad.ckpt", record, tmp_path, capsys)
+
+
+def test_corrupt_payload_that_would_score_non_finite_fails_the_checksum(setup, tmp_path,
+                                                                       capsys):
+    """A NaN written over the neural checkpoint's output bias makes every
+    score NaN; `rate` reports the checksum mismatch (exit 2), not a numeric
+    failure, and prints no ranking."""
+    root, record = setup
+    blob = (root / "neural.ckpt").read_bytes()
+    n = int.from_bytes(blob[8:16], "little")
+    header = json.loads(blob[16 : 16 + n])
+    (b2,) = [a for a in header["arrays"] if a["name"] == "head.b2"]
+    at = 16 + n + b2["offset"]
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(blob[:at] + np.float32(np.nan).tobytes() + blob[at + 4 :])
+    request = tmp_path / "request.json"
+    request.write_text(json.dumps(record), encoding="utf-8")
+    assert run("rate", "--checkpoint", bad, "--input", request) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "data error: checkpoint payload checksum mismatch (truncated or corrupt file)\n"
+    payload = bad.read_bytes()[16 + n :]
+    _mutated_checkpoint(bad, bad, lambda h: {**h, "payload_sha256": [
+        hashlib.sha256(payload[lo : lo + h["chunk_bytes"]]).hexdigest()
+        for lo in range(0, len(payload), h["chunk_bytes"])]})
+    context, candidates = parse_record(record)
+    scores = load_checkpoint(bad).score_candidates([(context, [c.turn for c in candidates])])
+    assert not np.isfinite(scores[0]).any()  # what a matching digest would let through
 
 
 def test_non_finite_word_vector_is_a_data_error(setup, tmp_path, capsys):

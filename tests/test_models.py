@@ -1,6 +1,8 @@
 import dataclasses
 import hashlib
 import json
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -23,12 +25,19 @@ from dialcoh.models import (
     train_linear_ranker,
     train_neural,
 )
-from dialcoh.models import neural
+from dialcoh.models import checkpoint, neural
 from dialcoh.models.linear import feature_dim
 from dialcoh.models.neural import _batch_step, forward_scores, init_params
 from dialcoh.swapgen import Candidate, RankingInstance, build_selection_dataset
 
-from conftest import grad_check, gru_reference, seg, synthetic_corpus, turn
+from conftest import (
+    grad_check,
+    gru_reference,
+    init_params_reference,
+    seg,
+    synthetic_corpus,
+    turn,
+)
 
 
 def small_config(**overrides) -> NeuralConfig:
@@ -304,6 +313,27 @@ class TestTrainNeural:
         scorer, history = train_neural(dataset[:8], dataset[8:14], small_config(), vocabs)
         assert history.best_dev_mrr == evaluate_selection(scorer, dataset[8:14])["mrr"]
 
+    @pytest.mark.parametrize("dev_mrrs", [(0.5, 0.3, 0.4), (0.3, 0.5, 0.4), (0.3, 0.4, 0.5)])
+    def test_the_best_epochs_weights_are_saved(self, tmp_path, vocabs, dataset, monkeypatch,
+                                               dev_mrrs):
+        """Whichever epoch reads the best dev MRR, its weights are the model
+        returned and saved, also when a later, worse epoch trained over them."""
+        seen = []
+
+        def scripted(scorer, dev):
+            seen.append(scorer.flat.copy())
+            return {"mrr": dev_mrrs[len(seen) - 1]}
+
+        monkeypatch.setattr(neural, "evaluate_selection", scripted)
+        scorer, history = train_neural(dataset[:8], dataset[8:12],
+                                       small_config(max_epochs=3), vocabs)
+        best = dev_mrrs.index(max(dev_mrrs))
+        assert history.best_epoch == best + 1 and history.epochs_run == 3
+        assert not any(np.array_equal(seen[best], other)
+                       for i, other in enumerate(seen) if i != best)
+        save_checkpoint(scorer, tmp_path / "model.ckpt")
+        np.testing.assert_array_equal(load_checkpoint(tmp_path / "model.ckpt").flat, seen[best])
+
     def test_empty_dev_rejected(self, vocabs, dataset):
         with pytest.raises(DataError):
             train_neural(dataset, [], small_config(), vocabs)
@@ -348,6 +378,18 @@ class TestTrainNeural:
         assert (abs(excess) > 1e-2).all() and (excess > 0).any()  # off the kink, not all zero
         report = grad_check(loss, arrays, captured, h=1e-5, tol=1e-4)
         assert report.passed, (report.max_rel_error, report.worst)
+
+
+class TestInitParams:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("size", ["small", "paper"])
+    def test_row_blocked_draws_equal_one_draw_per_array(self, vocabs, size, dtype):
+        cfg = (small_config(seed=3) if size == "small"
+               else NeuralConfig(channels=("word", "role", "da", "turn"), seed=3))
+        blocked = init_params(cfg, vocabs, dtype=dtype)
+        reference = init_params_reference(cfg, vocabs, dtype=dtype)
+        assert blocked.dtype == reference.dtype == dtype
+        assert blocked.tobytes() == reference.tobytes()
 
 
 class TestLinearRanker:
@@ -471,6 +513,17 @@ class TestRankCandidates:
         assert [rc.index for rc in base] == [rc.index for rc in transformed]
 
 
+def _split(blob: bytes) -> tuple[dict, bytes]:
+    """A checkpoint file's header and payload."""
+    n = int.from_bytes(blob[8:16], "little")
+    return json.loads(blob[16 : 16 + n]), blob[16 + n :]
+
+
+def _join(header: dict, payload: bytes) -> bytes:
+    text = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    return checkpoint.MAGIC + len(text).to_bytes(8, "little") + text + payload
+
+
 class TestCheckpoint:
     def test_round_trip_scores_bitwise(self, tmp_path, vocabs, dataset):
         scorer, _ = train_neural(dataset[:6], dataset[6:9], small_config(max_epochs=2), vocabs)
@@ -515,6 +568,110 @@ class TestCheckpoint:
         path.write_bytes(bytes(blob))
         with pytest.raises(ChecksumError):
             load_checkpoint(path)
+
+    @pytest.fixture
+    def chunked(self, tmp_path, vocabs, monkeypatch):
+        """A small neural model saved with 64-byte chunks, and its file."""
+        monkeypatch.setattr(checkpoint, "CHUNK_BYTES", 64)
+        scorer = NeuralScorer.initialize(small_config(), vocabs)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(scorer, path)
+        return scorer, path
+
+    def test_header_holds_the_sha256_of_each_chunk(self, chunked):
+        scorer, path = chunked
+        header, payload = _split(path.read_bytes())
+        assert header["format_version"] == 2 and header["chunk_bytes"] == 64
+        assert payload == scorer.flat.astype("<f4").tobytes()
+        assert len(header["payload_sha256"]) == -(-len(payload) // 64) > 2
+        assert header["payload_sha256"] == [
+            hashlib.sha256(payload[lo : lo + 64]).hexdigest() for lo in range(0, len(payload), 64)
+        ]
+
+    def test_multi_chunk_round_trip_is_bit_exact(self, chunked):
+        scorer, path = chunked
+        assert load_checkpoint(path).flat.tobytes() == scorer.flat.tobytes()
+
+    @pytest.mark.parametrize("where", ["first", "middle", "last"])
+    def test_corrupted_chunk_fails_checksum(self, chunked, where):
+        _, path = chunked
+        header, payload = _split(path.read_bytes())
+        corrupt = bytearray(payload)
+        corrupt[{"first": 0, "middle": len(payload) // 2, "last": -1}[where]] ^= 0x01
+        path.write_bytes(_join(header, bytes(corrupt)))
+        with pytest.raises(ChecksumError, match="checksum mismatch"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("change", ["drop_last_byte", "extra_byte", "drop_last_chunk",
+                                        "digest_dropped", "digest_added"])
+    def test_truncated_extended_or_miscounted_fails_checksum(self, chunked, change):
+        _, path = chunked
+        header, payload = _split(path.read_bytes())
+        digests = header["payload_sha256"]
+        if change == "drop_last_byte":
+            payload = payload[:-1]
+        elif change == "extra_byte":
+            payload += b"\0"
+        elif change == "drop_last_chunk":
+            payload = payload[: 64 * (len(digests) - 1)]
+        elif change == "digest_dropped":
+            header["payload_sha256"] = digests[:-1]
+        else:
+            header["payload_sha256"] = digests + [digests[0]]
+        path.write_bytes(_join(header, payload))
+        with pytest.raises(ChecksumError, match="checksum mismatch"):
+            load_checkpoint(path)
+
+    def test_a_miscounted_digest_list_fails_before_hashing(self, chunked, monkeypatch):
+        """A chunk size that does not fit the digest count fails at once, so
+        a tiny `chunk_bytes` cannot make the loader hash byte by byte."""
+        _, path = chunked
+        header, payload = _split(path.read_bytes())
+        path.write_bytes(_join({**header, "chunk_bytes": 1}, payload))
+        hashed = []
+        monkeypatch.setattr(checkpoint, "_hexdigest", hashed.append)
+        with pytest.raises(ChecksumError, match="checksum mismatch"):
+            load_checkpoint(path)
+        assert hashed == []
+
+    def test_version_1_loads_bit_exactly_and_is_verified(self, tmp_path, vocabs):
+        scorer = NeuralScorer.initialize(small_config(), vocabs)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(scorer, path)
+        header, payload = _split(path.read_bytes())
+        del header["chunk_bytes"]
+        header.update(format_version=1, payload_sha256=hashlib.sha256(payload).hexdigest())
+        path.write_bytes(_join(header, payload))
+        loaded = load_checkpoint(path)
+        assert loaded.flat.tobytes() == scorer.flat.tobytes()
+        assert loaded.config == scorer.config
+        corrupt = bytearray(payload)
+        corrupt[len(corrupt) // 2] ^= 0x01
+        path.write_bytes(_join(header, bytes(corrupt)))
+        with pytest.raises(ChecksumError, match="checksum mismatch"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("chunk_bytes", [4 << 20, 64])
+    def test_only_a_multi_chunk_payload_starts_threads(self, tmp_path, vocabs, monkeypatch,
+                                                       chunk_bytes):
+        """One chunk is hashed inline; more are hashed on at most one thread
+        per core."""
+        monkeypatch.setattr(checkpoint, "CHUNK_BYTES", chunk_bytes)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(NeuralScorer.initialize(small_config(), vocabs), path)
+        started = []
+        start = threading.Thread.start
+
+        def counted_start(thread):
+            started.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counted_start)
+        load_checkpoint(path)
+        if chunk_bytes > len(_split(path.read_bytes())[1]):
+            assert started == []
+        else:
+            assert 1 <= len(started) <= os.cpu_count()
 
     def test_not_a_checkpoint(self, tmp_path):
         path = tmp_path / "model.ckpt"
