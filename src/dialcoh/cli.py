@@ -11,17 +11,25 @@ configuration (run_config.json) next to them; all randomness derives from the
 1 usage, 2 data error, 3 numeric error.
 
 `validate` and `vocab` need only `corpus`, so they start without numpy: at
-import this module loads nothing more. Every other command first binds
-numpy, `swapgen`, `analysis`, `metrics` and the `models` names into this
-module's globals (`_bind_heavy`). Those names stay attributes of
+import this module loads nothing more. The first other command binds numpy,
+`swapgen`, `analysis`, `metrics` and the `models` names into this module's
+globals (`_bind_heavy`), once per process. Those names stay attributes of
 `dialcoh.cli`, because callers wrap them there by name (the benchmark's
 tracer does): `getattr(dialcoh.cli, name)` binds them on first access
 (PEP 562), and binding keeps a name already set, so a command calls the
 wrapper that was put in place.
+
+`main` may be called any number of times in one process, as a server or a
+benchmark does. The argument parser is built once, on the first call
+(`build_parser` is cached), and holds no per-call state: each call parses
+into a fresh namespace. The `cmd_*` handlers are captured as subcommand
+defaults when the parser is built, so a handler replaced on this module
+after that is not the one `main` calls.
 """
 from __future__ import annotations
 
 import argparse
+import functools
 import importlib
 import json
 import sys
@@ -70,11 +78,13 @@ _HEAVY = {
 
 def _bind_heavy() -> None:
     """Import what `_HEAVY` names and bind it into this module's globals,
-    keeping any name already bound (a wrapper set on the module)."""
+    keeping any name already bound (a wrapper set on the module): once every
+    name is bound, this imports nothing."""
     scope = globals()
     for name, (module, attr) in _HEAVY.items():
-        obj = importlib.import_module(module, __package__)
-        scope.setdefault(name, obj if attr is None else getattr(obj, attr))
+        if name not in scope:
+            obj = importlib.import_module(module, __package__)
+            scope[name] = obj if attr is None else getattr(obj, attr)
 
 
 def __getattr__(name: str):
@@ -384,7 +394,9 @@ def cmd_baseline(args) -> int:
 # -- parser ----------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process (see the module docstring)."""
     parser = _Parser(prog="dialcoh", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -21,7 +21,8 @@ header is N bytes long can be checked with standard tools::
 A checkpoint therefore reloads without any corpus, and a truncated or
 corrupted file, or one with the wrong number of chunks, fails the checksum.
 Parameters are stored and used in float32, so a save/load round trip
-reproduces scores bit-exactly.
+reproduces scores bit-exactly. Saving refuses weights that are not finite
+(NumericError), in one pass over the arrays before any byte is written.
 
 Format version 1 differs only in the checksum: `payload_sha256` is one
 digest of the whole payload, and there is no `chunk_bytes`. It is verified as
@@ -52,7 +53,7 @@ from typing import Iterable
 import numpy as np
 
 from ..corpus import Vocabularies, expect_object, parse_json, typed_field
-from ..errors import ChecksumError, DataError
+from ..errors import ChecksumError, DataError, NumericError
 from .linear import LinearRanker, LinearRankerConfig
 from .neural import NeuralConfig, NeuralScorer, layout_size, param_layout
 
@@ -83,14 +84,19 @@ def _sha256_chunks(chunks: Iterable, count: int) -> list[str]:
 
 
 def save_checkpoint(model, path) -> None:
-    """Serialize a NeuralScorer or LinearRanker."""
+    """Serialize a NeuralScorer or LinearRanker. A weight that is not finite
+    raises NumericError naming its array, and no file is written."""
     if isinstance(model, NeuralScorer):
         model_type, flat, layout = "neural", model.flat, model.layout
     elif isinstance(model, LinearRanker):
         model_type, flat, layout = "linear", model.weights, {"weights": (0, model.weights.shape)}
     else:
         raise DataError(f"cannot checkpoint object of type {type(model).__name__}")
-    payload = np.ascontiguousarray(flat, dtype="<f4").reshape(-1).view(np.uint8)
+    values = np.ascontiguousarray(flat, dtype="<f4").reshape(-1)
+    for name, (at, shape) in sorted(layout.items()):
+        if not np.isfinite(values[at : at + math.prod(shape)]).all():
+            raise NumericError(f"cannot checkpoint non-finite weights: array {name!r}")
+    payload = values.view(np.uint8)
     starts = _chunk_starts(payload.size, CHUNK_BYTES)
     header = {
         "format_version": FORMAT_VERSION,

@@ -23,14 +23,14 @@ from ..metrics import (
     reciprocal_rank,
 )
 from ..swapgen import RankingInstance, RatedInstance
-from .ranking import Scorer
+from .ranking import Scorer, check_finite
 
 
 def evaluate_selection(model: Scorer, instances: Sequence[RankingInstance]) -> dict:
     """Accuracy, MRR, R@1, R@2 on a response-selection dataset."""
     if any(len(inst.candidates) < 2 for inst in instances):
         raise DataError("selection needs at least one negative candidate per instance")
-    ranked, accuracy, pairs = _rank(model, instances, [
+    ranked, accuracy, pairs = _rank(model, instances, "selection", [
         [float(i == inst.positive_position) for i in range(len(inst.candidates))]
         for inst in instances
     ])
@@ -49,7 +49,8 @@ def evaluate_rated(model: Scorer, instances: Sequence[RatedInstance]) -> dict:
     if any(c.mean_rating is None for inst in instances for c in inst.candidates):
         raise DataError("rated evaluation requires a mean rating per candidate")
     ranked, accuracy, pairs = _rank(
-        model, instances, [[c.mean_rating for c in inst.candidates] for inst in instances]
+        model, instances, "rating",
+        [[c.mean_rating for c in inst.candidates] for inst in instances],
     )
     return {
         "accuracy": float(np.mean(accuracy)) if accuracy else 0.0,
@@ -62,18 +63,20 @@ def evaluate_rated(model: Scorer, instances: Sequence[RatedInstance]) -> dict:
 
 
 def _rank(
-    model: Scorer, instances, gains: list[list[float]]
+    model: Scorer, instances, stage: str, gains: list[list[float]]
 ) -> tuple[list[list[float]], list[float], int]:
     """Each instance's gains in pessimistic rank order, the pairwise accuracy
     of each instance with a pair of distinct gains, and the number of those
-    pairs, from one scoring call for the whole set."""
+    pairs, from one scoring call for the whole set. A score that is not
+    finite raises NumericError naming the stage and the instance."""
     if not instances:
         raise DataError("no instances to evaluate")
     all_scores = model.score_candidates(
         [(inst.context, [c.turn for c in inst.candidates]) for inst in instances]
     )
     ranked, accuracy, pairs = [], [], 0
-    for g, scores in zip(gains, all_scores):
+    for n, (g, scores) in enumerate(zip(gains, all_scores)):
+        check_finite(scores, f"{stage} evaluation, instance {n}")
         ranked.append([g[i] for i in pessimistic_order(scores, g)])
         instance_accuracy, n_pairs = graded_pairwise_accuracy(scores, g)
         if n_pairs:

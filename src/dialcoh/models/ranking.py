@@ -7,6 +7,7 @@ from typing import Protocol, Sequence
 import numpy as np
 
 from ..corpus import Turn
+from ..errors import NumericError
 from ..metrics import pessimistic_order
 from ..swapgen import Candidate
 
@@ -38,14 +39,25 @@ def candidate_relevance(c: Candidate) -> float:
     return 1.0 if c.provenance == "original" else 0.0
 
 
+def check_finite(scores: np.ndarray, where: str) -> None:
+    """Raise NumericError naming where and the first candidate whose score
+    is not finite: no order, and so no metric, is defined over it."""
+    bad = np.flatnonzero(~np.isfinite(scores))
+    if bad.size:
+        i = int(bad[0])
+        raise NumericError(f"{where}: candidates[{i}] scored {float(scores[i])} (not finite)")
+
+
 def rank_candidates(
     context: Sequence[Turn], candidates: Sequence[Candidate], model: Scorer
 ) -> list[RankedCandidate]:
     """Score and order candidates, descending; under equal scores the more
     relevant candidate (original, or higher rated) is ranked after the others.
     The ordering is invariant under any strictly increasing score transform.
+    A score that is not finite raises NumericError.
     """
     [scores] = model.score_candidates([(context, [c.turn for c in candidates])])
+    check_finite(scores, "ranking")
     relevance = [candidate_relevance(c) for c in candidates]
     order = pessimistic_order(scores, relevance)
     return [

@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import marshal
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -324,10 +325,12 @@ def build_selection_dataset(
 
 @dataclass
 class RecordCache:
-    """One file's parsed turns and candidates, each under the repr of its
-    decoded object (exact on decoded JSON: True, 1, 1.0 and "1" differ), in
-    two dicts: a candidate object that happens to be a valid turn object
-    must not hit a cached Turn."""
+    """One file's parsed turns and candidates, each under the
+    `marshal.dumps(obj, 2)` bytes of its decoded object, in two dicts: a
+    candidate object that happens to be a valid turn object must not hit a
+    cached Turn. Version 2 writes no back-references, so the key depends only
+    on the object's content and types; it is exact on decoded JSON (True, 1,
+    1.0 and "1" differ, and so do -0.0 and 0.0) and cheaper than repr."""
 
     turns: dict = field(default_factory=dict)
     candidates: dict = field(default_factory=dict)
@@ -341,8 +344,8 @@ def _interned(cache: dict | None, obj, parse: Callable, *args):
     if cache is None:
         return parse(obj, *args)
     try:
-        key = repr(obj)
-    except RecursionError:
+        key = marshal.dumps(obj, 2)
+    except (ValueError, RecursionError):
         return parse(obj, *args)  # too deep to key: parse it uncached, which rejects it
     hit = cache.get(key)
     if hit is None:

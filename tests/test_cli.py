@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 
 import pytest
 
@@ -479,3 +480,79 @@ class TestBaseline:
 
     def test_invalid_metric_usage_error(self):
         assert run("baseline", "--candidates", "10", "--metric", "nope") == 1
+
+
+# Runs `cli.main` on each argv of the JSON list in argv[1], in this one
+# process, and prints as JSON each call's exit code, stdout, stderr and the
+# files it wrote or rewrote under the working directory, and how many
+# parsers (the top one and its subparsers) were built over the whole run.
+SEQUENCE_RUN = """
+import contextlib, io, json, os, sys
+from dialcoh import cli
+
+built = []
+init = cli._Parser.__init__
+def counted(self, *args, **kwargs):
+    built.append(None)
+    init(self, *args, **kwargs)
+cli._Parser.__init__ = counted
+
+def tree():
+    return {os.path.join(d, f): (os.stat(os.path.join(d, f)).st_mtime_ns,
+                                 open(os.path.join(d, f), encoding="utf-8").read())
+            for d, _, files in os.walk(".") for f in files}
+
+calls = []
+for argv in json.loads(sys.argv[1]):
+    before = tree()
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    after = tree()
+    written = {p: text for p, (_, text) in after.items() if before.get(p) != after[p]}
+    calls.append([code, out.getvalue(), err.getvalue(), written])
+print(json.dumps({"calls": calls, "parsers_built": len(built)}))
+"""
+
+
+def test_repeated_calls_in_one_process_match_first_calls(pipeline, tmp_path):
+    """`main` called again and again in one process answers each call as the
+    first call of a fresh process does: the same exit code, output and
+    files, with no default or option of an earlier call leaking into a later
+    one (the second `eval-selection` has no --out and writes nothing). The
+    parser is built once for the whole sequence."""
+    instance = json.loads(pipeline["dev"].read_text().splitlines()[0])
+    request = tmp_path / "request.json"
+    request.write_text(json.dumps({"context": instance["context"],
+                                   "candidates": instance["candidates"]}), encoding="utf-8")
+    ckpt, data = str(pipeline["checkpoint"]), str(pipeline["dev"])
+    rate = ["rate", "--checkpoint", ckpt, "--input", str(request)]
+    sequence = [
+        rate,
+        ["eval-selection", "--checkpoint", ckpt, "--data", data, "--out", "eval"],
+        ["eval-selection", "--checkpoint", ckpt],
+        ["--help"],
+        ["eval-selection", "--checkpoint", ckpt, "--data", data],
+        rate,
+    ]
+    firsts = []
+    for i, argv in enumerate(sequence):
+        where = tmp_path / f"first{i}"
+        where.mkdir()
+        proc = run_fresh_python(SEQUENCE_RUN, json.dumps([argv]), cwd=where)
+        assert proc.returncode == 0, proc.stderr
+        firsts.append(json.loads(proc.stdout))
+    where = tmp_path / "sequence"
+    where.mkdir()
+    proc = run_fresh_python(SEQUENCE_RUN, json.dumps(sequence), cwd=where)
+    assert proc.returncode == 0, proc.stderr
+    together = json.loads(proc.stdout)
+
+    assert together["calls"] == [first["calls"][0] for first in firsts]
+    codes = [code for code, *_ in together["calls"]]
+    assert codes == [0, 0, 1, 0, 0, 0]
+    written = [sorted(files) for *_, files in together["calls"]]
+    assert written == [[], [os.path.join(".", "eval", name) for name in (
+        "run_config.json", "selection_metrics.json", "selection_metrics.tsv")], [], [], [], []]
+    assert together["calls"][1][1] == together["calls"][4][1]
+    assert together["parsers_built"] == firsts[0]["parsers_built"] > 0

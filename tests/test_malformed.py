@@ -1,7 +1,7 @@
 """Malformed dataset records, `rate` payloads, checkpoint headers, neural
 checkpoint arrays and word-vector files reach the user through `cli.main` as
-data errors (exit 2), and malformed list flags as usage errors (exit 1),
-never as tracebacks."""
+data errors (exit 2), scores that are not finite as numeric errors (exit 3),
+and malformed list flags as usage errors (exit 1), never as tracebacks."""
 import hashlib
 import json
 
@@ -10,11 +10,11 @@ import pytest
 
 from dialcoh.cli import main
 from dialcoh.corpus import derive_vocabularies, save_corpus, save_vocabularies
-from dialcoh.models import LinearRanker, LinearRankerConfig, load_checkpoint, save_checkpoint
+from dialcoh.models import LinearRanker, LinearRankerConfig, save_checkpoint
 from dialcoh.models.checkpoint import MAGIC
 from dialcoh.models.linear import feature_dim
 from dialcoh.models.neural import NeuralConfig, NeuralScorer
-from dialcoh.swapgen import build_selection_dataset, parse_record
+from dialcoh.swapgen import build_selection_dataset
 
 from conftest import instance_to_dict, synthetic_corpus
 
@@ -142,6 +142,14 @@ INTERNING_CASES = {
         "unknown provenance 'bogus'"),
     "candidate_with_rating_4_repeated": (
         lambda rec: [rec, rec] + [_candidate(rec, ratings=[4])] * 2, 3, "rating 4 outside"),
+    # True equals 1 and hashes like it: only an exact key keeps the valid
+    # number's candidate from standing in for the bool's.
+    "rating_true_after_rating_1": (
+        lambda rec: [_candidate(rec, ratings=[1]), _candidate(rec, ratings=[True])], 2,
+        "rating True outside"),
+    "mean_rating_true_after_mean_rating_1": (
+        lambda rec: [_candidate(rec, mean_rating=1), _candidate(rec, mean_rating=True)], 2,
+        "mean_rating: expected number, got bool"),
     # Valid as a turn, but a candidate needs a "turn" field: a cached Turn
     # must not stand in for it.
     "context_turn_object_as_a_candidate": (
@@ -314,32 +322,67 @@ def test_neural_arrays_must_match_the_config(setup, tmp_path, capsys, name):
     assert message in _rate_exits_with_data_error(tmp_path / "bad.ckpt", record, tmp_path, capsys)
 
 
+def _nan_bias_checkpoint(root, dst, digests_match: bool):
+    """The neural checkpoint with a NaN written over its output bias
+    `head.b2`, which makes every score NaN; with digests_match the header's
+    chunk digests are those of the changed payload."""
+    blob = (root / "neural.ckpt").read_bytes()
+    n = int.from_bytes(blob[8:16], "little")
+    header = json.loads(blob[16 : 16 + n])
+    (b2,) = [a for a in header["arrays"] if a["name"] == "head.b2"]
+    at = 16 + n + b2["offset"]
+    dst.write_bytes(blob[:at] + np.float32(np.nan).tobytes() + blob[at + 4 :])
+    if digests_match:
+        payload = dst.read_bytes()[16 + n :]
+        _mutated_checkpoint(dst, dst, lambda h: {**h, "payload_sha256": [
+            hashlib.sha256(payload[lo : lo + h["chunk_bytes"]]).hexdigest()
+            for lo in range(0, len(payload), h["chunk_bytes"])]})
+    return dst
+
+
 def test_corrupt_payload_that_would_score_non_finite_fails_the_checksum(setup, tmp_path,
                                                                        capsys):
     """A NaN written over the neural checkpoint's output bias makes every
     score NaN; `rate` reports the checksum mismatch (exit 2), not a numeric
     failure, and prints no ranking."""
     root, record = setup
-    blob = (root / "neural.ckpt").read_bytes()
-    n = int.from_bytes(blob[8:16], "little")
-    header = json.loads(blob[16 : 16 + n])
-    (b2,) = [a for a in header["arrays"] if a["name"] == "head.b2"]
-    at = 16 + n + b2["offset"]
-    bad = tmp_path / "bad.ckpt"
-    bad.write_bytes(blob[:at] + np.float32(np.nan).tobytes() + blob[at + 4 :])
+    bad = _nan_bias_checkpoint(root, tmp_path / "bad.ckpt", digests_match=False)
     request = tmp_path / "request.json"
     request.write_text(json.dumps(record), encoding="utf-8")
     assert run("rate", "--checkpoint", bad, "--input", request) == 2
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "data error: checkpoint payload checksum mismatch (truncated or corrupt file)\n"
-    payload = bad.read_bytes()[16 + n :]
-    _mutated_checkpoint(bad, bad, lambda h: {**h, "payload_sha256": [
-        hashlib.sha256(payload[lo : lo + h["chunk_bytes"]]).hexdigest()
-        for lo in range(0, len(payload), h["chunk_bytes"])]})
-    context, candidates = parse_record(record)
-    scores = load_checkpoint(bad).score_candidates([(context, [c.turn for c in candidates])])
-    assert not np.isfinite(scores[0]).any()  # what a matching digest would let through
+
+
+NON_FINITE_STAGES = {
+    "rate": "ranking",
+    "eval-selection": "selection evaluation, instance 0",
+    "eval-rating": "rating evaluation, instance 0",
+}
+
+
+@pytest.mark.parametrize("command", sorted(NON_FINITE_STAGES))
+def test_non_finite_scores_are_numeric_errors(setup, tmp_path, capsys, command):
+    """With digests that match the NaN bias, the checkpoint loads and every
+    score is NaN: each scoring command exits 3 naming the stage and the
+    candidate, prints nothing on stdout and writes no report."""
+    root, record = setup
+    bad = _nan_bias_checkpoint(root, tmp_path / "bad.ckpt", digests_match=True)
+    data = tmp_path / "data.jsonl"
+    if command == "rate":
+        data.write_text(json.dumps(record), encoding="utf-8")
+        argv = ("rate", "--checkpoint", bad, "--input", data)
+    else:
+        rec = record if command == "eval-selection" else _rated(record)
+        data.write_text(json.dumps(rec) + "\n", encoding="utf-8")
+        argv = (command, "--checkpoint", bad, "--data", data, "--out", tmp_path / "out")
+    assert run(*argv) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        f"numeric error: {NON_FINITE_STAGES[command]}: candidates[0] scored nan (not finite)\n")
+    assert not (tmp_path / "out").exists()
 
 
 def test_non_finite_word_vector_is_a_data_error(setup, tmp_path, capsys):

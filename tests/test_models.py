@@ -9,7 +9,7 @@ import pytest
 
 from dialcoh.corpus import Dialogue, derive_vocabularies
 from dialcoh.engine import AdamState
-from dialcoh.errors import ChecksumError, DataError
+from dialcoh.errors import ChecksumError, DataError, NumericError
 from dialcoh.linearize import TokenStream, encode_pairwise_inputs, linearize
 from dialcoh.models import (
     LinearRanker,
@@ -672,6 +672,22 @@ class TestCheckpoint:
             assert started == []
         else:
             assert 1 <= len(started) <= os.cpu_count()
+
+    def test_non_finite_weights_are_refused_and_nothing_is_written(self, tmp_path, vocabs):
+        """The error names the first non-finite array in payload order."""
+        scorer = NeuralScorer.initialize(small_config(), vocabs)
+        scorer.params["head.w2"][...] = np.inf
+        scorer.params["head.b2"][...] = np.nan
+        path = tmp_path / "model.ckpt"
+        with pytest.raises(NumericError, match="non-finite weights: array 'head.b2'"):
+            save_checkpoint(scorer, path)
+        assert not path.exists()
+        config = LinearRankerConfig(features="da")
+        weights = np.zeros(feature_dim(config, vocabs), dtype=np.float32)
+        weights[-1] = -np.inf
+        with pytest.raises(NumericError, match="array 'weights'"):
+            save_checkpoint(LinearRanker(config, vocabs, weights), path)
+        assert not path.exists()
 
     def test_not_a_checkpoint(self, tmp_path):
         path = tmp_path / "model.ckpt"

@@ -16,6 +16,8 @@ from dialcoh.swapgen import (
     InsertionPoint,
     RankingInstance,
     RatedInstance,
+    RecordCache,
+    _interned,
     build_selection_dataset,
     gen_insertion_points,
     instance_from_dict,
@@ -428,6 +430,54 @@ class TestLoadInterning:
                     for ln in path.read_text("utf-8").splitlines()]
         assert loaded == uncached == rated
         assert_equal_parts_are_one_object(loaded)
+
+    def test_objects_that_differ_only_in_type_or_zero_sign_are_distinct(self):
+        """Equal under ==, distinct as decoded JSON: each is its own entry,
+        and every lookup returns what a parse of that very object gives."""
+        objects = [1, 1.0, True, "1", -0.0, 0.0, [1], [1.0], [True], [-0.0], [0.0],
+                   {"a": 1, "b": 2}, {"b": 2, "a": 1}]
+        cache: dict = {}
+
+        def parse(obj):
+            return type(obj).__name__, repr(obj)
+
+        for _ in range(2):
+            assert [_interned(cache, obj, parse) for obj in objects] == [
+                parse(obj) for obj in objects]
+        assert len(cache) == len(objects)
+
+    def test_near_equal_records_load_as_parsed_one_by_one(self, tmp_path):
+        """Candidates that differ only by 1 / 1.0 in their ratings or 2 / 2.0
+        in their mean rating, and one turn repeated with its keys in another
+        order, load as an uncached parse gives them, int and float kept
+        apart (repr shows what == does not)."""
+        said = {"da": "sd", "entities": [{"head": "movie", "role": "S"}], "text": "hi"}
+        first = {"speaker": "A", "segments": [said]}
+        reordered = {"segments": [dict(reversed(said.items()))], "speaker": "A"}
+        reply = {"speaker": "B", "segments": [{"da": "sv", "entities": []}]}
+        other = {"speaker": "B", "segments": [{"da": "qy", "entities": []}]}
+        rated_int = {"turn": reply, "provenance": "original", "ratings": [1, 2]}
+        rated_float = {"turn": reply, "provenance": "original", "ratings": [1.0, 2]}
+        mean_int = {"turn": other, "provenance": "internal", "mean_rating": 2}
+        mean_float = {"turn": other, "provenance": "internal", "mean_rating": 2.0}
+        records = [
+            {"context": [first], "candidates": [rated_int, mean_int]},
+            {"context": [reordered], "candidates": [rated_float, mean_float]},
+            {"context": [first, reordered], "candidates": [rated_float, rated_int, mean_float]},
+        ]
+        path = tmp_path / "rated.jsonl"
+        path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+        loaded = load_rated_testset(path)
+        uncached = [rated_instance_from_dict(json.loads(ln))
+                    for ln in path.read_text("utf-8").splitlines()]
+        assert loaded == uncached
+        assert repr(loaded) == repr(uncached)
+        assert loaded[0].candidates[0].ratings == (1, 2)
+        assert [type(r) for r in loaded[1].candidates[0].ratings] == [float, int]
+        cache = RecordCache()
+        for r in records:
+            rated_instance_from_dict(json.loads(json.dumps(r)), cache)
+        assert (len(cache.turns), len(cache.candidates)) == (4, 4)
 
 
 def _pin_corpus() -> list[Dialogue]:
