@@ -40,11 +40,19 @@ rows still live at step t are the first k_t. The step computes only the
 first max(k_t, MIN_ROWS) rows (all of them when there are fewer) and writes
 only the live ones: a finished row's state stays as it was and its outputs
 past its length are zero, and a backward-direction row that has not started
-keeps h = 0. The scan sorts nothing; rows out of that order are an error.
-Such ragged batches are for scoring only. Recording one is an error too:
-the backward pass has no masking, and training keeps exact-length groups,
-because a padded pass would change the float32 summation order of the
-weight gradients and so the trained weights.
+keeps its initial state. The scan sorts nothing; rows out of that order are
+an error. Such ragged batches are for scoring only. Recording one is an
+error too: the backward pass has no masking, and training keeps
+exact-length groups, because a padded pass would change the float32
+summation order of the weight gradients and so the trained weights.
+
+Each row starts from its initial state in `h0`, zero by default. A scan
+that starts from the state another scan reached gives a row the bits of
+one scan over both runs of inputs, because each product gives a row the
+same bits whichever rows share it (from MIN_ROWS rows up); scoring scans
+each context's forward direction once and continues every candidate's row
+from its context's last state (`models/neural.py`). A recorded scan
+treats h0 as a constant.
 """
 from __future__ import annotations
 
@@ -70,16 +78,17 @@ def run_gru(
     reverse: bool = False,
     lengths: np.ndarray | None = None,
     record: bool = False,
+    h0: np.ndarray | None = None,
 ):
     """Run one layer and direction, stacked weights w (3H, input), u (3H, H)
-    and b (3H,), over every position of a (batch, time, input) array from a
-    zero initial state; returns the (batch, time, hidden) states aligned with
-    input positions. reverse=True scans right to left (the backward
-    direction of a biGRU). `lengths` (one per row, non-increasing, default
-    the full time axis) masks the scan: each row runs over its own first
-    `lengths[i]` positions, in either direction, and its outputs past them
-    are zero. With `record`, returns (states, bptt) instead, where
-    bptt(d states) gives (dx, dw, du, db)."""
+    and b (3H,), over every position of a (batch, time, input) array from the
+    (batch, hidden) initial states h0 (default zero); returns the (batch,
+    time, hidden) states aligned with input positions. reverse=True scans
+    right to left (the backward direction of a biGRU). `lengths` (one per
+    row, non-increasing, default the full time axis) masks the scan: each
+    row runs over its own first `lengths[i]` positions, in either direction,
+    and its outputs past them are zero. With `record`, returns (states,
+    bptt) instead, where bptt(d states) gives (dx, dw, du, db)."""
     hid = u.shape[1]
     if x.ndim != 3 or x.shape[2] != w.shape[1]:
         raise ValueError(f"input shape {x.shape} is not (batch, time, {w.shape[1]})")
@@ -101,7 +110,7 @@ def run_gru(
     if record:
         rz_all = np.empty((batch, steps, 2 * hid), dtype=x.dtype)
         c_all, h_prev_all = np.empty_like(out), np.empty_like(out)
-    h = np.zeros((batch, hid), dtype=x.dtype)
+    h = np.zeros((batch, hid), dtype=x.dtype) if h0 is None else np.array(h0, dtype=x.dtype)
     for t in _order(steps, reverse):
         k = live[t]
         m = min(batch, max(k, MIN_ROWS))

@@ -110,9 +110,21 @@ def linearize(turns: Sequence[Turn], cfg: EncodingConfig) -> TokenStream:
 
 
 def encode_pairwise_inputs(
-    context: Sequence[Turn], candidate: Turn, cfg: EncodingConfig
+    context: Sequence[Turn],
+    candidate: Turn,
+    cfg: EncodingConfig,
+    head: TokenStream | None = None,
 ) -> TokenStream:
-    """Linearize the context with the candidate appended as the final turn."""
+    """Linearize the context with the candidate appended as the final turn.
+
+    Linearization is per turn, so this is the context's stream followed by
+    the candidate's. `head` is linearize(context, cfg) when the caller has
+    it, so that a context shared by several candidates is linearized once.
+    A context or a candidate without positions is an error, as a turn
+    without segments is to every loader."""
     if not context:
         raise DataError("pairwise encoding requires a nonempty context")
-    return linearize([*context, candidate], cfg)
+    head = linearize(context, cfg) if head is None else head
+    tail = linearize((candidate,), cfg)
+    ids = {ch: np.concatenate((head.ids[ch], tail.ids[ch])) for ch in cfg.channels}
+    return TokenStream(head.length + tail.length, ids)

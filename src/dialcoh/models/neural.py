@@ -25,18 +25,33 @@ buffer with the same layout and views, and Adam updates the buffers whole.
 
 Scoring is batch-invariant: a stream's score is bit-identical whichever
 other streams share its pass. `score_streams` sorts streams longest first,
-the row order `run_gru` requires, and runs buckets of at most `batch_size`
-rows, zero-padded to the block length and to at least MIN_ROWS rows;
+the row order `run_gru` requires, and runs buckets of at most BUCKET_ROWS
+(64) rows, zero-padded to the block length and to at least MIN_ROWS rows;
 `run_gru` masks each row to its own length, pooling divides by it, and every
 product then gives each row the same bits at any row count from MIN_ROWS up
-(the head's one-output product is a row-wise sum: BLAS's matrix-vector
-product gives a row different bits depending on how many rows share the
-call). Training steps still run one pass per exact stream length
-(`_batch_step` says why).
+to BUCKET_ROWS, and in the input projections at the larger counts that a
+bucket's rows times its steps reach (the head's one-output product is a
+row-wise sum: BLAS's matrix-vector product gives a row different bits
+depending on how many rows share the call). Training steps still run one
+pass per exact stream length (`_batch_step` says why).
+
+Every candidate of a context starts with the context's positions, and the
+layer-0 forward states over them depend on nothing after them, so
+`score_candidates` linearizes each context once and runs that direction
+over the contexts of the whole set as the rows of one masked scan (per
+BUCKET_ROWS of them). In each bucket a candidate's row copies its
+context's states and continues the scan over its own positions from the
+context's last state (`run_gru`'s h0). The backward direction starts at
+the candidate's end, and layer 1 reads it, so both run per candidate.
+Scores keep their bits, because each row's products give it the bits it
+gets in any other block. Streams with no shared context are the same
+algorithm with a context of no positions.
 """
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -47,7 +62,7 @@ from ..engine.autodiff import Tensor
 from ..engine.optim import AdamState, adam_step
 from ..engine.rnn import GATES, MIN_ROWS, run_gru
 from ..errors import DataError, NumericError
-from ..linearize import CHANNELS, EncodingConfig, TokenStream, encode_pairwise_inputs
+from ..linearize import CHANNELS, EncodingConfig, TokenStream, encode_pairwise_inputs, linearize
 from ..swapgen import RankingInstance
 from .evaluate import evaluate_selection
 
@@ -158,12 +173,15 @@ def init_params(
     uniform in [-0.1, 0.1], GRU weights uniform in [-1/sqrt(hidden),
     1/sqrt(hidden)], head weights uniform in [-1/sqrt(fan_in),
     1/sqrt(fan_in)], zero biases. Draws follow param_layout's order, for
-    reproducibility, each straight into its view of the buffer in blocks of
-    rows. The generator's stream is sequential, so the values are those of
-    one draw per array, without its float64 temporary."""
-    rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0]))
+    reproducibility, each straight into its span of the buffer in blocks.
+    The generator's stream is sequential and each value takes one draw of
+    it, so the values are those of one draw per array, without its float64
+    temporary; min(2, cores) threads each fill a contiguous run of the
+    draws from their own copy of the generator, advanced to its start
+    (numpy draws without the GIL)."""
     layout = param_layout(config, vocabularies)
     flat = np.zeros(layout_size(layout), dtype=dtype)
+    spans = []  # (offset, size, bound) of each drawn array, in draw order
     for name, (at, shape) in layout.items():
         if len(shape) == 1:
             continue
@@ -173,11 +191,26 @@ def init_params(
             bound = 1.0 / math.sqrt(config.gru_hidden)
         else:
             bound = 1.0 / math.sqrt(shape[1])
-        view = flat[at : at + math.prod(shape)].reshape(shape)
-        rows = max(1, _INIT_BLOCK // shape[1])
-        for lo in range(0, shape[0], rows):
-            block = view[lo : lo + rows]
-            block[...] = rng.uniform(-bound, bound, block.shape)
+        spans.append((at, math.prod(shape), bound))
+    seed = np.random.SeedSequence([config.seed, 0])
+    total = sum(size for _, size, _ in spans)
+
+    def fill(lo: int, hi: int) -> None:
+        """Draws lo to hi of the sequence, into their places in flat."""
+        bits = np.random.PCG64(seed)
+        bits.advance(lo)
+        rng = np.random.Generator(bits)
+        first = 0  # the draw index of the current array's first element
+        for at, size, bound in spans:
+            for i in range(max(lo, first), min(hi, first + size), _INIT_BLOCK):
+                n = min(hi, first + size, i + _INIT_BLOCK) - i
+                flat[at + i - first : at + i - first + n] = rng.uniform(-bound, bound, n)
+            first += size
+
+    threads = min(2, os.cpu_count() or 1)
+    cuts = [total * k // threads for k in range(threads + 1)]
+    with ThreadPoolExecutor(threads) as pool:
+        list(pool.map(fill, cuts[:-1], cuts[1:]))
     return flat
 
 
@@ -280,12 +313,16 @@ def forward_scores(
     config: NeuralConfig,
     lengths: np.ndarray | None = None,
     record: bool = False,
+    head_states: Sequence[np.ndarray] | None = None,
 ) -> Tensor:
     """Score a block of streams; ids are (batch, length) arrays per channel.
     `lengths` gives each row's own length, its ids past it being padding
     (default: every row fills the block). Returns the (batch,) scores; with
     `record`, their `backward` adds each parameter's gradient into a dict
-    that holds an array for every parameter."""
+    that holds an array for every parameter. When scoring, `head_states`
+    may give each row's layer-0 forward states over its first positions,
+    (their count, hidden); that direction's scan then covers only the rest
+    of each row."""
     batch, steps = next(iter(ids_by_channel.values())).shape
     if lengths is None:
         lengths = np.full(batch, steps)
@@ -295,8 +332,12 @@ def forward_scores(
         states, bptts = [], []
         for direction in "fb":
             key = f"gru{layer}{direction}"
-            out = run_gru(x, params[f"{key}.w"], params[f"{key}.u"], params[f"{key}.b"],
-                          reverse=direction == "b", lengths=lengths, record=record)
+            weights = params[f"{key}.w"], params[f"{key}.u"], params[f"{key}.b"]
+            if head_states is not None and key == "gru0f":
+                out = _continue_scan(x, weights, lengths, head_states)
+            else:
+                out = run_gru(x, *weights, reverse=direction == "b", lengths=lengths,
+                              record=record)
             if record:
                 out, bptt = out
                 bptts.append((key, bptt))
@@ -324,6 +365,35 @@ def forward_scores(
         embed_backward(d_x, grads)
 
     return Tensor(scores, backward)
+
+
+def _continue_scan(
+    x: np.ndarray,
+    weights: tuple[np.ndarray, np.ndarray, np.ndarray],
+    lengths: np.ndarray,
+    head_states: Sequence[np.ndarray],
+) -> np.ndarray:
+    """The forward scan of x's rows given each row's states over its first
+    positions: one masked scan runs the rest of every row, left-aligned and
+    longest first, from the row's last head state, and each row's result is
+    its head states followed by its own."""
+    batch, steps, _ = x.shape
+    starts = np.array([len(h) for h in head_states])
+    tails = lengths - starts
+    order = np.argsort(-tails, kind="stable")
+    hid = weights[1].shape[1]
+    x_tail = np.zeros((batch, tails.max(), x.shape[2]), dtype=x.dtype)
+    h0 = np.zeros((batch, hid), dtype=x.dtype)
+    for row, i in enumerate(order):
+        x_tail[row, : tails[i]] = x[i, starts[i] : lengths[i]]
+        if starts[i]:
+            h0[row] = head_states[i][-1]
+    tail = run_gru(x_tail, *weights, lengths=tails[order], h0=h0)
+    out = np.zeros((batch, steps, hid), dtype=x.dtype)
+    for row, i in enumerate(order):
+        out[i, : starts[i]] = head_states[i]
+        out[i, starts[i] : lengths[i]] = tail[row, : tails[i]]
+    return out
 
 
 def pairwise_hinge(
@@ -359,15 +429,25 @@ def _stack_streams(
 
 def _candidate_streams(
     pairs: Sequence[tuple[Sequence[Turn], Sequence[Turn]]], enc: EncodingConfig
-) -> tuple[list[TokenStream], list[int]]:
+) -> tuple[list[TokenStream], list[int], list[TokenStream]]:
     """The streams of each (context, candidates) pair's candidates, pair
-    after pair, and the bounds of each pair's run of them."""
+    after pair; the bounds of each pair's run of them; and each pair's
+    context stream, linearized once, which its candidates' streams start
+    with."""
     streams: list[TokenStream] = []
     bounds = [0]
+    heads = []
     for context, candidates in pairs:
-        streams.extend(encode_pairwise_inputs(context, c, enc) for c in candidates)
+        heads.append(head := linearize(context, enc))
+        streams.extend(encode_pairwise_inputs(context, c, enc, head) for c in candidates)
         bounds.append(len(streams))
-    return streams, bounds
+    return streams, bounds, heads
+
+
+# Rows a scoring bucket holds at most. Products give a row the same bits at
+# any row count from MIN_ROWS up to this, which tests/test_models.py checks;
+# the cap also bounds a bucket's memory.
+BUCKET_ROWS = 64
 
 
 class NeuralScorer:
@@ -394,30 +474,60 @@ class NeuralScorer:
     def initialize(cls, config: NeuralConfig, vocabularies: Vocabularies) -> "NeuralScorer":
         return cls(config, vocabularies, init_params(config, vocabularies))
 
-    def score_streams(self, streams: Sequence[TokenStream]) -> np.ndarray:
+    def score_streams(
+        self,
+        streams: Sequence[TokenStream],
+        heads: Sequence[TokenStream] = (),
+        head_of: Sequence[int] | None = None,
+    ) -> np.ndarray:
         """Evaluation-mode scores in input order, each independent of the
-        other streams: longest first, in buckets of at most batch_size rows
-        padded to MIN_ROWS."""
+        other streams. Stream i starts with the positions of
+        heads[head_of[i]] when `head_of` is given (by default no stream
+        shares any). Each head's layer-0 forward states come from one scan;
+        then the streams run longest first, in buckets of at most
+        BUCKET_ROWS rows padded to MIN_ROWS, each row's layer-0 forward scan
+        continuing from its head's last state."""
+        cfg = self.config
+        states = self._head_states(heads)
+        none = np.zeros((0, cfg.gru_hidden), dtype=self.flat.dtype)
         out = np.zeros(len(streams), dtype=np.float64)
         order = sorted(range(len(streams)), key=lambda i: -streams[i].length)
-        size = self.config.batch_size
-        for start in range(0, len(order), size):
-            bucket = order[start : start + size]
-            ids, lengths = _stack_streams(
-                [streams[i] for i in bucket], self.config.channels,
-                rows=max(len(bucket), MIN_ROWS),
-            )
-            scores = forward_scores(ids, self.params, self.config, lengths)
+        for start in range(0, len(order), BUCKET_ROWS):
+            bucket = order[start : start + BUCKET_ROWS]
+            rows = max(len(bucket), MIN_ROWS)
+            ids, lengths = _stack_streams([streams[i] for i in bucket], cfg.channels, rows)
+            own = [none if head_of is None else states[head_of[i]] for i in bucket]
+            own += [none] * (rows - len(bucket))
+            scores = forward_scores(ids, self.params, cfg, lengths, head_states=own)
             out[bucket] = scores.data[: len(bucket)]
         return out
+
+    def _head_states(self, heads: Sequence[TokenStream]) -> list[np.ndarray]:
+        """The layer-0 forward states of each head, (its length, hidden):
+        the heads longest first, as the rows of one masked scan per
+        BUCKET_ROWS of them, padded to MIN_ROWS."""
+        cfg, p = self.config, self.params
+        states: list[np.ndarray] = [None] * len(heads)
+        order = sorted(range(len(heads)), key=lambda i: -heads[i].length)
+        for start in range(0, len(order), BUCKET_ROWS):
+            bucket = order[start : start + BUCKET_ROWS]
+            ids, lengths = _stack_streams([heads[i] for i in bucket], cfg.channels,
+                                          rows=max(len(bucket), MIN_ROWS))
+            x, _ = embed_channels(ids, p, cfg.channels)
+            out = run_gru(x, p["gru0f.w"], p["gru0f.u"], p["gru0f.b"], lengths=lengths)
+            for row, i in enumerate(bucket):
+                states[i] = out[row, : lengths[row]]
+        return states
 
     def score_candidates(
         self, pairs: Sequence[tuple[Sequence[Turn], Sequence[Turn]]]
     ) -> list[np.ndarray]:
         """Scores of each (context, candidates) pair's candidates, all
-        streams scored together."""
-        streams, bounds = _candidate_streams(pairs, self.encoding)
-        scores = self.score_streams(streams)
+        streams scored together, each context's layer-0 forward scan run
+        once."""
+        streams, bounds, heads = _candidate_streams(pairs, self.encoding)
+        head_of = [k for k, (lo, hi) in enumerate(zip(bounds, bounds[1:])) for _ in range(lo, hi)]
+        scores = self.score_streams(streams, heads, head_of)
         return [scores[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
 
@@ -449,7 +559,7 @@ def train_neural(
     scorer = NeuralScorer.initialize(config, vocabularies)
     if pretrained_words is not None:
         load_word_vectors(pretrained_words, vocabularies, scorer.params)
-    streams, bounds = _candidate_streams(
+    streams, bounds, _ = _candidate_streams(
         [(inst.context, [c.turn for c in inst.candidates]) for inst in train], scorer.encoding
     )
     pairs: list[tuple[int, int]] = []

@@ -129,6 +129,28 @@ class TestGruLayer:
         assert out.dtype == np.float32
         assert np.array_equal(out, gru_reference(x, **p, reverse=reverse, lengths=lengths))
 
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_float32_scan_from_a_state_continues_the_scan_bitwise(self, reverse):
+        """A scan over the first 3 positions, then one from its last states
+        (h0) over the other 4, gives each row the bits of one 7-step scan;
+        masked to shorter runs (one of none), each row gets the bits of its
+        own run scanned from h0, then zeros."""
+        rng = np.random.default_rng(31)
+        p = random_cell(rng, input_size=24, hidden_size=32, dtype=np.float32)
+        x = rng.normal(size=(6, 7, 24)).astype(np.float32)
+        full = run_gru(x, **p, reverse=reverse)
+        first, rest = (x[:, 4:], x[:, :4]) if reverse else (x[:, :3], x[:, 3:])
+        h0 = run_gru(first, **p, reverse=reverse)[:, 0 if reverse else -1]
+        out = run_gru(rest, **p, reverse=reverse, h0=h0)
+        assert np.array_equal(out, full[:, :4] if reverse else full[:, 3:])
+        lengths = np.array([4, 4, 3, 2, 1, 0])
+        ragged = run_gru(rest, **p, reverse=reverse, lengths=lengths, h0=h0)
+        for row, n in enumerate(lengths):
+            if n:
+                own = run_gru(rest[:, :n], **p, reverse=reverse, h0=h0)[row]
+                assert np.array_equal(ragged[row, :n], own)
+            assert (ragged[row, n:] == 0.0).all()
+
     def test_unsorted_lengths_are_rejected(self):
         p = random_cell(np.random.default_rng(4))
         with pytest.raises(ValueError, match="non-increasing"):

@@ -2,7 +2,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dialcoh.corpus import NO_ENT, UNK, derive_vocabularies
@@ -254,6 +254,27 @@ class TestMatchesReference:
     @settings(max_examples=200, deadline=None)
     def test_rough_dialogues(self, turns, channels):
         assert_same_outcome(turns, EncodingConfig(channels, VOCABS))
+
+    @given(turns=rough_dialogues(), channels=st.sampled_from(CHANNEL_SETS))
+    @settings(max_examples=200, deadline=None)
+    def test_pairwise_stream_is_the_context_stream_then_the_candidate(self, turns, channels):
+        """Linearization is per turn: the context's stream, linearized once,
+        followed by the candidate's is the whole sequence linearized; and a
+        context or candidate that linearizes to an error, or to no positions,
+        is a DataError."""
+        assume(len(turns) >= 2)
+        cfg = EncodingConfig(channels, VOCABS)
+        context, candidate = turns[:-1], turns[-1]
+        parts = [outcome(linearize, part, cfg) for part in (context, (candidate,))]
+        if any(isinstance(part, type) for part in parts):
+            with pytest.raises(DataError):
+                encode_pairwise_inputs(context, candidate, cfg)
+            return
+        got = encode_pairwise_inputs(context, candidate, cfg, parts[0])
+        want = linearize(turns, cfg)
+        assert got.length == want.length
+        for ch in cfg.channels:
+            assert got.ids[ch].tobytes() == want.ids[ch].tobytes(), ch
 
     @pytest.mark.parametrize("channels", CHANNEL_SETS, ids="+".join)
     def test_bad_input_raises_the_same_type(self, channels):

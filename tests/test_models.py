@@ -9,6 +9,7 @@ import pytest
 
 from dialcoh.corpus import Dialogue, derive_vocabularies
 from dialcoh.engine import AdamState
+from dialcoh.engine.rnn import MIN_ROWS
 from dialcoh.errors import ChecksumError, DataError, NumericError
 from dialcoh.linearize import TokenStream, encode_pairwise_inputs, linearize
 from dialcoh.models import (
@@ -27,7 +28,7 @@ from dialcoh.models import (
 )
 from dialcoh.models import checkpoint, neural
 from dialcoh.models.linear import feature_dim
-from dialcoh.models.neural import _batch_step, forward_scores, init_params
+from dialcoh.models.neural import BUCKET_ROWS, _batch_step, forward_scores, init_params
 from dialcoh.swapgen import Candidate, RankingInstance, build_selection_dataset
 
 from conftest import (
@@ -96,16 +97,21 @@ def bigram_toy(seed=0, n_instances=12, n_neg=3):
 
 
 # (in, out) of each float32 product the scorer makes at paper size: input
-# projections of layer 0 (word 300 + da 50 + turn 50) and layer 1, the
-# recurrent [U_r; U_z] and U_h, and the head's two layers.
+# projections of layer 0 (word 300 + da 50 + turn 50, and all four channels)
+# and layer 1, the recurrent [U_r; U_z] and U_h, and the head's two layers.
 PAPER_PRODUCTS = {
     "input projection, layer 0": (400, 1536),
+    "input projection, layer 0, 4 channels": (450, 1536),
     "input projection, layer 1": (1024, 1536),
     "[U_r; U_z]": (512, 1024),
     "U_h": (512, 512),
     "head.w1": (1024, 256),
     "head.w2 (row-wise)": (256, 1),
 }
+
+# An input projection runs on a block's rows times its steps: 880 on
+# eval-paper, 40 steps of a full bucket here.
+PROJECTION_ROWS = (BUCKET_ROWS + 1, 256, 880, BUCKET_ROWS * 40)
 
 TOY_VOCABS = derive_vocabularies(
     [Dialogue(id="v", turns=(da_turn(["b", "qy", "sd"], "A"),))]
@@ -154,7 +160,7 @@ class TestForwardScore:
         score_a, score_b = scorer.score_streams([a]), scorer.score_streams([b])
         assert score_a[0] != pytest.approx(score_b[0], abs=1e-9)
 
-    def test_batch_composition_invariance(self, vocabs, dataset):
+    def test_batch_composition_invariance(self, vocabs, dataset, monkeypatch):
         scorer = NeuralScorer.initialize(small_config(seed=9), vocabs)
         streams = [
             encode_pairwise_inputs(inst.context, c.turn, scorer.encoding)
@@ -165,8 +171,8 @@ class TestForwardScore:
         batched = scorer.score_streams(streams)
         solo = np.concatenate([scorer.score_streams([s]) for s in streams])
         assert np.array_equal(batched, solo)
-        # A smaller batch size regroups the buckets; no score moves.
-        scorer.config = small_config(seed=9, batch_size=5)
+        # Smaller buckets regroup the streams; no score moves.
+        monkeypatch.setattr(neural, "BUCKET_ROWS", 5)
         assert np.array_equal(scorer.score_streams(streams[::-1]), batched[::-1])
 
     def test_evaluation_scores_equal_each_instance_scored_alone(self, vocabs, dataset):
@@ -189,24 +195,66 @@ class TestForwardScore:
     def test_products_are_row_invariant_from_four_rows(self, shape):
         """Batch-invariant scoring rests on this BLAS property: for every
         float32 product the scorer makes, at paper size, a block of 4 rows
-        gets the same bits alone as inside any M of 4 to 64 rows."""
+        gets the same bits alone as inside any M of MIN_ROWS to BUCKET_ROWS
+        rows, and for the input projections (x @ w.T) also inside the larger
+        M of PROJECTION_ROWS."""
         k, n = PAPER_PRODUCTS[shape]
         rng = np.random.default_rng(k + n)
         w = rng.uniform(-0.05, 0.05, (n, k)).astype(np.float32)
-        x = rng.normal(size=(64, k)).astype(np.float32)
+        projection = shape.startswith("input projection")
+        x = rng.normal(size=(max(PROJECTION_ROWS) if projection else BUCKET_ROWS, k))
+        x = x.astype(np.float32)
         if n == 1:
             forms = {"row-wise": lambda rows: (rows * w).sum(axis=1)}  # as neural.score_head
         else:  # run_gru's recurrent products are weight-major
             forms = {"x @ w.T": lambda rows: rows @ w.T,
                      "weight-major (w @ x.T).T": lambda rows: (w @ rows.T).T}
         for form, product in forms.items():
-            for m in range(4, 65):
+            large = PROJECTION_ROWS if projection and form == "x @ w.T" else ()
+            for m in [*range(MIN_ROWS, BUCKET_ROWS + 1), *large]:
                 full = product(x[:m])
                 for lo in sorted({0, m // 2 - 2, m - 4}):
                     assert np.array_equal(full[lo : lo + 4], product(x[lo : lo + 4])), (
                         f"{shape}, {form} ({m} x {k} @ {k} x {n}): rows {lo}..{lo + 3} differ "
                         f"from the same rows as a 4-row block; scores would depend on their batch"
                     )
+
+    @pytest.mark.parametrize("channels, size", [
+        (("da",), "small"),
+        (("word", "role", "da", "turn"), "small"),
+        (("word", "da", "turn"), "paper"),
+    ], ids=["da-small", "four-channel-small", "paper"])
+    def test_shared_context_scores_equal_each_stream_scored_alone(self, vocabs, dataset,
+                                                                 channels, size):
+        """score_candidates scans each context's layer-0 forward direction
+        once and continues every candidate's row from it; each score must
+        equal the bits of its stream scored alone, without heads. Checked on
+        the whole set (contexts of several lengths, and at small size more
+        than BUCKET_ROWS streams, so two buckets) and on each instance alone
+        (as `rate` scores), with candidate tails of one and of several
+        positions. (A turn without positions never reaches the scorer:
+        `encode_pairwise_inputs` refuses it, as every loader does.)"""
+        dims = {"emb_dim_word": 6, "emb_dim_other": 4, "gru_hidden": 5, "head_hidden": 4}
+        cfg = NeuralConfig(channels=channels, seed=11, **(dims if size == "small" else {}))
+        scorer = NeuralScorer.initialize(cfg, vocabs)
+        instances = dataset if size == "small" else dataset[:4]
+        pairs = [(inst.context, [c.turn for c in inst.candidates]) for inst in instances]
+        context, candidates = pairs[0]
+        long_tail = turn("B", seg("sd", [("movie", "S"), ("utah", "O")]), seg("qy"),
+                         seg("b", [("iowa", "X")]))
+        pairs.append((context, [long_tail, *candidates]))
+        heads = [linearize(ctx, scorer.encoding).length for ctx, _ in pairs]
+        streams = [[encode_pairwise_inputs(ctx, c, scorer.encoding) for c in cands]
+                   for ctx, cands in pairs]
+        tails = {s.length - h for h, run in zip(heads, streams) for s in run}
+        assert min(tails) == 1 and max(tails) > 1 and len(set(heads)) > 2
+        if size == "small":
+            assert sum(map(len, streams)) > BUCKET_ROWS
+        alone = [np.array([scorer.score_streams([s])[0] for s in run]) for run in streams]
+        for scores, expected in zip(scorer.score_candidates(pairs), alone):
+            assert np.array_equal(scores, expected)
+        for pair, expected in zip(pairs, alone):
+            assert np.array_equal(scorer.score_candidates([pair])[0], expected)
 
     @pytest.mark.parametrize("shape", ["[U_r; U_z]", "U_h"])
     def test_weight_major_recurrent_product_equals_row_major(self, shape):
@@ -228,10 +276,11 @@ class TestForwardScore:
     ])
     def test_scores_are_pinned(self, vocabs, dataset, size, digest):
         """The score bits of a fixed scorer on 13 streams of lengths 4 to 9,
-        in buckets of 5, 5 and 3 streams (the last padded to MIN_ROWS), each
-        bucket ragged. An engine change meant to be exact must leave the
-        digest as it is. Recorded with OpenBLAS 0.3.31 on its SkylakeX kernel
-        (`OPENBLAS_VERBOSE=2` prints `Core: SkylakeX`); under
+        in one ragged bucket. The digest was recorded when they ran in
+        buckets of 5, 5 and 3 streams (the last padded to MIN_ROWS), so it
+        also pins batch invariance. An engine change meant to be exact must
+        leave the digest as it is. Recorded with OpenBLAS 0.3.31 on its
+        SkylakeX kernel (`OPENBLAS_VERBOSE=2` prints `Core: SkylakeX`); under
         `OPENBLAS_CORETYPE=Haswell` the paper-size digest differs, and another
         BLAS or kernel may round differently and need its own digest (see
         ROADMAP item 2)."""
@@ -390,6 +439,24 @@ class TestInitParams:
         reference = init_params_reference(cfg, vocabs, dtype=dtype)
         assert blocked.dtype == reference.dtype == dtype
         assert blocked.tobytes() == reference.tobytes()
+
+    @pytest.mark.parametrize("size", ["small", "paper"])
+    @pytest.mark.parametrize("cores", [1, 2, 3])
+    def test_draws_on_any_thread_count_equal_one_draw_per_array(self, vocabs, size, cores,
+                                                                monkeypatch):
+        """The draws split over at most min(2, cores) threads, each
+        advancing its own copy of the generator to its first draw, give the
+        values of the sequential draw."""
+        monkeypatch.setattr(neural.os, "cpu_count", lambda: cores)
+        started = []
+        start = threading.Thread.start
+        monkeypatch.setattr(threading.Thread, "start",
+                            lambda thread: (started.append(thread), start(thread)))
+        cfg = (small_config(seed=4) if size == "small"
+               else NeuralConfig(channels=("word", "role", "da", "turn"), seed=4))
+        threaded = init_params(cfg, vocabs)
+        assert 1 <= len(started) <= min(2, cores)
+        assert threaded.tobytes() == init_params_reference(cfg, vocabs).tobytes()
 
 
 class TestLinearRanker:
