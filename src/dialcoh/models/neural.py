@@ -38,10 +38,11 @@ pass per exact stream length (`_batch_step` says why).
 Every candidate of a context starts with the context's positions, and the
 layer-0 forward states over them depend on nothing after them, so
 `score_candidates` linearizes each context once and runs that direction
-over the contexts of the whole set as the rows of one masked scan (per
-BUCKET_ROWS of them). In each bucket a candidate's row copies its
-context's states and continues the scan over its own positions from the
-context's last state (`run_gru`'s h0). The backward direction starts at
+over up to BUCKET_ROWS contexts at a time as the rows of one masked scan,
+then scores those contexts' candidates; the context states held at once
+are thus no larger than a bucket's. In each bucket a candidate's row
+copies its context's states and continues the scan over its own positions
+from the context's last state (`run_gru`'s h0). The backward direction starts at
 the candidate's end, and layer 1 reads it, so both run per candidate.
 Scores keep their bits, because each row's products give it the bits it
 gets in any other block. Streams with no shared context are the same
@@ -50,8 +51,6 @@ algorithm with a context of no positions.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -173,15 +172,12 @@ def init_params(
     uniform in [-0.1, 0.1], GRU weights uniform in [-1/sqrt(hidden),
     1/sqrt(hidden)], head weights uniform in [-1/sqrt(fan_in),
     1/sqrt(fan_in)], zero biases. Draws follow param_layout's order, for
-    reproducibility, each straight into its span of the buffer in blocks.
-    The generator's stream is sequential and each value takes one draw of
-    it, so the values are those of one draw per array, without its float64
-    temporary; min(2, cores) threads each fill a contiguous run of the
-    draws from their own copy of the generator, advanced to its start
-    (numpy draws without the GIL)."""
+    reproducibility, each straight into its view of the buffer in blocks of
+    rows. The generator's stream is sequential, so the values are those of
+    one draw per array, without its float64 temporary."""
+    rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0]))
     layout = param_layout(config, vocabularies)
     flat = np.zeros(layout_size(layout), dtype=dtype)
-    spans = []  # (offset, size, bound) of each drawn array, in draw order
     for name, (at, shape) in layout.items():
         if len(shape) == 1:
             continue
@@ -191,26 +187,11 @@ def init_params(
             bound = 1.0 / math.sqrt(config.gru_hidden)
         else:
             bound = 1.0 / math.sqrt(shape[1])
-        spans.append((at, math.prod(shape), bound))
-    seed = np.random.SeedSequence([config.seed, 0])
-    total = sum(size for _, size, _ in spans)
-
-    def fill(lo: int, hi: int) -> None:
-        """Draws lo to hi of the sequence, into their places in flat."""
-        bits = np.random.PCG64(seed)
-        bits.advance(lo)
-        rng = np.random.Generator(bits)
-        first = 0  # the draw index of the current array's first element
-        for at, size, bound in spans:
-            for i in range(max(lo, first), min(hi, first + size), _INIT_BLOCK):
-                n = min(hi, first + size, i + _INIT_BLOCK) - i
-                flat[at + i - first : at + i - first + n] = rng.uniform(-bound, bound, n)
-            first += size
-
-    threads = min(2, os.cpu_count() or 1)
-    cuts = [total * k // threads for k in range(threads + 1)]
-    with ThreadPoolExecutor(threads) as pool:
-        list(pool.map(fill, cuts[:-1], cuts[1:]))
+        view = flat[at : at + math.prod(shape)].reshape(shape)
+        rows = max(1, _INIT_BLOCK // shape[1])
+        for lo in range(0, shape[0], rows):
+            block = view[lo : lo + rows]
+            block[...] = rng.uniform(-bound, bound, block.shape)
     return flat
 
 
@@ -380,6 +361,8 @@ def _continue_scan(
     batch, steps, _ = x.shape
     starts = np.array([len(h) for h in head_states])
     tails = lengths - starts
+    if (tails < 0).any():
+        raise ValueError("a row is shorter than its head states")
     order = np.argsort(-tails, kind="stable")
     hid = weights[1].shape[1]
     x_tail = np.zeros((batch, tails.max(), x.shape[2]), dtype=x.dtype)
@@ -445,8 +428,9 @@ def _candidate_streams(
 
 
 # Rows a scoring bucket holds at most. Products give a row the same bits at
-# any row count from MIN_ROWS up to this, which tests/test_models.py checks;
-# the cap also bounds a bucket's memory.
+# any row count from MIN_ROWS up to this, which tests/test_models.py checks.
+# score_candidates also takes at most this many contexts at a time, so the
+# context states it holds are no larger than a bucket's layer-0 states.
 BUCKET_ROWS = 64
 
 
@@ -481,13 +465,15 @@ class NeuralScorer:
         head_of: Sequence[int] | None = None,
     ) -> np.ndarray:
         """Evaluation-mode scores in input order, each independent of the
-        other streams. Stream i starts with the positions of
-        heads[head_of[i]] when `head_of` is given (by default no stream
-        shares any). Each head's layer-0 forward states come from one scan;
-        then the streams run longest first, in buckets of at most
+        other streams. When `head_of` is given, stream i must start with the
+        positions of heads[head_of[i]] (ValueError otherwise; by default no
+        stream shares any). Each head's layer-0 forward states come from one
+        scan; then the streams run longest first, in buckets of at most
         BUCKET_ROWS rows padded to MIN_ROWS, each row's layer-0 forward scan
         continuing from its head's last state."""
         cfg = self.config
+        if head_of is not None:
+            _check_heads(streams, heads, head_of, cfg.channels)
         states = self._head_states(heads)
         none = np.zeros((0, cfg.gru_hidden), dtype=self.flat.dtype)
         out = np.zeros(len(streams), dtype=np.float64)
@@ -503,9 +489,9 @@ class NeuralScorer:
         return out
 
     def _head_states(self, heads: Sequence[TokenStream]) -> list[np.ndarray]:
-        """The layer-0 forward states of each head, (its length, hidden):
-        the heads longest first, as the rows of one masked scan per
-        BUCKET_ROWS of them, padded to MIN_ROWS."""
+        """The layer-0 forward states of each head, (its length, hidden),
+        each its own array: the heads longest first, as the rows of one
+        masked scan per BUCKET_ROWS of them, padded to MIN_ROWS."""
         cfg, p = self.config, self.params
         states: list[np.ndarray] = [None] * len(heads)
         order = sorted(range(len(heads)), key=lambda i: -heads[i].length)
@@ -516,19 +502,46 @@ class NeuralScorer:
             x, _ = embed_channels(ids, p, cfg.channels)
             out = run_gru(x, p["gru0f.w"], p["gru0f.u"], p["gru0f.b"], lengths=lengths)
             for row, i in enumerate(bucket):
-                states[i] = out[row, : lengths[row]]
+                states[i] = out[row, : lengths[row]].copy()
         return states
 
     def score_candidates(
         self, pairs: Sequence[tuple[Sequence[Turn], Sequence[Turn]]]
     ) -> list[np.ndarray]:
-        """Scores of each (context, candidates) pair's candidates, all
-        streams scored together, each context's layer-0 forward scan run
-        once."""
-        streams, bounds, heads = _candidate_streams(pairs, self.encoding)
-        head_of = [k for k, (lo, hi) in enumerate(zip(bounds, bounds[1:])) for _ in range(lo, hi)]
-        scores = self.score_streams(streams, heads, head_of)
-        return [scores[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+        """Scores of each (context, candidates) pair's candidates, each
+        context's layer-0 forward scan run once. The pairs are scored
+        BUCKET_ROWS at a time, the candidates of each such run together, so
+        that the context states held at once stay bounded."""
+        out = []
+        for at in range(0, len(pairs), BUCKET_ROWS):
+            streams, bounds, heads = _candidate_streams(pairs[at : at + BUCKET_ROWS],
+                                                        self.encoding)
+            head_of = [k for k, (lo, hi) in enumerate(zip(bounds, bounds[1:]))
+                       for _ in range(lo, hi)]
+            scores = self.score_streams(streams, heads, head_of)
+            out.extend(scores[lo:hi] for lo, hi in zip(bounds, bounds[1:]))
+        return out
+
+
+def _check_heads(
+    streams: Sequence[TokenStream],
+    heads: Sequence[TokenStream],
+    head_of: Sequence[int],
+    channels: tuple[str, ...],
+) -> None:
+    """Raise ValueError unless each stream i starts with heads[head_of[i]]
+    in every channel."""
+    if len(head_of) != len(streams):
+        raise ValueError(f"head_of names {len(head_of)} heads for {len(streams)} streams")
+    for i, (stream, k) in enumerate(zip(streams, head_of)):
+        head = heads[k]
+        for ch in channels:
+            if ch not in stream.ids or ch not in head.ids:
+                raise DataError(f"stream is missing the {ch!r} channel")
+        if head.length > stream.length or not all(
+            np.array_equal(stream.ids[ch][: head.length], head.ids[ch]) for ch in channels
+        ):
+            raise ValueError(f"stream {i} does not start with heads[{k}]")
 
 
 @dataclass

@@ -225,14 +225,15 @@ class TestForwardScore:
         (("word", "da", "turn"), "paper"),
     ], ids=["da-small", "four-channel-small", "paper"])
     def test_shared_context_scores_equal_each_stream_scored_alone(self, vocabs, dataset,
-                                                                 channels, size):
+                                                                 channels, size, monkeypatch):
         """score_candidates scans each context's layer-0 forward direction
         once and continues every candidate's row from it; each score must
         equal the bits of its stream scored alone, without heads. Checked on
         the whole set (contexts of several lengths, and at small size more
         than BUCKET_ROWS streams, so two buckets) and on each instance alone
         (as `rate` scores), with candidate tails of one and of several
-        positions. (A turn without positions never reaches the scorer:
+        positions, and again with fewer contexts at a time. (A turn
+        without positions never reaches the scorer:
         `encode_pairwise_inputs` refuses it, as every loader does.)"""
         dims = {"emb_dim_word": 6, "emb_dim_other": 4, "gru_hidden": 5, "head_hidden": 4}
         cfg = NeuralConfig(channels=channels, seed=11, **(dims if size == "small" else {}))
@@ -255,6 +256,49 @@ class TestForwardScore:
             assert np.array_equal(scores, expected)
         for pair, expected in zip(pairs, alone):
             assert np.array_equal(scorer.score_candidates([pair])[0], expected)
+        # Fewer contexts at a time regroup both the context scans and the
+        # buckets; no score moves.
+        monkeypatch.setattr(neural, "BUCKET_ROWS", MIN_ROWS + 1)
+        for scores, expected in zip(scorer.score_candidates(pairs), alone):
+            assert np.array_equal(scores, expected)
+
+    def test_context_states_are_held_a_bucket_of_contexts_at_a_time(self, vocabs, dataset,
+                                                                    monkeypatch):
+        """score_candidates takes at most BUCKET_ROWS contexts at a time, and
+        each context's states are an array of their own, not a view that
+        keeps its scan's padded block alive."""
+        monkeypatch.setattr(neural, "BUCKET_ROWS", MIN_ROWS + 1)
+        scorer = NeuralScorer.initialize(small_config(seed=2), vocabs)
+        held = []
+        head_states = NeuralScorer._head_states
+
+        def recorded(self, heads):
+            held.append(states := head_states(self, heads))
+            return states
+
+        monkeypatch.setattr(NeuralScorer, "_head_states", recorded)
+        pairs = [(inst.context, [c.turn for c in inst.candidates]) for inst in dataset]
+        scorer.score_candidates(pairs)
+        assert [len(states) for states in held] == [
+            min(MIN_ROWS + 1, len(pairs) - at) for at in range(0, len(pairs), MIN_ROWS + 1)
+        ]
+        assert all(s.base is None for states in held for s in states)
+
+    def test_streams_must_start_with_their_heads(self, vocabs, dataset):
+        scorer = NeuralScorer.initialize(small_config(seed=2), vocabs)
+        (ctx_a, [cand_a, *_]), (ctx_b, _) = [
+            (inst.context, [c.turn for c in inst.candidates]) for inst in dataset[:2]
+        ]
+        heads = [linearize(ctx_a, scorer.encoding), linearize(ctx_b, scorer.encoding)]
+        stream = encode_pairwise_inputs(ctx_a, cand_a, scorer.encoding)
+        assert scorer.score_streams([stream], heads, [0]) == scorer.score_streams([stream])
+        assert not np.array_equal(heads[0].ids["da"][: heads[1].length], heads[1].ids["da"])
+        with pytest.raises(ValueError, match=r"stream 0 does not start with heads\[1\]"):
+            scorer.score_streams([stream], heads, [1])
+        with pytest.raises(ValueError, match="does not start"):
+            scorer.score_streams([heads[0]], [stream], [0])  # the head is the longer
+        with pytest.raises(ValueError, match="names 2 heads for 1 streams"):
+            scorer.score_streams([stream], heads, [0, 1])
 
     @pytest.mark.parametrize("shape", ["[U_r; U_z]", "U_h"])
     def test_weight_major_recurrent_product_equals_row_major(self, shape):
@@ -439,24 +483,6 @@ class TestInitParams:
         reference = init_params_reference(cfg, vocabs, dtype=dtype)
         assert blocked.dtype == reference.dtype == dtype
         assert blocked.tobytes() == reference.tobytes()
-
-    @pytest.mark.parametrize("size", ["small", "paper"])
-    @pytest.mark.parametrize("cores", [1, 2, 3])
-    def test_draws_on_any_thread_count_equal_one_draw_per_array(self, vocabs, size, cores,
-                                                                monkeypatch):
-        """The draws split over at most min(2, cores) threads, each
-        advancing its own copy of the generator to its first draw, give the
-        values of the sequential draw."""
-        monkeypatch.setattr(neural.os, "cpu_count", lambda: cores)
-        started = []
-        start = threading.Thread.start
-        monkeypatch.setattr(threading.Thread, "start",
-                            lambda thread: (started.append(thread), start(thread)))
-        cfg = (small_config(seed=4) if size == "small"
-               else NeuralConfig(channels=("word", "role", "da", "turn"), seed=4))
-        threaded = init_params(cfg, vocabs)
-        assert 1 <= len(started) <= min(2, cores)
-        assert threaded.tobytes() == init_params_reference(cfg, vocabs).tobytes()
 
 
 class TestLinearRanker:
