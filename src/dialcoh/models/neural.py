@@ -42,8 +42,9 @@ over up to BUCKET_ROWS contexts at a time as the rows of one masked scan,
 then scores those contexts' candidates; the context states held at once
 are thus no larger than a bucket's. In each bucket a candidate's row
 copies its context's states and continues the scan over its own positions
-from the context's last state (`run_gru`'s h0). The backward direction starts at
-the candidate's end, and layer 1 reads it, so both run per candidate.
+from the context's last state (`run_gru`'s h0). The backward direction
+starts at the candidate's end, and layer 1 reads it, so both run per
+candidate.
 Scores keep their bits, because each row's products give it the bits it
 gets in any other block. Streams with no shared context are the same
 algorithm with a context of no positions.
