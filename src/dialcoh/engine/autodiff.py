@@ -3,10 +3,12 @@
 The biGRU scorer's forward and backward passes are written out by hand over
 plain numpy arrays (`models/neural.py`, `engine/rnn.py`); nothing here
 records a graph. `Tensor` is what `forward_scores` returns: the scores, and,
-when the pass recorded, the closure that backpropagates a gradient of the
-scores into the parameters. It stays a class of its own under this name
-because `benchmarks/bench_trace.py` times the training backward pass by
-wrapping `Tensor.backward` and counts rows from the result's `shape`.
+when the pass recorded, its `tape`, the callable that backpropagates a
+gradient of the scores into the parameters. A training step joins its
+passes' tapes into one Tensor, so that one backward runs them together. It
+stays a class of its own under this name because `benchmarks/bench_trace.py`
+times the training backward pass by wrapping `Tensor.backward` and counts
+rows from the result's `shape`.
 """
 from __future__ import annotations
 
@@ -16,13 +18,14 @@ import numpy as np
 
 
 class Tensor:
-    """Scores of one forward pass, (batch,) in `data`."""
+    """Scores of forward passes, (batch,) in `data`, and when they recorded,
+    `tape`: tape(grad, grads) does what `backward` says."""
 
-    __slots__ = ("data", "_backward")
+    __slots__ = ("data", "tape")
 
-    def __init__(self, data: np.ndarray, backward: Callable | None = None):
+    def __init__(self, data: np.ndarray, tape: Callable | None = None):
         self.data = data
-        self._backward = backward
+        self.tape = tape
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -32,9 +35,9 @@ class Tensor:
         """Given grad = d loss / d data, add d loss / d parameter into
         `grads`, which maps every parameter's name to an array of its shape
         and is updated in place."""
-        if self._backward is None:
+        if self.tape is None:
             raise ValueError("backward() of a forward pass that did not record")
-        self._backward(grad, grads)
+        self.tape(grad, grads)
 
 
 def logistic(d: np.ndarray) -> np.ndarray:

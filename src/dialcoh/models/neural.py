@@ -6,9 +6,10 @@ through stacked bidirectional GRU layers (forward and backward states
 concatenated per layer), mean-pooled over positions, and mapped to a scalar
 score by a one-hidden-layer ReLU head. `forward_scores` writes this pass out
 over plain numpy arrays; with `record` set it keeps what its backward pass
-needs and returns the scores with that backward pass, written by hand in the
-reverse order: head, pooling, each GRU layer's backpropagation through time
-(`run_gru`), then a scatter-add into the embedding tables. Training
+needs and returns the scores with that backward pass (`_backward`), written
+by hand in the reverse order: head, pooling, each GRU layer's
+backpropagation through time (`run_gru`), then a scatter-add into the
+embedding tables. Training
 minimizes the margin-ranking loss over original/adversarial score pairs
 (`pairwise_hinge`, with its gradient) with Adam, early-stopping on
 development MRR.
@@ -32,8 +33,16 @@ product then gives each row the same bits at any row count from MIN_ROWS up
 to BUCKET_ROWS, and in the input projections at the larger counts that a
 bucket's rows times its steps reach (the head's one-output product is a
 row-wise sum: BLAS's matrix-vector product gives a row different bits
-depending on how many rows share the call). Training steps still run one
-pass per exact stream length (`_batch_step` says why).
+depending on how many rows share the call).
+
+Training uses the same property. A step's streams fall into groups of one
+length; `_batch_step` runs every group of MIN_ROWS or more rows in one
+masked pass, longest first, and each smaller group in a pass of its own.
+Gradients with respect to inputs are taken for a whole pass, but a
+parameter's gradient sums over rows, so `_backward` takes it per length
+group, from the group's own rows over its own length, and adds the groups
+in ascending length over all the passes. The gradient, and so the trained
+weights, are then bit for bit those of one pass per length.
 
 Every candidate of a context starts with the context's positions, and the
 layer-0 forward states over them depend on nothing after them, so
@@ -53,14 +62,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from functools import partial
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from ..corpus import Turn, Vocabularies
 from ..engine.autodiff import Tensor
 from ..engine.optim import AdamState, adam_step
-from ..engine.rnn import GATES, MIN_ROWS, run_gru
+from ..engine.rnn import GATES, MIN_ROWS, run_gru, rzh_rows
 from ..errors import DataError, NumericError
 from ..linearize import CHANNELS, EncodingConfig, TokenStream, encode_pairwise_inputs, linearize
 from ..swapgen import RankingInstance
@@ -242,15 +252,18 @@ def embed_channels(
 ):
     """The (batch, length, input) embeddings of (batch, length) ids, the
     channels' rows side by side; and their backward, which scatter-adds a
-    gradient of them into each table's entry of a gradient dict."""
+    gradient of them into each table's entry of a gradient dict: that of the
+    given rows over their first `steps` positions (default all of both)."""
     x = np.concatenate([params[f"emb_{ch}"][ids_by_channel[ch]] for ch in channels], axis=-1)
 
-    def backward(d_x: np.ndarray, grads: dict[str, np.ndarray]) -> None:
+    def backward(d_x: np.ndarray, grads: dict[str, np.ndarray], rows: slice = slice(None),
+                 steps: int | None = None) -> None:
         at = 0
         for ch in channels:
             name = f"emb_{ch}"
             dim = params[name].shape[1]
-            np.add.at(grads[name], ids_by_channel[ch], d_x[..., at : at + dim])
+            np.add.at(grads[name], ids_by_channel[ch][rows, :steps],
+                      d_x[rows, :steps, at : at + dim])
             at += dim
 
     return x, backward
@@ -269,22 +282,26 @@ def mean_pool(states: np.ndarray, lengths: np.ndarray):
 
 def score_head(pooled: np.ndarray, params: Mapping[str, np.ndarray]):
     """(batch,) scores of pooled states through a ReLU layer and one output,
-    and the backward that adds the head's gradients into a dict and returns
-    the pooled states' gradient. The output is a row-wise multiply-sum:
+    and the backward that maps the scores' gradient to the pooled states'
+    and to add(grads, rows), which adds the head's gradients from the given
+    rows (default all) into a dict. The output is a row-wise multiply-sum:
     BLAS's matrix-vector product gives a row different bits depending on how
     many rows share the call, and a score must not depend on its batch."""
     w1, w2 = params["head.w1"], params["head.w2"]
     hidden = np.maximum(pooled @ w1.T + params["head.b1"], 0)
     scores = (hidden * w2).sum(axis=1) + params["head.b2"]
 
-    def backward(d_scores: np.ndarray, grads: dict[str, np.ndarray]) -> np.ndarray:
-        g = d_scores.reshape(-1, 1)
-        grads["head.w2"] += g.T @ hidden
-        grads["head.b2"] += g.sum(axis=0)
-        g = (g @ w2) * (hidden > 0)
-        grads["head.w1"] += g.T @ pooled
-        grads["head.b1"] += g.sum(axis=0)
-        return g @ w1
+    def backward(d_scores: np.ndarray):
+        g2 = d_scores.reshape(-1, 1)
+        g1 = (g2 @ w2) * (hidden > 0)
+
+        def add(grads: dict[str, np.ndarray], rows: slice = slice(None)) -> None:
+            grads["head.w2"] += g2[rows].T @ hidden[rows]
+            grads["head.b2"] += g2[rows].sum(axis=0)
+            grads["head.w1"] += g1[rows].T @ pooled[rows]
+            grads["head.b1"] += g1[rows].sum(axis=0)
+
+        return g1 @ w1, add
 
     return scores, backward
 
@@ -298,20 +315,21 @@ def forward_scores(
     head_states: Sequence[np.ndarray] | None = None,
 ) -> Tensor:
     """Score a block of streams; ids are (batch, length) arrays per channel.
-    `lengths` gives each row's own length, its ids past it being padding
-    (default: every row fills the block). Returns the (batch,) scores; with
-    `record`, their `backward` adds each parameter's gradient into a dict
-    that holds an array for every parameter. When scoring, `head_states`
-    may give each row's layer-0 forward states over its first positions,
-    (their count, hidden); that direction's scan then covers only the rest
-    of each row."""
+    `lengths` gives each row's own length, non-increasing, its ids past it
+    being padding (default: every row fills the block). Returns the (batch,)
+    scores; with `record`, their `backward` adds each parameter's gradient
+    into a dict that holds an array for every parameter. When scoring,
+    `head_states` may give each row's layer-0 forward states over its first
+    positions, (their count, hidden); that direction's scan then covers only
+    the rest of each row."""
     batch, steps = next(iter(ids_by_channel.values())).shape
     if lengths is None:
         lengths = np.full(batch, steps)
     x, embed_backward = embed_channels(ids_by_channel, params, config.channels)
-    layers = []  # per layer, each direction's (name, bptt) when recording
+    bptts = []  # per layer, each direction's when recording
     for layer in range(config.gru_layers):
-        states, bptts = [], []
+        states = []
+        bptts.append([])
         for direction in "fb":
             key = f"gru{layer}{direction}"
             weights = params[f"{key}.w"], params[f"{key}.u"], params[f"{key}.b"]
@@ -322,31 +340,90 @@ def forward_scores(
                               record=record)
             if record:
                 out, bptt = out
-                bptts.append((key, bptt))
+                bptts[-1].append(bptt)
             states.append(out)
-        layers.append(bptts)
+        # The layer's input and its directions' states go as soon as the
+        # next layer's input is built (a recording scan keeps what it needs).
         x = np.concatenate(states, axis=-1)
+        del states, out
     pooled, pool_backward = mean_pool(x, lengths)
     scores, head_backward = score_head(pooled, params)
     if not record:
         return Tensor(scores)
+    return Tensor(scores, _Pass(params, lengths, embed_backward, bptts, pool_backward,
+                                head_backward))
 
-    def backward(d_scores: np.ndarray, grads: dict[str, np.ndarray]) -> None:
-        d_x = pool_backward(head_backward(d_scores, grads))
-        for bptts in reversed(layers):
-            d_in = []
-            for (key, bptt), d_out in zip(bptts, np.split(d_x, 2, axis=-1)):
-                dx, *d_params = bptt(d_out)
-                for kind, d in zip("wub", d_params):
-                    grads[f"{key}.{kind}"] += d
-                # Dropped before the other direction runs, so that it reuses
-                # their memory.
-                del d_params
-                d_in.append(dx)
-            d_x = d_in[0] + d_in[1]
-        embed_backward(d_x, grads)
 
-    return Tensor(scores, backward)
+@dataclass
+class _Pass:
+    """What one recording forward pass keeps for its backward; calling it
+    runs that backward alone (`_backward`)."""
+
+    params: Mapping[str, np.ndarray]
+    lengths: np.ndarray
+    embed_backward: Callable
+    bptts: list[list[Callable]]  # per layer, directions f and b
+    pool_backward: Callable
+    head_backward: Callable
+
+    def __call__(self, d_scores: np.ndarray, grads: dict[str, np.ndarray]) -> None:
+        _backward([self], d_scores, grads)
+
+    def groups(self) -> list[tuple[slice, int]]:
+        """Each run of rows of one length, and that length."""
+        starts = [0, *(np.flatnonzero(np.diff(self.lengths)) + 1)]
+        ends = [*starts[1:], len(self.lengths)]
+        return [(slice(lo, hi), int(self.lengths[lo])) for lo, hi in zip(starts, ends)]
+
+
+def _backward(passes: Sequence[_Pass], d_scores: np.ndarray,
+              grads: dict[str, np.ndarray]) -> None:
+    """Add d loss / d parameter into `grads`, given d_scores, the gradient of
+    the passes' scores one pass after another.
+
+    The passes run their BPTT layer by layer together, so that each W's
+    r, z, h copy (`rzh_rows`) is made once. Every gradient with respect to
+    the inputs is taken for a whole pass: each row gets its bits whichever
+    rows share a product. A parameter's gradient sums over rows, so it is
+    taken per length group, from the group's own rows over its own length,
+    and the groups add into `grads` in ascending length over all the
+    passes: each float32 sum, and so the trained weights, are then those of
+    one pass per length."""
+    heads, at = [], 0
+    for p in passes:
+        heads.append(p.head_backward(d_scores[at : at + len(p.lengths)]))
+        at += len(p.lengths)
+    _add_by_length(grads, [(n, partial(add, rows=rows))
+                           for p, (_, add) in zip(passes, heads) for rows, n in p.groups()])
+    d_x = [p.pool_backward(d_pooled) for p, (d_pooled, _) in zip(passes, heads)]
+    for layer in reversed(range(len(passes[0].bptts))):
+        by_direction = []
+        for half, direction in enumerate("fb"):
+            key = f"gru{layer}{direction}"
+            w_rzh = rzh_rows(passes[0].params[f"{key}.w"])
+            walks = [p.bptts[layer][half](np.split(d, 2, axis=-1)[half], w_rzh)
+                     for p, d in zip(passes, d_x)]
+            # Each group's dW then takes the copy's buffer in turn.
+            _add_by_length(grads, [(n, partial(_add_gru, key, reduce, rows, w_rzh))
+                                   for p, (_, reduce) in zip(passes, walks)
+                                   for rows, n in p.groups()])
+            by_direction.append([dx for dx, _ in walks])
+            del walks, w_rzh  # and with the walks, their pre-activation gradients
+        d_x = [f + b for f, b in zip(*by_direction)]
+    _add_by_length(grads, [(n, partial(p.embed_backward, d, rows=rows, steps=n))
+                           for p, d in zip(passes, d_x) for rows, n in p.groups()])
+
+
+def _add_by_length(grads: dict[str, np.ndarray], adds: list[tuple[int, Callable]]) -> None:
+    """Call each (length, add) pair's add(grads), in ascending length."""
+    for _, add in sorted(adds, key=lambda a: a[0]):
+        add(grads)
+
+
+def _add_gru(key: str, reduce: Callable, rows: slice, dw: np.ndarray,
+             grads: dict[str, np.ndarray]) -> None:
+    for kind, d in zip("wub", reduce(rows, dw)):
+        grads[f"{key}.{kind}"] += d
 
 
 def _continue_scan(
@@ -637,23 +714,28 @@ def _batch_step(
 ) -> float:
     """One Adam step on a batch of (positive, negative) stream-index pairs.
 
-    The forward runs one pass per exact stream length, ascending, without
-    padding: a length-bucketed pass would change the float32 summation order
-    of the weight gradients (which sum over every batch row and time step),
-    and Adam's first step amplifies such last-bit changes into different
-    trained weights. Moving training onto buckets waits until the recorded
-    benchmark references are re-recorded with it."""
+    The batch's streams fall into groups of one length. Every group of
+    MIN_ROWS or more rows runs in one masked pass, longest first, and each
+    smaller group in a pass of its own: each product gives a row the same
+    bits at any row count from MIN_ROWS up, while 1 to 3 rows take other
+    BLAS code paths. The backward (`_backward`) adds each parameter's
+    gradient group by group in ascending length, so the gradient, and the
+    trained weights, are bit for bit those of one pass per length. (Adam's
+    first step amplifies any last-bit change in a gradient into different
+    trained weights.)"""
     groups: dict[int, list[int]] = {}
     for sid in dict.fromkeys(sid for pair in chunk for sid in pair):
         groups.setdefault(streams[sid].length, []).append(sid)
-    grad = np.zeros_like(scorer.flat)
-    grads = param_views(grad, scorer.layout)
+    merged = [sid for _, group in sorted(groups.items(), reverse=True)
+              if len(group) >= MIN_ROWS for sid in group]
+    blocks = [merged] if merged else []
+    blocks += [group for _, group in sorted(groups.items()) if len(group) < MIN_ROWS]
     passes = []
     order: list[int] = []
-    for _, group in sorted(groups.items()):
-        ids, _ = _stack_streams([streams[s] for s in group], scorer.config.channels)
-        passes.append(forward_scores(ids, scorer.params, scorer.config, record=True))
-        order.extend(group)
+    for block in blocks:
+        ids, lengths = _stack_streams([streams[s] for s in block], scorer.config.channels)
+        passes.append(forward_scores(ids, scorer.params, scorer.config, lengths, record=True))
+        order.extend(block)
     scores = np.concatenate([p.data for p in passes])
     slot = {sid: i for i, sid in enumerate(order)}
     pos_idx = np.array([slot[p] for p, _ in chunk])
@@ -664,12 +746,9 @@ def _batch_step(
     d_scores = np.zeros_like(scores)
     np.add.at(d_scores, pos_idx, d_pos)
     np.add.at(d_scores, neg_idx, d_neg)
-    # Gradients add up group by group in ascending length: each parameter's
-    # float32 sum, and so the trained weights, depend on that order.
-    at = 0
-    for i, p in enumerate(passes):
-        passes[i] = None  # its recorded states go once its backward has run
-        p.backward(d_scores[at : at + len(p.data)], grads)
-        at += len(p.data)
+    grad = np.zeros_like(scorer.flat)
+    step = Tensor(scores, partial(_backward, [p.tape for p in passes]))
+    del passes
+    step.backward(d_scores, param_views(grad, scorer.layout))
     adam_step(scorer.flat, grad, state, scorer.config.lr)
     return loss

@@ -26,18 +26,23 @@ from dialcoh.corpus import (
     turn_to_dict,
 )
 from dialcoh.analysis import FEATURE_GROUPS, default_tagset, extract_turn_features, fit_ols
-from dialcoh.engine.rnn import run_gru
+from dialcoh.engine.optim import AdamState, adam_step
+from dialcoh.engine.rnn import run_gru, rzh_rows
 from dialcoh.errors import DataError, NumericError
 from dialcoh.grid import ABSENT, ROLE_SYMBOLS, EntityGrid, TransitionConfig
 from dialcoh.linearize import EncodingConfig, TokenStream
 from dialcoh.models.linear import LinearRankerConfig
 from dialcoh.models.neural import (
     NeuralConfig,
+    NeuralScorer,
+    _stack_streams,
     embed_channels,
+    forward_scores,
     layout_size,
     mean_pool,
     pairwise_hinge,
     param_layout,
+    param_views,
     score_head,
 )
 from dialcoh.swapgen import RankingInstance, RatedInstance
@@ -328,6 +333,50 @@ def gru_reference(
     return out
 
 
+def gru_gradients(bptt, g: np.ndarray, w: np.ndarray, lengths: Sequence[int]) -> tuple:
+    """(dx, dw, du, db) of a recorded `run_gru` scan for output gradient g:
+    the weight gradients summed over the runs of rows of one length."""
+    dx, reduce = bptt(g, rzh_rows(w))
+    starts = [0, *(np.flatnonzero(np.diff(lengths)) + 1)]
+    ends = [*starts[1:], len(lengths)]
+    parts = [reduce(slice(lo, hi), np.empty_like(w)) for lo, hi in zip(starts, ends)]
+    return (dx, *(sum(p[i] for p in parts) for i in range(3)))
+
+
+def batch_step_reference(scorer: NeuralScorer, streams, chunk,
+                         state: AdamState) -> tuple[float, np.ndarray]:
+    """`_batch_step` as it was with one recording pass per exact stream
+    length, ascending, each pass's backward run on its own and adding into
+    the gradient in that order: the oracle whose loss, gradient and trained
+    weights the merged pass must equal bit for bit. Returns the loss and
+    the gradient."""
+    groups: dict[int, list[int]] = {}
+    for sid in dict.fromkeys(sid for pair in chunk for sid in pair):
+        groups.setdefault(streams[sid].length, []).append(sid)
+    grad = np.zeros_like(scorer.flat)
+    grads = param_views(grad, scorer.layout)
+    passes, order = [], []
+    for _, group in sorted(groups.items()):
+        ids, _ = _stack_streams([streams[s] for s in group], scorer.config.channels)
+        passes.append(forward_scores(ids, scorer.params, scorer.config, record=True))
+        order.extend(group)
+    scores = np.concatenate([p.data for p in passes])
+    slot = {sid: i for i, sid in enumerate(order)}
+    pos_idx = np.array([slot[p] for p, _ in chunk])
+    neg_idx = np.array([slot[n] for _, n in chunk])
+    loss, d_pos, d_neg = pairwise_hinge(scores[pos_idx], scores[neg_idx],
+                                        margin=scorer.config.margin)
+    d_scores = np.zeros_like(scores)
+    np.add.at(d_scores, pos_idx, d_pos)
+    np.add.at(d_scores, neg_idx, d_neg)
+    at = 0
+    for p in passes:
+        p.backward(d_scores[at : at + len(p.data)], grads)
+        at += len(p.data)
+    adam_step(scorer.flat, grad, state, scorer.config.lr)
+    return loss, grad
+
+
 @dataclass
 class GradCheckReport:
     max_rel_error: float
@@ -482,7 +531,7 @@ def gradient_blocks(rng: np.random.Generator) -> dict[str, tuple]:
         blocks[f"GRU layer, reverse={reverse}"] = (
             lambda p, w=weights, r=reverse: _linear_loss(
                 run_gru(p["x"], p["w"], p["u"], p["b"], r), w),
-            cell, dict(zip("xwub", bptt(weights))),
+            cell, dict(zip("xwub", gru_gradients(bptt, weights, cell["w"], [5, 5, 5]))),
         )
 
     for kind, lengths in (("full", np.array([4, 4, 4])), ("ragged", np.array([4, 2, 1]))):
@@ -500,7 +549,8 @@ def gradient_blocks(rng: np.random.Generator) -> dict[str, tuple]:
     weights = rng.normal(size=5)
     _, backward = score_head(head["pooled"], head)
     grads = {k: np.zeros_like(a) for k, a in head.items() if k != "pooled"}
-    grads["pooled"] = backward(weights, grads)
+    grads["pooled"], add = backward(weights)
+    add(grads)
     blocks["head"] = (
         lambda p, w=weights: _linear_loss(score_head(p["pooled"], p)[0], w), head, grads,
     )

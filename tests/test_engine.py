@@ -6,13 +6,14 @@ from conftest import (
     adam_reference,
     grad_check,
     gradient_blocks,
+    gru_gradients,
     gru_reference,
     logistic_reference,
 )
 from dialcoh.engine import AdamState, adam_step, run_gru
 from dialcoh.engine.autodiff import logistic
 from dialcoh.engine.optim import BLOCK
-from dialcoh.engine.rnn import GATES
+from dialcoh.engine.rnn import GATES, MIN_ROWS, rzh_rows
 from dialcoh.errors import NumericError
 from dialcoh.models.neural import pairwise_hinge
 
@@ -90,7 +91,8 @@ class TestGruLayer:
         rng = np.random.default_rng(11)
         base = {"x": rng.normal(size=(3, 5, 3)), **random_cell(rng)}
         out, bptt = run_gru(**base, reverse=reverse, record=True)
-        analytic = dict(zip("xwub", bptt(np.full_like(out, 1.0 / out.size))))
+        analytic = dict(zip("xwub", gru_gradients(bptt, np.full_like(out, 1.0 / out.size),
+                                                  base["w"], [5, 5, 5])))
 
         report = grad_check(lambda p: run_gru(**p, reverse=reverse).mean(), base, analytic,
                             h=1e-5, tol=1e-4)
@@ -156,15 +158,88 @@ class TestGruLayer:
         with pytest.raises(ValueError, match="non-increasing"):
             run_gru(np.ones((3, 4, 3)), **p, lengths=np.array([4, 2, 3]))
 
-    def test_ragged_lengths_cannot_be_recorded(self):
-        p = random_cell(np.random.default_rng(2))
-        x = np.ones((2, 3, 3))
-        with pytest.raises(ValueError, match="different lengths"):
-            run_gru(x, **p, lengths=np.array([3, 2]), record=True)
-        # Full lengths record as usual.
-        out, bptt = run_gru(x, **p, lengths=np.array([3, 3]), record=True)
-        assert [g.shape for g in bptt(out)] == [x.shape, p["w"].shape, p["u"].shape,
-                                                p["b"].shape]
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_masked_backward_gives_each_group_its_own_bptt(self, reverse):
+        """One recorded scan of length groups 7 x 4 rows, 5 x 5, 3 x 1, 2 x 2
+        and 1 x 1, in float64: each group's dx, dw, du and db equal those of
+        its own unmasked scan to 1e-12, and dx is zero past each row's
+        length."""
+        rng = np.random.default_rng(41)
+        p = random_cell(rng)
+        x, g = rng.normal(size=(len(RAGGED), 7, 3)), rng.normal(size=(len(RAGGED), 7, 4))
+        for rows, n, got, own in _group_gradients(x, g, p, reverse):
+            for name, a, b in zip(("dx", "dw", "du", "db"), got, own):
+                np.testing.assert_allclose(a, b, rtol=0, atol=1e-12, err_msg=f"{name}, rows {rows}")
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_float32_masked_backward_is_bitwise_from_min_rows(self, reverse):
+        """The same groups in float32: a group of MIN_ROWS rows or more gets
+        the bits of its own scan's BPTT."""
+        rng = np.random.default_rng(43)
+        p = random_cell(rng, input_size=24, hidden_size=32, dtype=np.float32)
+        x = rng.normal(size=(len(RAGGED), 7, 24)).astype(np.float32)
+        g = rng.normal(size=(len(RAGGED), 7, 32)).astype(np.float32)
+        checked = 0
+        for rows, n, got, own in _group_gradients(x, g, p, reverse):
+            if rows.stop - rows.start >= MIN_ROWS:
+                checked += 1
+                for name, a, b in zip(("dx", "dw", "du", "db"), got, own):
+                    assert a.dtype == np.float32
+                    assert np.array_equal(a, b), f"{name} of rows {rows} differs"
+        assert checked == 2
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_ragged_gradients(self, reverse):
+        """A weighted sum of a ragged scan's outputs: its gradient with
+        respect to x, w, u and b, summed over the length groups."""
+        rng = np.random.default_rng(13)
+        lengths = np.array([5, 5, 3, 2, 2, 1])
+        base = {"x": rng.normal(size=(6, 5, 3)), **random_cell(rng)}
+        weights = rng.normal(size=(6, 5, 4))
+        _, bptt = run_gru(**base, reverse=reverse, lengths=lengths, record=True)
+        analytic = dict(zip("xwub", gru_gradients(bptt, weights, base["w"], lengths)))
+        report = grad_check(
+            lambda p: (run_gru(**p, reverse=reverse, lengths=lengths) * weights).sum(),
+            base, analytic, h=1e-5, tol=1e-4)
+        assert report.passed, (report.max_rel_error, report.worst)
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_gradient_past_a_rows_length_is_ignored(self, reverse):
+        """NaN in the output gradient past each row's length changes no bit
+        of dx, dw, du or db."""
+        rng = np.random.default_rng(17)
+        p = random_cell(rng)
+        lengths = np.array(RAGGED)
+        x, g = rng.normal(size=(len(RAGGED), 7, 3)), rng.normal(size=(len(RAGGED), 7, 4))
+        past = np.arange(7) >= lengths[:, None]
+        g[past] = 0.0
+        planted = g.copy()
+        planted[past] = np.nan
+        _, bptt = run_gru(x, **p, reverse=reverse, lengths=lengths, record=True)
+        clean, dirty = (gru_gradients(bptt, d, p["w"], lengths) for d in (g, planted))
+        for a, b in zip(clean, dirty):
+            assert np.isfinite(b).all() and np.array_equal(a, b)
+
+
+# Length groups 7 x 4 rows, 5 x 5, 3 x 1, 2 x 2 and 1 x 1, longest first.
+RAGGED = [7] * 4 + [5] * 5 + [3] + [2] * 2 + [1]
+
+
+def _group_gradients(x, g, p, reverse):
+    """For each length group of a RAGGED scan: its rows, its length, its
+    (dx, dw, du, db) from the masked scan, and from its own scan."""
+    lengths = np.array(RAGGED)
+    _, bptt = run_gru(x, **p, reverse=reverse, lengths=lengths, record=True)
+    dx, reduce = bptt(g, rzh_rows(p["w"]))
+    past = np.arange(x.shape[1]) >= lengths[:, None]
+    assert (dx[past] == 0.0).all()
+    starts = [0, 4, 9, 10, 12]
+    for lo, hi in zip(starts, [*starts[1:], len(RAGGED)]):
+        rows, n = slice(lo, hi), RAGGED[lo]
+        _, own = run_gru(x[rows, :n], **p, reverse=reverse, record=True)
+        own_dx, own_reduce = own(g[rows, :n], rzh_rows(p["w"]))
+        yield rows, n, (dx[rows, :n], *reduce(rows, np.empty_like(p["w"]))), (
+            own_dx, *own_reduce(slice(0, hi - lo), np.empty_like(p["w"])))
 
 
 def hinge(pos, neg, margin=0.5) -> np.ndarray:

@@ -1,14 +1,18 @@
 import dataclasses
 import hashlib
 import json
+import math
 import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from dialcoh.corpus import Dialogue, derive_vocabularies
-from dialcoh.engine import AdamState
+from dialcoh.engine import AdamState, adam_step
 from dialcoh.engine.rnn import MIN_ROWS
 from dialcoh.errors import ChecksumError, DataError, NumericError
 from dialcoh.linearize import TokenStream, encode_pairwise_inputs, linearize
@@ -28,10 +32,12 @@ from dialcoh.models import (
 )
 from dialcoh.models import checkpoint, neural
 from dialcoh.models.linear import feature_dim
+import dialcoh
 from dialcoh.models.neural import BUCKET_ROWS, _batch_step, forward_scores, init_params
 from dialcoh.swapgen import Candidate, RankingInstance, build_selection_dataset
 
 from conftest import (
+    batch_step_reference,
     grad_check,
     gru_reference,
     init_params_reference,
@@ -98,7 +104,10 @@ def bigram_toy(seed=0, n_instances=12, n_neg=3):
 
 # (in, out) of each float32 product the scorer makes at paper size: input
 # projections of layer 0 (word 300 + da 50 + turn 50, and all four channels)
-# and layer 1, the recurrent [U_r; U_z] and U_h, and the head's two layers.
+# and layer 1, the recurrent [U_r; U_z] and U_h, and the head's two layers;
+# then the training backward's, rows times an untransposed matrix: BPTT's
+# da_c @ U_h and da_rz @ [U_r; U_z] at each step, rzh @ W_rzh (dx, gates in
+# r, z, h order) into each layer's input, and the head's g @ head.w1.
 PAPER_PRODUCTS = {
     "input projection, layer 0": (400, 1536),
     "input projection, layer 0, 4 channels": (450, 1536),
@@ -107,11 +116,20 @@ PAPER_PRODUCTS = {
     "U_h": (512, 512),
     "head.w1": (1024, 256),
     "head.w2 (row-wise)": (256, 1),
+    "backward da_c @ U_h": (512, 512),
+    "backward da_rz @ [U_r; U_z]": (1024, 512),
+    "backward rzh @ W_rzh, layer 0": (1536, 400),
+    "backward rzh @ W_rzh, layer 0, 4 channels": (1536, 450),
+    "backward rzh @ W_rzh, layer 1": (1536, 1024),
+    "backward g @ head.w1": (256, 1024),
 }
 
-# An input projection runs on a block's rows times its steps: 880 on
-# eval-paper, 40 steps of a full bucket here.
+# An input projection, and dx in the backward, runs on a block's rows times
+# its steps: 880 on eval-paper, 40 steps of a full bucket here. A training
+# pass holds up to two streams per pair of a default batch, no more than a
+# scoring bucket's rows.
 PROJECTION_ROWS = (BUCKET_ROWS + 1, 256, 880, BUCKET_ROWS * 40)
+assert 2 * NeuralConfig(channels=("da",)).batch_size <= BUCKET_ROWS
 
 TOY_VOCABS = derive_vocabularies(
     [Dialogue(id="v", turns=(da_turn(["b", "qy", "sd"], "A"),))]
@@ -193,24 +211,28 @@ class TestForwardScore:
 
     @pytest.mark.parametrize("shape", sorted(PAPER_PRODUCTS))
     def test_products_are_row_invariant_from_four_rows(self, shape):
-        """Batch-invariant scoring rests on this BLAS property: for every
-        float32 product the scorer makes, at paper size, a block of 4 rows
-        gets the same bits alone as inside any M of MIN_ROWS to BUCKET_ROWS
-        rows, and for the input projections (x @ w.T) also inside the larger
-        M of PROJECTION_ROWS."""
+        """Batch-invariant scoring, and training that merges length groups
+        bit for bit, rest on this BLAS property: for every float32 product
+        the scorer makes, at paper size, a block of 4 rows gets the same bits
+        alone as inside any M of MIN_ROWS to BUCKET_ROWS rows, and for the
+        input projections (x @ w.T) and dx (rzh @ W_rzh) also inside the
+        larger M of PROJECTION_ROWS."""
         k, n = PAPER_PRODUCTS[shape]
         rng = np.random.default_rng(k + n)
         w = rng.uniform(-0.05, 0.05, (n, k)).astype(np.float32)
-        projection = shape.startswith("input projection")
+        projection = shape.startswith(("input projection", "backward rzh"))
         x = rng.normal(size=(max(PROJECTION_ROWS) if projection else BUCKET_ROWS, k))
         x = x.astype(np.float32)
         if n == 1:
             forms = {"row-wise": lambda rows: (rows * w).sum(axis=1)}  # as neural.score_head
+        elif shape.startswith("backward"):
+            untransposed = np.ascontiguousarray(w.T)
+            forms = {"x @ w": lambda rows: rows @ untransposed}
         else:  # run_gru's recurrent products are weight-major
             forms = {"x @ w.T": lambda rows: rows @ w.T,
                      "weight-major (w @ x.T).T": lambda rows: (w @ rows.T).T}
         for form, product in forms.items():
-            large = PROJECTION_ROWS if projection and form == "x @ w.T" else ()
+            large = PROJECTION_ROWS if projection and form != "weight-major (w @ x.T).T" else ()
             for m in [*range(MIN_ROWS, BUCKET_ROWS + 1), *large]:
                 full = product(x[:m])
                 for lo in sorted({0, m // 2 - 2, m - 4}):
@@ -313,6 +335,29 @@ class TestForwardScore:
             assert np.array_equal((u @ h[:m].T).T, h[:m] @ u.T), (
                 f"{shape} ({m} x {k} @ {k} x {n}): the weight-major product differs"
             )
+
+    def test_row_invariance_holds_at_one_blas_thread(self):
+        """Exact scoring and training rest on the row-invariance tests, and
+        the suite runs them at the BLAS thread count it was started with:
+        run them, with the engine's float32 bitwise tests, again in a fresh
+        interpreter at one OpenBLAS thread."""
+        here = Path(__file__).resolve().parent
+        tests = [f"test_models.py::TestForwardScore::{name}" for name in (
+            "test_products_are_row_invariant_from_four_rows",
+            "test_weight_major_recurrent_product_equals_row_major",
+        )] + [f"test_engine.py::TestGruLayer::{name}" for name in (
+            "test_float32_ragged_rows_equal_the_masked_scan_bitwise",
+            "test_float32_scan_from_a_state_continues_the_scan_bitwise",
+            "test_float32_masked_backward_is_bitwise_from_min_rows",
+        )]
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *tests],
+            cwd=here, capture_output=True, text=True, timeout=120,
+            env={**os.environ, "OPENBLAS_NUM_THREADS": "1",
+                 "PYTHONPATH": str(Path(dialcoh.__file__).resolve().parents[1])},
+        )
+        assert proc.returncode == 0, proc.stdout[-3000:] + proc.stderr[-1000:]
+        assert " passed" in proc.stdout and "deselected" not in proc.stdout
 
     @pytest.mark.parametrize("size, digest", [
         ("small", "9851ae18a9c8013b76d767eea7ba66dca1ebe30e51d653cc16989e938c588a9b"),
@@ -430,6 +475,40 @@ class TestTrainNeural:
     def test_empty_dev_rejected(self, vocabs, dataset):
         with pytest.raises(DataError):
             train_neural(dataset, [], small_config(), vocabs)
+
+    @pytest.mark.parametrize("size", ["small", "paper"])
+    def test_merged_pass_step_equals_one_pass_per_length_bitwise(self, vocabs, size,
+                                                                 monkeypatch):
+        """A step whose streams fall into length groups 9 x 4 rows, 6 x 5 and
+        12 x 4 (one merged pass) and 3 x 2, 7 x 1 and 5 x 3 (a pass each):
+        its loss, its gradient and the weights Adam writes are the bits of
+        the oracle that runs one pass per length, over two steps."""
+        dims = {"emb_dim_word": 6, "emb_dim_other": 4, "gru_hidden": 5, "head_hidden": 4}
+        cfg = NeuralConfig(channels=("word", "da", "turn"), seed=3,
+                           **(dims if size == "small" else {}))
+        merged, oracle = (NeuralScorer.initialize(cfg, vocabs) for _ in range(2))
+        rng = np.random.default_rng(8)
+        lengths = [9] * 4 + [6] * 5 + [12] * 4 + [3] * 2 + [7] + [5] * 3
+        streams = [TokenStream(n, {ch: rng.integers(0, len(merged.params[f"emb_{ch}"]), n)
+                                   for ch in cfg.channels}) for n in lengths]
+        order = [int(i) for i in rng.permutation(len(streams))]
+        chunk = list(zip(order[:10], [*order[10:], order[10]]))  # no stream's gradient cancels
+        grads = []
+        monkeypatch.setattr(neural, "adam_step", lambda params, grad, state, lr: (
+            grads.append(grad.copy()), adam_step(params, grad, state, lr)))
+        states = [AdamState(np.zeros_like(merged.flat), np.zeros_like(merged.flat))
+                  for _ in range(2)]
+        for _ in range(2):
+            loss = _batch_step(merged, streams, chunk, states[0])
+            expected, expected_grad = batch_step_reference(oracle, streams, chunk, states[1])
+            assert loss == expected
+            assert np.array_equal(grads.pop(), expected_grad)
+            # Every parameter's gradient counts; head.b2's is the sum of the
+            # score gradients, zero for a pairwise loss.
+            assert all(np.count_nonzero(expected_grad[at : at + math.prod(shape)])
+                       for name, (at, shape) in merged.layout.items() if name != "head.b2")
+            assert np.array_equal(merged.flat, oracle.flat)
+        assert loss > 0.0 and np.isfinite(merged.flat).all()
 
     def test_full_training_gradient_passes_grad_check(self, vocabs, monkeypatch):
         """The gradient `_batch_step` passes to Adam, in float64, against
