@@ -748,7 +748,6 @@ def _batch_step(
     np.add.at(d_scores, neg_idx, d_neg)
     grad = np.zeros_like(scorer.flat)
     step = Tensor(scores, partial(_backward, [p.tape for p in passes]))
-    del passes
     step.backward(d_scores, param_views(grad, scorer.layout))
     adam_step(scorer.flat, grad, state, scorer.config.lr)
     return loss
