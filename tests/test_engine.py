@@ -72,6 +72,27 @@ class TestGruCell:
             run_gru(np.zeros((1, 2, 5)), **p)
 
 
+# Length groups 7 x 4 rows, 5 x 5, 3 x 1, 2 x 2 and 1 x 1, longest first.
+RAGGED = [7] * 4 + [5] * 5 + [3] + [2] * 2 + [1]
+
+
+def _group_gradients(x, g, p, reverse):
+    """For each length group of a RAGGED scan: its rows, its length, its
+    (dx, dw, du, db) from the masked scan, and from its own scan."""
+    lengths = np.array(RAGGED)
+    _, bptt = run_gru(x, **p, reverse=reverse, lengths=lengths, record=True)
+    dx, reduce = bptt(g, rzh_rows(p["w"]))
+    past = np.arange(x.shape[1]) >= lengths[:, None]
+    assert (dx[past] == 0.0).all()
+    starts = [0, 4, 9, 10, 12]
+    for lo, hi in zip(starts, [*starts[1:], len(RAGGED)]):
+        rows, n = slice(lo, hi), RAGGED[lo]
+        _, own = run_gru(x[rows, :n], **p, reverse=reverse, record=True)
+        own_dx, own_reduce = own(g[rows, :n], rzh_rows(p["w"]))
+        yield rows, n, (dx[rows, :n], *reduce(rows, np.empty_like(p["w"]))), (
+            own_dx, *own_reduce(slice(0, hi - lo), np.empty_like(p["w"])))
+
+
 class TestGruLayer:
     """The fused layer against the step-by-step float64 reference scan."""
 
@@ -219,27 +240,6 @@ class TestGruLayer:
         clean, dirty = (gru_gradients(bptt, d, p["w"], lengths) for d in (g, planted))
         for a, b in zip(clean, dirty):
             assert np.isfinite(b).all() and np.array_equal(a, b)
-
-
-# Length groups 7 x 4 rows, 5 x 5, 3 x 1, 2 x 2 and 1 x 1, longest first.
-RAGGED = [7] * 4 + [5] * 5 + [3] + [2] * 2 + [1]
-
-
-def _group_gradients(x, g, p, reverse):
-    """For each length group of a RAGGED scan: its rows, its length, its
-    (dx, dw, du, db) from the masked scan, and from its own scan."""
-    lengths = np.array(RAGGED)
-    _, bptt = run_gru(x, **p, reverse=reverse, lengths=lengths, record=True)
-    dx, reduce = bptt(g, rzh_rows(p["w"]))
-    past = np.arange(x.shape[1]) >= lengths[:, None]
-    assert (dx[past] == 0.0).all()
-    starts = [0, 4, 9, 10, 12]
-    for lo, hi in zip(starts, [*starts[1:], len(RAGGED)]):
-        rows, n = slice(lo, hi), RAGGED[lo]
-        _, own = run_gru(x[rows, :n], **p, reverse=reverse, record=True)
-        own_dx, own_reduce = own(g[rows, :n], rzh_rows(p["w"]))
-        yield rows, n, (dx[rows, :n], *reduce(rows, np.empty_like(p["w"]))), (
-            own_dx, *own_reduce(slice(0, hi - lo), np.empty_like(p["w"])))
 
 
 def hinge(pos, neg, margin=0.5) -> np.ndarray:
