@@ -235,17 +235,25 @@ def parse_json(data: str | bytes, source, line: int | None = None):
         raise CorpusFormatError(f"{where}: invalid JSON ({reason})") from exc
 
 
-def iter_corpus_records(path) -> Iterator[tuple[int, dict]]:
-    """Yield (line_number, parsed_json) for every nonblank line."""
+def iter_text_lines(path) -> Iterator[tuple[int, str]]:
+    """Yield (line_number, line) for every line of a UTF-8 text file, as
+    file iteration splits them; text that is not UTF-8 is a DataError naming
+    the file and the last line read."""
     line_no = 0
     with open(path, encoding="utf-8") as f:
         try:
             for line_no, line in enumerate(f, start=1):
-                stripped = line.strip()
-                if stripped:
-                    yield line_no, parse_json(stripped, path, line_no)
+                yield line_no, line
         except UnicodeDecodeError as exc:
             raise DataError(f"{path}: not UTF-8 text after line {line_no} ({exc.reason})") from exc
+
+
+def iter_corpus_records(path) -> Iterator[tuple[int, dict]]:
+    """Yield (line_number, parsed_json) for every nonblank line."""
+    for line_no, line in iter_text_lines(path):
+        stripped = line.strip()
+        if stripped:
+            yield line_no, parse_json(stripped, path, line_no)
 
 
 def load_records(path, parse: Callable[[object], T], what: str) -> list[T]:
@@ -265,6 +273,9 @@ def load_records(path, parse: Callable[[object], T], what: str) -> list[T]:
 def read_lines(path) -> list[str]:
     """The nonblank lines of a UTF-8 text file, stripped; text that is not
     UTF-8 is a DataError naming the file."""
+    # Not iter_text_lines: str.splitlines() also breaks lines at \v, \f,
+    # \x1c-\x1e, \x85 and \u2028-\u2029, which file iteration does not,
+    # so sharing that reader would change what a tagset or split line is.
     try:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
@@ -376,10 +387,16 @@ class Vocabularies:
     @classmethod
     def from_dict(cls, obj) -> "Vocabularies":
         obj = expect_object(obj, "vocabularies")
-        return cls(**{
-            name: Vocab(tuple(typed_field(obj, name, list, "vocabularies")))
-            for name in ("words", "roles", "da", "turn")
-        })
+        vocabs = {}
+        for name in ("words", "roles", "da", "turn"):
+            tokens = typed_field(obj, name, list, "vocabularies")
+            for i, token in enumerate(tokens):
+                if not isinstance(token, str):
+                    raise CorpusFormatError(
+                        f"vocabularies.{name}[{i}]: expected str, got {type(token).__name__}"
+                    )
+            vocabs[name] = Vocab(tuple(tokens))
+        return cls(**vocabs)
 
 
 def derive_vocabularies(

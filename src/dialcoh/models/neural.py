@@ -25,24 +25,27 @@ loaded checkpoint's payload is the buffer itself. Gradients are a second
 buffer with the same layout and views, and Adam updates the buffers whole.
 
 Scoring is batch-invariant: a stream's score is bit-identical whichever
-other streams share its pass. `score_streams` sorts streams longest first,
-the row order `run_gru` requires, and runs buckets of at most BUCKET_ROWS
-(64) rows, zero-padded to the block length and to at least MIN_ROWS rows;
-`run_gru` masks each row to its own length, pooling divides by it, and every
-product then gives each row the same bits at any row count from MIN_ROWS up
-to BUCKET_ROWS, and in the input projections at the larger counts that a
-bucket's rows times its steps reach (the head's one-output product is a
-row-wise sum: BLAS's matrix-vector product gives a row different bits
-depending on how many rows share the call).
+other streams share its pass. `_buckets` plans every scoring block: it sorts
+streams longest first, the row order `run_gru` requires, and cuts them into
+buckets of at most BUCKET_ROWS (64) rows, zero-padded to the block length
+and to at least MIN_ROWS rows; `run_gru` masks each row to its own length,
+pooling divides by it, and every product then gives each row the same bits
+at any row count from MIN_ROWS up to BUCKET_ROWS, and in the input
+projections at the larger counts that a bucket's rows times its steps reach
+(the head's one-output product is a row-wise sum: BLAS's matrix-vector
+product gives a row different bits depending on how many rows share the
+call).
 
 Training uses the same property. A step's streams fall into groups of one
 length; `_batch_step` runs every group of MIN_ROWS or more rows in one
 masked pass, longest first, and each smaller group in a pass of its own.
 Gradients with respect to inputs are taken for a whole pass, but a
 parameter's gradient sums over rows, so `_backward` takes it per length
-group, from the group's own rows over its own length, and adds the groups
-in ascending length over all the passes. The gradient, and so the trained
-weights, are then bit for bit those of one pass per length.
+group, from the group's own rows over its own length: it lists the step's
+groups once, in ascending length over all the passes, and the head, every
+GRU layer and direction, and the embeddings add their gradients walking
+that list. The gradient, and so the trained weights, are then bit for bit
+those of one pass per length.
 
 Every candidate of a context starts with the context's positions, and the
 layer-0 forward states over them depend on nothing after them, so
@@ -63,11 +66,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from ..corpus import Turn, Vocabularies
+from ..corpus import Turn, Vocabularies, iter_text_lines
 from ..engine.autodiff import Tensor
 from ..engine.optim import AdamState, adam_step
 from ..engine.rnn import GATES, MIN_ROWS, run_gru, rzh_rows
@@ -216,32 +219,26 @@ def load_word_vectors(path, vocabularies: Vocabularies, params: Mapping[str, np.
     if emb is None:
         raise DataError("model has no word channel to load vectors into")
     dim = emb.shape[1]
-    found = line_no = 0
-    with open(path, encoding="utf-8") as f:
+    found = 0
+    for line_no, line in iter_text_lines(path):
+        parts = line.rstrip("\n").split(" ")
+        wid = vocabularies.words.get(parts[0])
+        if wid is None:
+            continue
+        if len(parts) != dim + 1:
+            raise DataError(
+                f"{path} line {line_no}: {parts[0]!r} has {len(parts) - 1} values, "
+                f"expected {dim} (the word embedding size)"
+            )
         try:
-            for line_no, line in enumerate(f, 1):
-                parts = line.rstrip("\n").split(" ")
-                wid = vocabularies.words.get(parts[0])
-                if wid is None:
-                    continue
-                if len(parts) != dim + 1:
-                    raise DataError(
-                        f"{path} line {line_no}: {parts[0]!r} has {len(parts) - 1} values, "
-                        f"expected {dim} (the word embedding size)"
-                    )
-                try:
-                    with np.errstate(over="ignore"):
-                        vector = np.asarray([float(x) for x in parts[1:]], dtype=emb.dtype)
-                except ValueError as exc:
-                    raise DataError(
-                        f"{path} line {line_no}: non-numeric vector value ({exc})"
-                    ) from exc
-                if not np.isfinite(vector).all():
-                    raise DataError(f"{path} line {line_no}: {parts[0]!r} has a non-finite value")
-                emb[wid] = vector
-                found += 1
-        except UnicodeDecodeError as exc:
-            raise DataError(f"{path}: not UTF-8 text after line {line_no} ({exc.reason})") from exc
+            with np.errstate(over="ignore"):
+                vector = np.asarray([float(x) for x in parts[1:]], dtype=emb.dtype)
+        except ValueError as exc:
+            raise DataError(f"{path} line {line_no}: non-numeric vector value ({exc})") from exc
+        if not np.isfinite(vector).all():
+            raise DataError(f"{path} line {line_no}: {parts[0]!r} has a non-finite value")
+        emb[wid] = vector
+        found += 1
     return found
 
 
@@ -385,17 +382,22 @@ def _backward(passes: Sequence[_Pass], d_scores: np.ndarray,
     r, z, h copy (`rzh_rows`) is made once. Every gradient with respect to
     the inputs is taken for a whole pass: each row gets its bits whichever
     rows share a product. A parameter's gradient sums over rows, so it is
-    taken per length group, from the group's own rows over its own length,
-    and the groups add into `grads` in ascending length over all the
-    passes: each float32 sum, and so the trained weights, are then those of
-    one pass per length."""
+    taken per length group, from the group's own rows over its own length.
+    The step's (length, pass, rows) groups are listed once, stably sorted by
+    length, and the head, each GRU layer and direction, and the embeddings
+    each walk that list, adding into `grads` group by group: each float32
+    sum, and so the trained weights, are then those of one pass per
+    length."""
     heads, at = [], 0
     for p in passes:
         heads.append(p.head_backward(d_scores[at : at + len(p.lengths)]))
         at += len(p.lengths)
-    _add_by_length(grads, [(n, partial(add, rows=rows))
-                           for p, (_, add) in zip(passes, heads) for rows, n in p.groups()])
-    d_x = [p.pool_backward(d_pooled) for p, (d_pooled, _) in zip(passes, heads)]
+    d_pooled, head_adds = zip(*heads)
+    groups = sorted(((n, k, rows) for k, p in enumerate(passes) for rows, n in p.groups()),
+                    key=lambda group: group[0])
+    for _, k, rows in groups:
+        head_adds[k](grads, rows)
+    d_x = [p.pool_backward(d) for p, d in zip(passes, d_pooled)]
     for layer in reversed(range(len(passes[0].bptts))):
         by_direction = []
         for half, direction in enumerate("fb"):
@@ -404,26 +406,14 @@ def _backward(passes: Sequence[_Pass], d_scores: np.ndarray,
             walks = [p.bptts[layer][half](np.split(d, 2, axis=-1)[half], w_rzh)
                      for p, d in zip(passes, d_x)]
             # Each group's dW then takes the copy's buffer in turn.
-            _add_by_length(grads, [(n, partial(_add_gru, key, reduce, rows, w_rzh))
-                                   for p, (_, reduce) in zip(passes, walks)
-                                   for rows, n in p.groups()])
+            for _, k, rows in groups:
+                for kind, d in zip("wub", walks[k][1](rows, w_rzh)):
+                    grads[f"{key}.{kind}"] += d
             by_direction.append([dx for dx, _ in walks])
             del walks, w_rzh  # and with the walks, their pre-activation gradients
         d_x = [f + b for f, b in zip(*by_direction)]
-    _add_by_length(grads, [(n, partial(p.embed_backward, d, rows=rows, steps=n))
-                           for p, d in zip(passes, d_x) for rows, n in p.groups()])
-
-
-def _add_by_length(grads: dict[str, np.ndarray], adds: list[tuple[int, Callable]]) -> None:
-    """Call each (length, add) pair's add(grads), in ascending length."""
-    for _, add in sorted(adds, key=lambda a: a[0]):
-        add(grads)
-
-
-def _add_gru(key: str, reduce: Callable, rows: slice, dw: np.ndarray,
-             grads: dict[str, np.ndarray]) -> None:
-    for kind, d in zip("wub", reduce(rows, dw)):
-        grads[f"{key}.{kind}"] += d
+    for n, k, rows in groups:
+        passes[k].embed_backward(d_x[k], grads, rows=rows, steps=n)
 
 
 def _continue_scan(
@@ -512,6 +502,20 @@ def _candidate_streams(
 BUCKET_ROWS = 64
 
 
+def _buckets(
+    streams: Sequence[TokenStream], channels: tuple[str, ...]
+) -> Iterator[tuple[list[int], dict[str, np.ndarray], np.ndarray]]:
+    """The streams longest first (a stable sort), cut into buckets of at most
+    BUCKET_ROWS: per bucket, the streams' indices in row order and their
+    `_stack_streams` blocks and lengths, padded to at least MIN_ROWS rows."""
+    order = sorted(range(len(streams)), key=lambda i: -streams[i].length)
+    for start in range(0, len(order), BUCKET_ROWS):
+        bucket = order[start : start + BUCKET_ROWS]
+        ids, lengths = _stack_streams([streams[i] for i in bucket], channels,
+                                      max(len(bucket), MIN_ROWS))
+        yield bucket, ids, lengths
+
+
 class NeuralScorer:
     """A configured biGRU scorer: its vocabularies, its parameter buffer
     `flat` laid out by `layout` (param_layout), and `params`, the views of
@@ -546,37 +550,29 @@ class NeuralScorer:
         other streams. When `head_of` is given, stream i must start with the
         positions of heads[head_of[i]] (ValueError otherwise; by default no
         stream shares any). Each head's layer-0 forward states come from one
-        scan; then the streams run longest first, in buckets of at most
-        BUCKET_ROWS rows padded to MIN_ROWS, each row's layer-0 forward scan
-        continuing from its head's last state."""
+        scan (`_head_states`); then the streams run in the buckets that
+        `_buckets` plans, each row's layer-0 forward scan continuing from
+        its head's last state."""
         cfg = self.config
         if head_of is not None:
             _check_heads(streams, heads, head_of, cfg.channels)
         states = self._head_states(heads)
         none = np.zeros((0, cfg.gru_hidden), dtype=self.flat.dtype)
         out = np.zeros(len(streams), dtype=np.float64)
-        order = sorted(range(len(streams)), key=lambda i: -streams[i].length)
-        for start in range(0, len(order), BUCKET_ROWS):
-            bucket = order[start : start + BUCKET_ROWS]
-            rows = max(len(bucket), MIN_ROWS)
-            ids, lengths = _stack_streams([streams[i] for i in bucket], cfg.channels, rows)
+        for bucket, ids, lengths in _buckets(streams, cfg.channels):
             own = [none if head_of is None else states[head_of[i]] for i in bucket]
-            own += [none] * (rows - len(bucket))
+            own += [none] * (len(lengths) - len(bucket))
             scores = forward_scores(ids, self.params, cfg, lengths, head_states=own)
             out[bucket] = scores.data[: len(bucket)]
         return out
 
     def _head_states(self, heads: Sequence[TokenStream]) -> list[np.ndarray]:
         """The layer-0 forward states of each head, (its length, hidden),
-        each its own array: the heads longest first, as the rows of one
-        masked scan per BUCKET_ROWS of them, padded to MIN_ROWS."""
+        each its own array, from one masked scan per bucket of heads
+        (`_buckets`)."""
         cfg, p = self.config, self.params
         states: list[np.ndarray] = [None] * len(heads)
-        order = sorted(range(len(heads)), key=lambda i: -heads[i].length)
-        for start in range(0, len(order), BUCKET_ROWS):
-            bucket = order[start : start + BUCKET_ROWS]
-            ids, lengths = _stack_streams([heads[i] for i in bucket], cfg.channels,
-                                          rows=max(len(bucket), MIN_ROWS))
+        for bucket, ids, lengths in _buckets(heads, cfg.channels):
             x, _ = embed_channels(ids, p, cfg.channels)
             out = run_gru(x, p["gru0f.w"], p["gru0f.u"], p["gru0f.b"], lengths=lengths)
             for row, i in enumerate(bucket):

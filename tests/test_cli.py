@@ -187,10 +187,11 @@ class TestTrainEvalPipeline:
         recorded with OpenBLAS 0.3.31 on its SkylakeX kernel
         (`OPENBLAS_VERBOSE=2` prints `Core: SkylakeX`); they fail under
         `OPENBLAS_CORETYPE=Haswell`, and another BLAS or kernel may round
-        differently and need its own (see ROADMAP item 2). They were
-        recorded with one training pass per stream length; of this run's 15
-        steps, one merges two length groups into one pass (7 x 4 and 12 x 5
-        rows), and the others have at most one group of MIN_ROWS rows."""
+        differently and need its own (see ROADMAP, "Row bits by
+        construction"). They were recorded with one training pass per
+        stream length; of this run's 15 steps, one merges two length groups
+        into one pass (7 x 4 and 12 x 5 rows), and the others have at most
+        one group of MIN_ROWS rows."""
         blob = pipeline["checkpoint"].read_bytes()
         payload = blob[16 + int.from_bytes(blob[8:16], "little") :]
         assert hashlib.sha256(payload).hexdigest() == (

@@ -182,6 +182,11 @@ def _train_args(root, record, tmp_path, *flags):
             "--out", tmp_path / "out", *flags)
 
 
+# the smallest neural model `train` takes
+TINY_NEURAL = ("--emb-dim-word", "2", "--emb-dim", "2", "--layers", "1", "--hidden", "2",
+               "--head-hidden", "2", "--epochs", "1")
+
+
 LIST_FLAG_CASES = {
     "baseline_ratings": lambda root, record, tmp: (
         "baseline", "--candidates", "3", "--metric", "ndcg", "--ratings", "a,b,c"),
@@ -208,9 +213,7 @@ def test_non_numeric_word_vector_is_a_data_error(setup, tmp_path, capsys):
     vectors = tmp_path / "vectors.txt"
     vectors.write_text("movie 0.1 0.2\nmovie 0.1 x\n", encoding="utf-8")
     code = run(*_train_args(
-        root, record, tmp_path, "--model", "neural", "--pretrained-words", vectors,
-        "--emb-dim-word", "2", "--emb-dim", "2", "--layers", "1", "--hidden", "2",
-        "--head-hidden", "2", "--epochs", "1"))
+        root, record, tmp_path, "--model", "neural", "--pretrained-words", vectors, *TINY_NEURAL))
     assert code == 2
     err = capsys.readouterr().err
     assert str(vectors) in err and "line 2" in err
@@ -221,13 +224,33 @@ def test_word_vector_of_the_wrong_size_is_a_data_error(setup, tmp_path, capsys):
     vectors = tmp_path / "vectors.txt"
     vectors.write_text("unseen 0.1\nmovie 0.1 0.2 0.3\n", encoding="utf-8")
     code = run(*_train_args(
-        root, record, tmp_path, "--model", "neural", "--pretrained-words", vectors,
-        "--emb-dim-word", "2", "--emb-dim", "2", "--layers", "1", "--hidden", "2",
-        "--head-hidden", "2", "--epochs", "1"))
+        root, record, tmp_path, "--model", "neural", "--pretrained-words", vectors, *TINY_NEURAL))
     assert code == 2
     err = capsys.readouterr().err
     assert str(vectors) in err and "line 2" in err
     assert "3 values" in err and "expected 2" in err
+
+
+@pytest.mark.parametrize("tokens, model", [
+    ("object", "linear"), ("object", "neural"), ("numbers", "linear"),
+])
+def test_vocabulary_token_that_is_not_a_string_is_a_data_error(setup, tmp_path, capsys, tokens,
+                                                              model):
+    """A --vocab file's tokens must be strings: an object escaped `train` as
+    a TypeError, and numbers trained a linear model."""
+    root, record = setup
+    vocab = json.loads((root / "vocab.json").read_text(encoding="utf-8"))
+    words, at, kind = {
+        "object": ([*vocab["words"], {"head": "x"}], len(vocab["words"]), "dict"),
+        "numbers": ([1, 2], 0, "int"),
+    }[tokens]
+    path = tmp_path / "vocab.json"
+    path.write_text(json.dumps({**vocab, "words": words}), encoding="utf-8")
+    flags = ("--model", model, "--vocab", path, *(TINY_NEURAL if model == "neural" else ()))
+    assert run(*_train_args(root, record, tmp_path, *flags)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error:")
+    assert f"vocabularies.words[{at}]: expected str, got {kind}" in err
 
 
 def _entry(header, **changes):
@@ -252,6 +275,9 @@ HEADER_CASES = {
     "config_k_below_2": (lambda h: {**h, "config": {**h["config"], "k": 1}}, "k must be"),
     "vocabulary_not_a_list": (
         lambda h: {**h, "vocabularies": {**h["vocabularies"], "words": 3}}, "words"),
+    "vocabulary_token_not_a_string": (
+        lambda h: {**h, "vocabularies": {**h["vocabularies"], "da": [{}]}},
+        "vocabularies.da[0]: expected str, got dict"),
     "no_chunk_bytes": (_without("chunk_bytes"), "chunk_bytes"),
     "chunk_bytes_zero": (lambda h: {**h, "chunk_bytes": 0}, "chunk_bytes"),
     "chunk_bytes_negative": (lambda h: {**h, "chunk_bytes": -64}, "chunk_bytes"),
@@ -390,10 +416,8 @@ def test_non_finite_word_vector_is_a_data_error(setup, tmp_path, capsys):
     for value in ("nan", "inf", "1e39"):  # 1e39 overflows float32
         vectors = tmp_path / "vectors.txt"
         vectors.write_text(f"movie 0.1 0.2\nmovie 0.1 {value}\n", encoding="utf-8")
-        code = run(*_train_args(
-            root, record, tmp_path, "--model", "neural", "--pretrained-words", vectors,
-            "--emb-dim-word", "2", "--emb-dim", "2", "--layers", "1", "--hidden", "2",
-            "--head-hidden", "2", "--epochs", "1"))
+        code = run(*_train_args(root, record, tmp_path, "--model", "neural",
+                                "--pretrained-words", vectors, *TINY_NEURAL))
         assert code == 2, value
         err = capsys.readouterr().err
         assert str(vectors) in err and "line 2" in err and "non-finite" in err
@@ -467,9 +491,7 @@ NOT_UTF8_SIDE_FILES = {
         "gen-dataset", root / "corpus.jsonl", "--mode", "internal", "--split", path,
         "--out", tmp / "gen"),
     "pretrained_words": lambda root, record, tmp, path: _train_args(
-        root, record, tmp, "--model", "neural", "--pretrained-words", path,
-        "--emb-dim-word", "2", "--emb-dim", "2", "--layers", "1", "--hidden", "2",
-        "--head-hidden", "2", "--epochs", "1"),
+        root, record, tmp, "--model", "neural", "--pretrained-words", path, *TINY_NEURAL),
 }
 
 

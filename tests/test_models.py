@@ -306,6 +306,25 @@ class TestForwardScore:
         ]
         assert all(s.base is None for states in held for s in states)
 
+    def test_heads_in_several_buckets_score_as_each_stream_alone(self, vocabs, dataset,
+                                                                monkeypatch):
+        """score_streams given more heads than BUCKET_ROWS scans them in
+        several buckets, which score_candidates never asks for; each score
+        keeps the bits of its stream scored alone. The heads are listed in
+        the reverse of their streams' order, and two streams share each."""
+        scorer = NeuralScorer.initialize(small_config(seed=5), vocabs)
+        heads = [linearize(inst.context, scorer.encoding) for inst in dataset]
+        streams, head_of = [], []
+        for k, (inst, head) in enumerate(zip(dataset, heads)):
+            for c in inst.candidates[:2]:
+                streams.append(encode_pairwise_inputs(inst.context, c.turn, scorer.encoding,
+                                                      head))
+                head_of.append(len(heads) - 1 - k)
+        alone = np.array([scorer.score_streams([s])[0] for s in streams])
+        monkeypatch.setattr(neural, "BUCKET_ROWS", MIN_ROWS + 1)
+        assert len(heads) > 2 * neural.BUCKET_ROWS and len({h.length for h in heads}) > 2
+        assert np.array_equal(scorer.score_streams(streams, heads[::-1], head_of), alone)
+
     def test_streams_must_start_with_their_heads(self, vocabs, dataset):
         scorer = NeuralScorer.initialize(small_config(seed=2), vocabs)
         (ctx_a, [cand_a, *_]), (ctx_b, _) = [
@@ -339,13 +358,22 @@ class TestForwardScore:
     def test_row_invariance_holds_at_one_blas_thread(self):
         """Exact scoring and training rest on the row-invariance tests, and
         the suite runs them at the BLAS thread count it was started with:
-        run them, with the engine's float32 bitwise tests, again in a fresh
-        interpreter at one OpenBLAS thread."""
+        run them, with the engine's float32 bitwise tests and the scoring
+        and training contracts built on them (batch composition, shared
+        contexts, heads in several buckets, the merged training pass), again
+        in a fresh interpreter at one OpenBLAS thread. The digest pins are
+        left out: they name one BLAS kernel, not a property."""
         here = Path(__file__).resolve().parent
         tests = [f"test_models.py::TestForwardScore::{name}" for name in (
             "test_products_are_row_invariant_from_four_rows",
             "test_weight_major_recurrent_product_equals_row_major",
-        )] + [f"test_engine.py::TestGruLayer::{name}" for name in (
+            "test_batch_composition_invariance",
+            "test_shared_context_scores_equal_each_stream_scored_alone",
+            "test_heads_in_several_buckets_score_as_each_stream_alone",
+        )] + [
+            "test_models.py::TestTrainNeural::"
+            "test_merged_pass_step_equals_one_pass_per_length_bitwise",
+        ] + [f"test_engine.py::TestGruLayer::{name}" for name in (
             "test_float32_ragged_rows_equal_the_masked_scan_bitwise",
             "test_float32_scan_from_a_state_continues_the_scan_bitwise",
             "test_float32_masked_backward_is_bitwise_from_min_rows",
@@ -372,7 +400,7 @@ class TestForwardScore:
         SkylakeX kernel (`OPENBLAS_VERBOSE=2` prints `Core: SkylakeX`); under
         `OPENBLAS_CORETYPE=Haswell` the paper-size digest differs, and another
         BLAS or kernel may round differently and need its own digest (see
-        ROADMAP item 2)."""
+        ROADMAP, "Row bits by construction")."""
         dims = {"emb_dim_word": 6, "emb_dim_other": 4, "gru_hidden": 5, "head_hidden": 4}
         cfg = NeuralConfig(channels=("word", "da", "turn"), batch_size=5, seed=7,
                            **(dims if size == "small" else {}))
