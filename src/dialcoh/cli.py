@@ -108,8 +108,15 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _dump_json(obj, path=None) -> str:
-    text = json.dumps(obj, ensure_ascii=False, indent=2, sort_keys=True) + "\n"
+def _dump_json(obj, path=None, what=None) -> str:
+    """obj as indented JSON text, also written to path when given. A number
+    that is not finite, which JSON cannot hold, is a NumericError naming
+    what (by default the file's name)."""
+    try:
+        text = json.dumps(obj, ensure_ascii=False, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise NumericError(f"{what or Path(path).name}: {exc}") from exc
+    text += "\n"
     if path is not None:
         Path(path).write_text(text, encoding="utf-8")
     return text
@@ -285,7 +292,7 @@ def cmd_train(args) -> int:
 def _write_report(args, report: dict, stem: str, extra: dict[str, str] | None = None) -> int:
     """Print a report as JSON; with --out also write that text as
     <stem>.json, each of extra's file name -> text, and run_config.json."""
-    text = _dump_json(report)
+    text = _dump_json(report, what=f"{stem} report")
     sys.stdout.write(text)
     if args.out:
         out = _out_dir(args)
@@ -439,9 +446,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--layers", type=int, default=2)
     p.add_argument("--hidden", type=int, default=512)
     p.add_argument("--head-hidden", type=int, default=256)
-    p.add_argument("--lr", type=float, default=0.0005)
+    p.add_argument("--lr", type=float, default=0.0005,
+                   help="learning rate; the default is the neural one and applies to "
+                        "--model linear too")
     p.add_argument("--batch-size", type=int, default=32)
-    p.add_argument("--epochs", type=int, default=30)
+    p.add_argument("--epochs", type=int, default=30,
+                   help="the most epochs; the default is the neural one and applies to "
+                        "--model linear too")
     p.add_argument("--margin", type=float, default=0.5)
     p.add_argument("--patience", type=int, default=5)
     p.add_argument("--pretrained-words")

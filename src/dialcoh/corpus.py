@@ -103,6 +103,15 @@ def typed_field(obj: dict, key: str, kind, where: str, default=REQUIRED):
     return value
 
 
+def str_list_field(obj: dict, key: str, where: str) -> list[str]:
+    """obj[key], which must be a list of str."""
+    items = typed_field(obj, key, list, where)
+    for i, item in enumerate(items):
+        if type(item) is not str:
+            raise CorpusFormatError(f"{where}.{key}[{i}]: expected str, got {type(item).__name__}")
+    return items
+
+
 def expect_object(obj, where: str) -> dict:
     if not isinstance(obj, dict):
         raise CorpusFormatError(f"{where}: expected an object, got {type(obj).__name__}")
@@ -273,14 +282,15 @@ def load_records(path, parse: Callable[[object], T], what: str) -> list[T]:
 def read_lines(path) -> list[str]:
     """The nonblank lines of a UTF-8 text file, stripped; text that is not
     UTF-8 is a DataError naming the file."""
-    # Not iter_text_lines: str.splitlines() also breaks lines at \v, \f,
-    # \x1c-\x1e, \x85 and \u2028-\u2029, which file iteration does not,
-    # so sharing that reader would change what a tagset or split line is.
+    # Split at "\n" only, as file iteration does (read_text has already
+    # turned "\r\n" and "\r" into "\n"): str.splitlines() would also break
+    # at \v, \f, \x1c-\x1e, \x85 and \u2028-\u2029, which a corpus's DA
+    # labels and dialogue ids may hold.
     try:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
-    return [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
+    return [ln for ln in (raw.strip() for raw in text.split("\n")) if ln]
 
 
 def load_tagset(path) -> tuple[str, ...]:
@@ -389,13 +399,7 @@ class Vocabularies:
         obj = expect_object(obj, "vocabularies")
         vocabs = {}
         for name in ("words", "roles", "da", "turn"):
-            tokens = typed_field(obj, name, list, "vocabularies")
-            for i, token in enumerate(tokens):
-                if not isinstance(token, str):
-                    raise CorpusFormatError(
-                        f"vocabularies.{name}[{i}]: expected str, got {type(token).__name__}"
-                    )
-            vocabs[name] = Vocab(tuple(tokens))
+            vocabs[name] = Vocab(tuple(str_list_field(obj, name, "vocabularies")))
         return cls(**vocabs)
 
 

@@ -125,6 +125,8 @@ def random_baseline(
     rel = np.asarray(relevance, dtype=np.float64)
     if rel.size != n_candidates:
         raise DataError("relevance profile length must equal n_candidates")
+    if not np.isfinite(rel).all():
+        raise DataError(f"relevance profile values must be finite, got {rel.tolist()}")
 
     single_relevant = int((rel > 0).sum()) == 1 and metric != "ndcg"
     closed_form = None

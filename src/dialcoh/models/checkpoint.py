@@ -52,7 +52,7 @@ from typing import Iterable
 
 import numpy as np
 
-from ..corpus import Vocabularies, expect_object, parse_json, typed_field
+from ..corpus import Vocabularies, expect_object, parse_json, str_list_field, typed_field
 from ..errors import ChecksumError, DataError, NumericError
 from .linear import LinearRanker, LinearRankerConfig
 from .neural import NeuralConfig, NeuralScorer, layout_size, param_layout
@@ -164,10 +164,22 @@ def _check_neural_layout(found: dict, layout: dict) -> None:
             )
 
 
+# The JSON type of each config field annotation: a float field takes any
+# number but a bool, and the channels tuple is saved as a list of str.
+_CONFIG_KINDS = {"int": int, "float": (int, float), "str": str, "tuple[str, ...]": list}
+
+
 def _config(cls, obj: dict):
-    unknown = sorted(set(obj) - {f.name for f in fields(cls)})
+    where = f"{_HEADER}.config"
+    kinds = {f.name: _CONFIG_KINDS[f.type] for f in fields(cls)}
+    unknown = sorted(set(obj) - set(kinds))
     if unknown:
-        raise DataError(f"{_HEADER}.config: unknown key {unknown[0]!r}")
+        raise DataError(f"{where}: unknown key {unknown[0]!r}")
+    for key in obj:
+        if kinds[key] is list:
+            str_list_field(obj, key, where)
+        else:
+            typed_field(obj, key, kinds[key], where)
     try:
         return cls(**obj)
     except TypeError as exc:
@@ -185,13 +197,7 @@ def _recorded_digests(header: dict, payload_len: int) -> tuple[list[str], int]:
     chunk_bytes = typed_field(header, "chunk_bytes", int, _HEADER)
     if chunk_bytes < 1:
         raise DataError(f"{_HEADER}.chunk_bytes: expected a positive integer, got {chunk_bytes}")
-    digests = typed_field(header, "payload_sha256", list, _HEADER)
-    for i, digest in enumerate(digests):
-        if type(digest) is not str:
-            raise DataError(
-                f"{_HEADER}.payload_sha256[{i}]: expected str, got {type(digest).__name__}"
-            )
-    return digests, chunk_bytes
+    return str_list_field(header, "payload_sha256", _HEADER), chunk_bytes
 
 
 def _read_chunks(f, payload: np.ndarray, starts: range, chunk_bytes: int, path):

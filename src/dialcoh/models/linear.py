@@ -27,6 +27,11 @@ FEATURE_SETS = ("entity", "da", "joint")
 
 @dataclass(frozen=True)
 class LinearRankerConfig:
+    """Linear ranker hyperparameters. The lr and epochs defaults here are
+    not what `dialcoh train --model linear` uses: that command passes its
+    own --lr and --epochs, whose defaults (0.0005 and 30) are the neural
+    model's."""
+
     features: str = "joint"  # entity | da | joint
     k: int = 2
     saliency: int = 1

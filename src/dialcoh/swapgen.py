@@ -1,16 +1,18 @@
 """Weakly supervised response-selection dataset generation.
 
-An insertion point splits a dialogue into a context (the history so far) and
-the true next turn, the positive candidate. Adversarial candidates are drawn
-either from strictly later turns of the same dialogue (internal swap) or from
-other dialogues of the same split (external swap). Sampling is without
-replacement and rejects turns content-identical to the positive. A turn's
-content identity is its `Turn.segments` (DA labels, mentions and text; the
-speaker is left out), compared by value with no encoding. Generation is fully
-reproducible: all randomness flows from one root seed through per-dialogue
-and per-point substreams of numpy's default PCG64 generator, and output order
-is canonical (dialogue id, then point index), so the dataset is a pure
-function of (dialogue set, seed).
+`build_selection_dataset` is the one way to generate a dataset. It checks
+its arguments once, then walks the split: each insertion point splits a
+dialogue into a context (the history so far) and the true next turn, the
+positive candidate. Adversarial candidates are drawn either from strictly
+later turns of the same dialogue (internal swap) or from other dialogues of
+the same split (external swap). Sampling is without replacement and rejects
+turns content-identical to the positive. A turn's content identity is its
+`Turn.segments` (DA labels, mentions and text; the speaker is left out),
+compared by value with no encoding. Generation is fully reproducible: all
+randomness flows from one root seed through per-dialogue and per-point
+substreams of numpy's default PCG64 generator, and output order is canonical
+(dialogue id, then point index), so the dataset is a pure function of
+(dialogue set, seed).
 
 Selection datasets, graded turn-coherence test sets and `rate` requests share
 one record schema, parsed by `parse_record`::
@@ -49,7 +51,6 @@ from .corpus import (
     REQUIRED,
     CorpusFormatError,
     Dialogue,
-    Segment,
     Turn,
     expect_object,
     load_records,
@@ -64,18 +65,6 @@ PROVENANCES = ("original", "internal", "external")
 RATING_SCALE = (1, 2, 3)
 
 GENERATOR_NAME = "numpy.random.default_rng (PCG64), SeedSequence([seed, sha256(dialogue_id)[:8], point])"
-
-
-@dataclass(frozen=True)
-class InsertionPoint:
-    """A context/positive split: the positive is the turn at index context_len."""
-
-    dialogue_id: str
-    context_len: int
-
-    @property
-    def positive_idx(self) -> int:
-        return self.context_len
 
 
 @dataclass(frozen=True)
@@ -97,10 +86,6 @@ class RankingInstance:
     positive_position: int
 
     @property
-    def context_len(self) -> int:
-        return len(self.context)
-
-    @property
     def n_pairs(self) -> int:
         return len(self.candidates) - 1
 
@@ -114,12 +99,6 @@ class RatedInstance:
     instance_id: str | None = None
 
 
-def _as_rng(rng) -> np.random.Generator:
-    if isinstance(rng, np.random.Generator):
-        return rng
-    return np.random.default_rng(rng)
-
-
 def _id_entropy(dialogue_id: str) -> int:
     return int.from_bytes(hashlib.sha256(dialogue_id.encode("utf-8")).digest()[:8], "big")
 
@@ -130,18 +109,12 @@ def point_rng(seed: int, dialogue_id: str, stream: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, _id_entropy(dialogue_id), stream]))
 
 
-def gen_insertion_points(
-    d: Dialogue,
-    n: int,
-    ctx_range: tuple[int, int] | None = None,
-    rng: int | np.random.Generator = 0,
-) -> list[InsertionPoint]:
-    """Sample up to n distinct insertion points, uniform over the admissible
-    context lengths (clipped by ctx_range when given). Points are returned
-    sorted by context length; when fewer than n are admissible, all are used.
-    """
-    if n < 1:
-        raise DataError("number of insertion points must be >= 1")
+def _context_lengths(
+    d: Dialogue, n: int, ctx_range: tuple[int, int] | None, gen: np.random.Generator
+) -> list[int]:
+    """Up to n distinct context lengths, uniform over the admissible ones
+    (clipped by ctx_range when given), ascending; all of them when n or
+    fewer are admissible. The positive is the turn at the context length."""
     lo, hi = 1, len(d.turns) - 1
     if ctx_range is not None:
         lo = max(lo, ctx_range[0])
@@ -152,115 +125,61 @@ def gen_insertion_points(
             f"({len(d.turns)} turns, ctx_range={ctx_range})"
         )
     admissible = np.arange(lo, hi + 1)
-    gen = _as_rng(rng)
-    if len(admissible) <= n:
-        chosen = admissible
-    else:
-        chosen = gen.choice(admissible, size=n, replace=False)
-    return [InsertionPoint(d.id, int(c)) for c in sorted(chosen)]
+    if len(admissible) > n:
+        admissible = gen.choice(admissible, size=n, replace=False)
+    return [int(c) for c in sorted(admissible)]
 
 
-class _TurnIndex:
-    """Every turn of a split in one flat list, with its dialogue id, and
-    every dialogue by id, for negative sampling."""
-
-    def __init__(self, split: Sequence[Dialogue]):
-        self.dialogues = {d.id: d for d in split}
-        self.dialogue_ids = [d.id for d in split for _ in d.turns]
-        self.turns = [t for d in split for t in d.turns]
-
-    def __len__(self) -> int:
-        return len(self.turns)
-
-
-def _sample_external(
-    index: _TurnIndex,
-    exclude_dialogue: str,
-    positive: tuple[Segment, ...],
-    count: int,
-    gen: np.random.Generator,
-) -> list[Turn]:
-    total = len(index)
-    own = len(index.dialogues[exclude_dialogue].turns)
-    if total - own < count:
-        raise InsufficientPoolError(
-            f"external pool for dialogue {exclude_dialogue!r} has only "
-            f"{total - own} turns, need {count}"
-        )
-    picked: list[int] = []
-    seen: set[int] = set()
-    attempts = 0
-    # Rejection sampling over the flat index is distribution-identical to
-    # uniform sampling without replacement from the filtered pool.
-    max_attempts = 200 * count + 1000
-    while len(picked) < count and attempts < max_attempts:
-        attempts += 1
-        i = int(gen.integers(0, total))
-        if i in seen or index.dialogue_ids[i] == exclude_dialogue:
-            continue
-        if index.turns[i].segments == positive:
-            continue
-        seen.add(i)
-        picked.append(i)
-    if len(picked) < count:
-        # Degenerate data (mostly duplicates of the positive): fall back to the
-        # exact filtered pool.
-        pool = [
-            i
-            for i in range(total)
-            if index.dialogue_ids[i] != exclude_dialogue
-            and index.turns[i].segments != positive
-        ]
-        if len(pool) < count:
-            raise InsufficientPoolError(
-                f"external pool for dialogue {exclude_dialogue!r} has only "
-                f"{len(pool)} usable turns, need {count}"
-            )
-        picked = [pool[j] for j in gen.choice(len(pool), size=count, replace=False)]
-    return [index.turns[i] for i in picked]
-
-
-def sample_negatives(
-    point: InsertionPoint,
+def _negatives(
+    d: Dialogue,
+    positive_idx: int,
     mode: str,
     count: int,
-    corpus_split: Sequence[Dialogue],
-    rng: int | np.random.Generator = 0,
-    _index: _TurnIndex | None = None,
+    split_turns: Sequence[tuple[str, Turn]],
+    gen: np.random.Generator,
 ) -> list[Turn]:
-    """Draw adversarial turns for an insertion point, without replacement.
-
-    internal: uniform over the turns strictly after the positive in the same
-    dialogue. external: uniform over all turns of the other dialogues in the
-    same split. Turns content-identical to the positive are never returned.
-    _index is the split's `_TurnIndex`, built here when not given.
-    """
-    if mode not in ("internal", "external"):
-        raise DataError(f"unknown sampling mode {mode!r}")
-    if count < 1:
-        raise DataError("negative count must be >= 1")
-    gen = _as_rng(rng)
-    index = _index if _index is not None else _TurnIndex(corpus_split)
-    source = index.dialogues.get(point.dialogue_id)
-    if source is None:
-        raise DataError(f"dialogue {point.dialogue_id!r} not found in split")
-    if not 1 <= point.positive_idx <= len(source.turns) - 1:
-        raise DataError(f"insertion point {point.positive_idx} out of range for {source.id!r}")
-    positive = source.turns[point.positive_idx].segments
-
+    """count adversarial turns for the point of d whose positive is turn
+    positive_idx, without replacement. internal: uniform over the turns
+    strictly after the positive. external: uniform over split_turns (the
+    split's (dialogue id, turn) pairs in corpus order) outside d. Turns
+    content-identical to the positive are never returned."""
+    positive = d.turns[positive_idx].segments
     if mode == "internal":
-        pool = [t for t in source.turns[point.positive_idx + 1 :] if t.segments != positive]
+        pool = [t for t in d.turns[positive_idx + 1 :] if t.segments != positive]
         if len(pool) < count:
             raise InsufficientPoolError(
-                f"internal pool after turn {point.positive_idx} of "
-                f"{source.id!r} has {len(pool)} usable turns, need {count}"
+                f"internal pool after turn {positive_idx} of "
+                f"{d.id!r} has {len(pool)} usable turns, need {count}"
             )
-        idx = gen.choice(len(pool), size=count, replace=False)
-        return [pool[i] for i in idx]
+        return [pool[i] for i in gen.choice(len(pool), size=count, replace=False)]
 
-    if len(corpus_split) < 2:
-        raise InsufficientPoolError("external swap needs at least one other dialogue")
-    return _sample_external(index, point.dialogue_id, positive, count, gen)
+    total = len(split_turns)
+    if total - len(d.turns) < count:
+        raise InsufficientPoolError(
+            f"external pool for dialogue {d.id!r} has only "
+            f"{total - len(d.turns)} turns, need {count}"
+        )
+    # Rejection sampling over the flat list is distribution-identical to
+    # uniform sampling without replacement from the filtered pool.
+    picked: dict[int, Turn] = {}
+    for _ in range(200 * count + 1000):
+        if len(picked) == count:
+            break
+        i = int(gen.integers(0, total))
+        source, t = split_turns[i]
+        if i not in picked and source != d.id and t.segments != positive:
+            picked[i] = t
+    if len(picked) == count:
+        return list(picked.values())
+    # Degenerate data (mostly duplicates of the positive): fall back to the
+    # exact filtered pool.
+    pool = [t for source, t in split_turns if source != d.id and t.segments != positive]
+    if len(pool) < count:
+        raise InsufficientPoolError(
+            f"external pool for dialogue {d.id!r} has only "
+            f"{len(pool)} usable turns, need {count}"
+        )
+    return [pool[i] for i in gen.choice(len(pool), size=count, replace=False)]
 
 
 def build_selection_dataset(
@@ -282,28 +201,30 @@ def build_selection_dataset(
     ids = [d.id for d in split]
     if len(set(ids)) != len(ids):
         raise DataError("split contains duplicate dialogue ids")
-    index = _TurnIndex(split)
+    if points_per_dialogue < 1:
+        raise DataError("number of insertion points must be >= 1")
+    if mode not in ("internal", "external"):
+        raise DataError(f"unknown sampling mode {mode!r}")
+    if n_neg < 1:
+        raise DataError("negative count must be >= 1")
+    if mode == "external" and len(split) < 2:
+        raise InsufficientPoolError("external swap needs at least one other dialogue")
+    split_turns = [(d.id, t) for d in split for t in d.turns]
     instances: list[RankingInstance] = []
     for d in sorted(split, key=lambda x: x.id):
-        points = gen_insertion_points(
-            d, points_per_dialogue, ctx_range, point_rng(seed, d.id, 0)
-        )
-        for j, pt in enumerate(points):
+        lengths = _context_lengths(d, points_per_dialogue, ctx_range, point_rng(seed, d.id, 0))
+        for j, c in enumerate(lengths):
             gen = point_rng(seed, d.id, 1 + j)
-            negatives = sample_negatives(pt, mode, n_neg, split, gen, _index=index)
-            cands = [Candidate(d.turns[pt.positive_idx], "original")] + [
-                Candidate(t, mode) for t in negatives
-            ]
+            negatives = _negatives(d, c, mode, n_neg, split_turns, gen)
+            cands = [Candidate(d.turns[c], "original")] + [Candidate(t, mode) for t in negatives]
             perm = gen.permutation(len(cands))
-            candidates = tuple(cands[i] for i in perm)
-            positive_position = int(np.nonzero(perm == 0)[0][0])
             instances.append(
                 RankingInstance(
                     dialogue_id=d.id,
                     point_index=j,
-                    context=d.turns[: pt.context_len],
-                    candidates=candidates,
-                    positive_position=positive_position,
+                    context=d.turns[:c],
+                    candidates=tuple(cands[i] for i in perm),
+                    positive_position=int(np.nonzero(perm == 0)[0][0]),
                 )
             )
     manifest = {

@@ -62,6 +62,27 @@ class TestValidateAndVocab:
     def test_missing_file_is_data_error(self, tmp_path):
         assert run("validate", tmp_path / "nope.jsonl") == 2
 
+    @pytest.mark.parametrize("char", ["\x85", "\u2028", "\u2029", "\x0b", "\x0c", "\x1e"])
+    def test_tagset_and_split_lines_break_only_at_newlines(self, tmp_path, capsys, char):
+        """A DA label or dialogue id may hold a character that
+        str.splitlines() breaks at; a --tagset or --split line holding it is
+        one line. "\\r\\n" still ends a line."""
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text("".join(
+            json.dumps({"id": i, "turns": [{"speaker": "A", "segments": [{"da": da}]}]},
+                       ensure_ascii=False) + "\n"
+            for i, da in ((f"d{char}1", f"sd{char}x"), ("d2", "qy"))), encoding="utf-8")
+        tagset = tmp_path / "tagset.txt"
+        tagset.write_bytes(f"sd{char}x\r\nqy\n".encode("utf-8"))
+        split = tmp_path / "split.txt"
+        split.write_bytes(f"d{char}1\r\n".encode("utf-8"))
+        out = tmp_path / "vocab.json"
+        assert run("vocab", corpus, "-o", out, "--tagset", tagset) == 0
+        assert sorted(json.loads(out.read_text(encoding="utf-8"))["da"]) == ["qy", f"sd{char}x"]
+        assert run("vocab", corpus, "-o", out, "--split", split) == 0
+        assert json.loads(out.read_text(encoding="utf-8"))["da"] == [f"sd{char}x"]
+        assert capsys.readouterr().err == ""
+
 
 # Runs `cli.main` on argv, adds the heavy modules it loaded as a last line
 # of stderr, and exits with its code.
@@ -484,6 +505,24 @@ class TestBaseline:
 
     def test_invalid_metric_usage_error(self):
         assert run("baseline", "--candidates", "10", "--metric", "nope") == 1
+
+    @pytest.mark.parametrize("ratings", ["inf,1,1", "nan,1,1", "1,-inf,1"])
+    @pytest.mark.parametrize("metric", ["ndcg", "mrr"])
+    def test_non_finite_relevance_is_a_data_error(self, capsys, metric, ratings):
+        assert run("baseline", "--candidates", "3", "--trials", "10", "--metric", metric,
+                   "--ratings", ratings) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("data error: relevance profile values must be finite")
+
+    def test_non_finite_report_is_a_numeric_error(self, capsys, tmp_path, monkeypatch):
+        """A report holding NaN is written nowhere: JSON has no NaN."""
+        monkeypatch.setattr("dialcoh.metrics.random_baseline",
+                            lambda **kwargs: {"estimate": float("nan")})
+        assert run("baseline", "--candidates", "3", "--metric", "ndcg",
+                   "--out", tmp_path / "out") == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("numeric error: baseline report: ")
+        assert not (tmp_path / "out").exists()
 
 
 # Runs `cli.main` on each argv of the JSON list in argv[1], in this one

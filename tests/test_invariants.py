@@ -108,12 +108,13 @@ def test_every_benchmark_probe_target_resolves():
 
 
 def _write_dataset(tmp_path):
-    """vocab.json and data.jsonl (a small selection set) under tmp_path; returns
-    the instances."""
-    from dialcoh.corpus import derive_vocabularies, save_vocabularies
+    """corpus.jsonl, vocab.json and data.jsonl (a small selection set) under
+    tmp_path; returns the instances."""
+    from dialcoh.corpus import derive_vocabularies, save_corpus, save_vocabularies
     from dialcoh.swapgen import build_selection_dataset, save_instances
 
     corpus = synthetic_corpus(3, 8, seed=1)
+    save_corpus(corpus, tmp_path / "corpus.jsonl")
     save_vocabularies(derive_vocabularies(corpus), tmp_path / "vocab.json")
     instances, _ = build_selection_dataset(corpus, points_per_dialogue=2, n_neg=2, seed=0)
     save_instances(instances, tmp_path / "data.jsonl")
@@ -164,20 +165,24 @@ LINEAR_CLI_TARGETS = ("build_pair_features", "train_linear_ranker", "evaluate_se
 
 
 def test_benchmark_probes_fire_on_a_linear_run(monkeypatch, tmp_path):
-    """A linear train -> eval-selection through `cli.main` under the
-    benchmark's tracer calls the wrappers the tracer set on `dialcoh.cli`
-    (binding the lazy names keeps them) and leaves no per-layer metric
-    untraced; after the tracer restores the originals the commands still
-    run."""
+    """A gen-dataset -> linear train -> eval-selection through `cli.main`
+    under the benchmark's tracer fires the dataset path's probes, whose
+    counts read `build_selection_dataset`'s result and `save_instances`'
+    path, calls the wrappers the tracer set on `dialcoh.cli` (binding the
+    lazy names keeps them) and leaves no per-layer metric untraced; after
+    the tracer restores the originals the commands still run."""
     from dialcoh import cli
 
     bench_trace = _bench_trace(monkeypatch)
     _write_dataset(tmp_path)
+    data = tmp_path / "gen" / "dataset.jsonl"
     ckpt = tmp_path / "out" / "checkpoint.ckpt"
     commands = [
-        ["train", "--model", "linear", "--train", tmp_path / "data.jsonl",
+        ["gen-dataset", tmp_path / "corpus.jsonl", "--mode", "external", "--points", "2",
+         "--negatives", "3", "--out", tmp_path / "gen"],
+        ["train", "--model", "linear", "--train", data,
          "--vocab", tmp_path / "vocab.json", "--out", tmp_path / "out", "--epochs", "1"],
-        ["eval-selection", "--checkpoint", ckpt, "--data", tmp_path / "data.jsonl"],
+        ["eval-selection", "--checkpoint", ckpt, "--data", data],
     ]
     tracer = bench_trace.Tracer()
     with tracer.installed():
@@ -185,6 +190,11 @@ def test_benchmark_probes_fire_on_a_linear_run(monkeypatch, tmp_path):
             assert cli.main([str(a) for a in argv]) == 0, argv
     silent = [name for name in LINEAR_CLI_TARGETS if not tracer.fired[f"dialcoh.cli:{name}"]]
     assert not silent, f"linear-path cli probes that never fired: {silent}"
+    fired = {p.span for p in tracer.probes if tracer.fired[p.target]}
+    assert {"swapgen.build", "swapgen.save", "swapgen.load"} <= fired
+    assert tracer.counters["swapgen.instances"] == 6
+    assert tracer.counters["swapgen.pairs"] == 18
+    assert tracer.counters["swapgen.save_bytes"] == data.stat().st_size > 0
     _, untraced = bench_trace.layer_metrics(tracer)
     assert untraced == []
     for name in LINEAR_CLI_TARGETS:

@@ -261,6 +261,11 @@ def _without(key):
     return lambda h: {k: v for k, v in h.items() if k != key}
 
 
+def _config_value(key, value):
+    return lambda h: {**h, "config": {**h["config"], key: value}}
+
+
+# Cases named neural_* mutate the neural checkpoint, the others the linear one.
 HEADER_CASES = {
     "not_an_object": (lambda h: [h], "header"),
     "no_payload_sha256": (_without("payload_sha256"), "payload_sha256"),
@@ -286,6 +291,29 @@ HEADER_CASES = {
     "payload_sha256_not_a_list": (
         lambda h: {**h, "payload_sha256": h["payload_sha256"][0]}, "payload_sha256"),
     "payload_sha256_holds_a_number": (lambda h: {**h, "payload_sha256": [7]}, "payload_sha256"),
+    "config_k_float": (_config_value("k", 2.0), "config.k: expected int, got float"),
+    "config_saliency_float": (
+        _config_value("saliency", 1.0), "config.saliency: expected int, got float"),
+    "config_features_number": (
+        _config_value("features", 3), "config.features: expected str, got int"),
+    "config_l2_bool": (_config_value("l2", True), "config.l2: expected number, got bool"),
+    "neural_gru_hidden_float": (
+        _config_value("gru_hidden", 3.0), "config.gru_hidden: expected int, got float"),
+    "neural_emb_dim_other_float": (
+        _config_value("emb_dim_other", 2.0), "config.emb_dim_other: expected int, got float"),
+    "neural_head_hidden_float": (
+        _config_value("head_hidden", 2.0), "config.head_hidden: expected int, got float"),
+    "neural_gru_layers_bool": (
+        _config_value("gru_layers", True), "config.gru_layers: expected int, got bool"),
+    "neural_seed_float": (_config_value("seed", 0.5), "config.seed: expected int, got float"),
+    "neural_batch_size_float": (
+        _config_value("batch_size", 2.5), "config.batch_size: expected int, got float"),
+    "neural_margin_null": (
+        _config_value("margin", None), "config.margin: expected number, got NoneType"),
+    "neural_channels_string": (
+        _config_value("channels", "word"), "config.channels: expected list, got str"),
+    "neural_channel_number": (
+        _config_value("channels", ["word", 1]), "config.channels[1]: expected str, got int"),
 }
 
 
@@ -335,8 +363,19 @@ def _rate_exits_with_data_error(ckpt, record, tmp_path, capsys) -> str:
 def test_malformed_checkpoint_header_is_a_data_error(setup, tmp_path, capsys, name):
     root, record = setup
     mutate, field = HEADER_CASES[name]
-    _mutated_checkpoint(root / "model.ckpt", tmp_path / "bad.ckpt", mutate)
+    source = "neural.ckpt" if name.startswith("neural_") else "model.ckpt"
+    _mutated_checkpoint(root / source, tmp_path / "bad.ckpt", mutate)
     assert field in _rate_exits_with_data_error(tmp_path / "bad.ckpt", record, tmp_path, capsys)
+
+
+def test_float_config_fields_take_integers(setup, tmp_path):
+    """A float config field holding an integer loads, as JSON writes 1.0 as 1."""
+    root, record = setup
+    request = tmp_path / "request.json"
+    request.write_text(json.dumps(record), encoding="utf-8")
+    for source, key in (("neural.ckpt", "margin"), ("model.ckpt", "l2")):
+        _mutated_checkpoint(root / source, tmp_path / "int.ckpt", _config_value(key, 1))
+        assert run("rate", "--checkpoint", tmp_path / "int.ckpt", "--input", request) == 0
 
 
 @pytest.mark.parametrize("name", sorted(NEURAL_ARRAY_CASES))

@@ -13,18 +13,17 @@ from dialcoh.errors import CorpusFormatError, DataError, InsufficientPoolError
 from dialcoh.swapgen import (
     PROVENANCES,
     Candidate,
-    InsertionPoint,
     RankingInstance,
     RatedInstance,
     RecordCache,
+    _context_lengths,
     _interned,
+    _negatives,
     build_selection_dataset,
-    gen_insertion_points,
     instance_from_dict,
     load_instances,
     load_rated_testset,
     rated_instance_from_dict,
-    sample_negatives,
     save_instances,
     save_rated_testset,
 )
@@ -52,43 +51,51 @@ def unique_dialogue(i: int, n_turns: int) -> Dialogue:
     )
 
 
+def flat(split):
+    """The split's (dialogue id, turn) pairs in corpus order, as
+    `build_selection_dataset` hands them to `_negatives`."""
+    return [(d.id, t) for d in split for t in d.turns]
+
+
 class TestInsertionPoints:
     def test_unbounded_sampling(self):
         d = unique_dialogue(0, 12)
-        points = gen_insertion_points(d, 10, rng=7)
-        assert len(points) == 10
-        idxs = [p.positive_idx for p in points]
-        assert len(set(idxs)) == 10
-        assert all(1 <= i <= 11 for i in idxs)
+        lengths = _context_lengths(d, 10, None, np.random.default_rng(7))
+        assert len(lengths) == 10
+        assert lengths == sorted(set(lengths))
+        assert all(1 <= c <= 11 for c in lengths)
 
     def test_exhaustion_returns_all(self):
         d = unique_dialogue(0, 2)
-        points = gen_insertion_points(d, 10, rng=3)
-        assert [p.positive_idx for p in points] == [1]
+        assert _context_lengths(d, 10, None, np.random.default_rng(3)) == [1]
+        assert _context_lengths(unique_dialogue(0, 5), 10, None, np.random.default_rng(3)) == [
+            1, 2, 3, 4]
 
     def test_ctx_range_cap(self):
         d = unique_dialogue(0, 30)
-        points = gen_insertion_points(d, 10, ctx_range=(1, 10), rng=11)
-        assert all(p.positive_idx <= 10 for p in points)
-        assert len(points) == 10
+        lengths = _context_lengths(d, 10, (1, 10), np.random.default_rng(11))
+        assert lengths == list(range(1, 11))
+        lengths = _context_lengths(d, 5, (3, 12), np.random.default_rng(11))
+        assert len(lengths) == 5 and all(3 <= c <= 12 for c in lengths)
 
     def test_too_short_dialogue(self):
         d = unique_dialogue(0, 1)
         with pytest.raises(DataError, match="no admissible"):
-            gen_insertion_points(d, 1)
+            _context_lengths(d, 1, None, np.random.default_rng(0))
+        with pytest.raises(DataError, match="no admissible"):
+            build_selection_dataset([unique_dialogue(1, 6), d], points_per_dialogue=1, n_neg=1)
 
     def test_deterministic_given_seed(self):
         d = unique_dialogue(0, 40)
-        a = gen_insertion_points(d, 10, rng=5)
-        b = gen_insertion_points(d, 10, rng=5)
+        a = _context_lengths(d, 10, None, np.random.default_rng(5))
+        b = _context_lengths(d, 10, None, np.random.default_rng(5))
         assert a == b
 
 
 class TestSampleNegatives:
     def test_internal_strictly_after_positive(self):
         d = unique_dialogue(0, 12)
-        point = InsertionPoint(d.id, 5)
-        negs = sample_negatives(point, "internal", 3, [d], rng=1)
+        negs = _negatives(d, 5, "internal", 3, flat([d]), np.random.default_rng(1))
         assert len(negs) == 3
         later = {turn_fingerprint(t) for t in d.turns[6:]}
         fps = [turn_fingerprint(t) for t in negs]
@@ -98,19 +105,19 @@ class TestSampleNegatives:
     def test_internal_insufficient_pool(self):
         d = unique_dialogue(0, 6)
         with pytest.raises(InsufficientPoolError):
-            sample_negatives(InsertionPoint(d.id, 4), "internal", 3, [d], rng=1)
+            _negatives(d, 4, "internal", 3, flat([d]), np.random.default_rng(1))
 
     def test_external_excludes_source_dialogue(self):
         split = [unique_dialogue(i, 8) for i in range(4)]
-        point = InsertionPoint(split[0].id, 3)
-        negs = sample_negatives(point, "external", 5, split, rng=9)
+        negs = _negatives(split[0], 3, "external", 5, flat(split), np.random.default_rng(9))
+        assert len(negs) == 5
         own = {turn_fingerprint(t) for t in split[0].turns}
         assert all(turn_fingerprint(t) not in own for t in negs)
 
     def test_external_needs_other_dialogue(self):
         d = unique_dialogue(0, 8)
-        with pytest.raises(InsufficientPoolError):
-            sample_negatives(InsertionPoint(d.id, 2), "external", 1, [d], rng=0)
+        with pytest.raises(InsufficientPoolError, match="at least one other dialogue"):
+            build_selection_dataset([d], points_per_dialogue=1, n_neg=1, mode="external")
 
     def test_never_returns_turn_identical_to_positive(self):
         # Other dialogues consist entirely of copies of the positive turn.
@@ -118,7 +125,7 @@ class TestSampleNegatives:
         positive = base.turns[2]
         clone = Dialogue(id="clones", turns=tuple([positive] * 6))
         with pytest.raises(InsufficientPoolError):
-            sample_negatives(InsertionPoint(base.id, 2), "external", 1, [base, clone], rng=0)
+            _negatives(base, 2, "external", 1, flat([base, clone]), np.random.default_rng(0))
 
     def test_mixed_pool_skips_positive_clones(self):
         base = unique_dialogue(0, 6)
@@ -127,11 +134,25 @@ class TestSampleNegatives:
             id="mix",
             turns=(positive, unique_dialogue(9, 2).turns[0], positive, positive),
         )
-        negs = sample_negatives(InsertionPoint(base.id, 2), "external", 1, [base, other], rng=4)
+        negs = _negatives(base, 2, "external", 1, flat([base, other]), np.random.default_rng(4))
         assert turn_fingerprint(negs[0]) != turn_fingerprint(positive)
 
 
 class TestBuildDataset:
+    @pytest.mark.parametrize("split, kwargs, error, message", [
+        ([], {}, DataError, "empty split"),
+        ([unique_dialogue(0, 6)] * 2, {}, DataError, "duplicate dialogue ids"),
+        (None, {"points_per_dialogue": 0}, DataError, "number of insertion points must be >= 1"),
+        (None, {"mode": "bogus"}, DataError, "unknown sampling mode 'bogus'"),
+        (None, {"n_neg": 0}, DataError, "negative count must be >= 1"),
+        ([unique_dialogue(0, 30)], {"mode": "external"}, InsufficientPoolError,
+         "at least one other dialogue"),
+    ], ids=["empty", "duplicate-ids", "no-points", "mode", "no-negatives", "external-alone"])
+    def test_arguments_are_checked_on_entry(self, split, kwargs, error, message):
+        if split is None:
+            split = [unique_dialogue(i, 30) for i in range(2)]
+        with pytest.raises(error, match=message):
+            build_selection_dataset(split, **{"n_neg": 1, **kwargs})
     def test_pair_count_identity(self):
         split = [unique_dialogue(i, 21) for i in range(4)]
         for mode in ("internal", "external"):
@@ -153,16 +174,16 @@ class TestBuildDataset:
         by_id = {d.id: d for d in split}
         for inst in instances:
             d = by_id[inst.dialogue_id]
-            assert inst.context == d.turns[: inst.context_len]
+            assert inst.context == d.turns[: len(inst.context)]
             positive = inst.candidates[inst.positive_position]
             assert positive.provenance == "original"
-            assert turn_fingerprint(positive.turn) == turn_fingerprint(d.turns[inst.context_len])
+            assert turn_fingerprint(positive.turn) == turn_fingerprint(d.turns[len(inst.context)])
             for c in inst.candidates:
                 if c.provenance == "original":
                     continue
                 fp = turn_fingerprint(c.turn)
                 if mode == "internal":
-                    later = [turn_fingerprint(t) for t in d.turns[inst.context_len + 1 :]]
+                    later = [turn_fingerprint(t) for t in d.turns[len(inst.context) + 1 :]]
                     assert fp in later
                 else:
                     own = {turn_fingerprint(t) for t in d.turns}
