@@ -239,10 +239,13 @@ def _neural_config(args, channels: tuple[str, ...], seed: int) -> NeuralConfig:
 
 
 def cmd_train(args) -> int:
+    seeds = args.seeds
+    repeated = sorted({s for s in seeds if seeds.count(s) > 1})
+    if repeated:
+        raise DataError(f"--seeds repeats seed {', '.join(map(str, repeated))}: {seeds}")
     out = _out_dir(args)
     train_instances = swapgen.load_instances(args.train)
     vocabs = load_vocabularies(args.vocab)
-    seeds = args.seeds
     if args.model == "neural":
         if not args.dev:
             raise DataError("neural training requires --dev")
@@ -503,7 +506,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--ratings", type=_comma_separated(float),
-                   help="comma-separated relevance/gain profile")
+                   help="comma-separated relevance profile (default: the first candidate "
+                        "alone is relevant): the gains for ndcg; mrr and recall count each "
+                        "positive entry as relevant; accuracy counts the pairs with distinct "
+                        "values. A profile without a relevant candidate (for accuracy, "
+                        "without two distinct values) is refused")
     p.add_argument("--out")
     p.set_defaults(func=cmd_baseline)
 

@@ -19,50 +19,50 @@ import numpy as np
 from .errors import DataError, NumericError
 
 
-def pessimistic_order(scores: Sequence[float], gains: Sequence[float]) -> list[int]:
-    """Indices in predicted rank order: descending score, ties broken by
-    ascending gain (higher-gain candidates last), then by index."""
-    scores = [float(s) for s in scores]
-    gains = [float(g) for g in gains]
-    if len(scores) != len(gains):
+def pessimistic_order(scores, gains) -> np.ndarray:
+    """Indices in predicted rank order along the last axis: descending score,
+    then ascending gain (higher-gain candidates last), then index."""
+    scores = np.asarray(scores, dtype=np.float64)
+    gains = np.asarray(gains, dtype=np.float64)
+    if scores.shape != gains.shape:
         raise DataError("scores and gains must align")
-    return sorted(range(len(scores)), key=lambda i: (-scores[i], gains[i], i))
+    return np.lexsort((gains, -scores), axis=-1)
 
 
-def graded_pairwise_accuracy(
-    scores: Sequence[float], gains: Sequence[float]
-) -> tuple[float, int]:
-    """Accuracy over candidate pairs with distinct gains: a pair is correct
-    when the higher-gain candidate scores strictly higher, so a tie is an
-    error. Returns (accuracy, number of evaluated pairs); accuracy is 0.0
-    when no pair with distinct gains exists."""
-    scores = [float(s) for s in scores]
-    gains = [float(g) for g in gains]
-    correct = 0
-    total = 0
-    for i in range(len(scores)):
-        for j in range(i + 1, len(scores)):
-            if gains[i] == gains[j]:
-                continue
-            total += 1
-            hi, lo = (i, j) if gains[i] > gains[j] else (j, i)
-            if scores[hi] > scores[lo]:
-                correct += 1
-    return (correct / total if total else 0.0), total
+def graded_pairwise_accuracy(scores, gains) -> tuple[np.ndarray, np.ndarray]:
+    """Accuracy over candidate pairs with distinct gains, along the last
+    axis: a pair is correct when the higher-gain candidate scores strictly
+    higher, so a tie is an error. Returns (accuracy, number of evaluated
+    pairs) per ranking, accuracy 0.0 where there is no such pair. One
+    candidate at a time meets all others, so memory stays linear in them."""
+    scores = np.asarray(scores, dtype=np.float64)
+    gains = np.asarray(gains, dtype=np.float64)
+    if scores.shape != gains.shape:
+        raise DataError("scores and gains must align")
+    correct, total = np.zeros((2, *scores.shape[:-1]), dtype=np.int64)
+    floor = gains.min(axis=-1, initial=np.inf)
+    for i in range(scores.shape[-1]):
+        if not (gains[..., i] > floor).any():
+            continue  # no row has a candidate below candidate i
+        lower = gains[..., i, None] > gains
+        total += lower.sum(axis=-1)
+        correct += (lower & (scores[..., i, None] > scores)).sum(axis=-1)
+    return correct / np.maximum(total, 1), total
 
 
 def _relevant(gains_in_order) -> np.ndarray:
-    """Mask of the relevant candidates: positive gain equal to the top gain."""
+    """Mask of the relevant candidates: positive gain equal to the top gain.
+    A ranking without one has no defined rank or recall."""
     gains = np.asarray(gains_in_order, dtype=np.float64)
-    return (gains > 0) & (gains == gains.max(axis=-1, keepdims=True, initial=0.0))
+    relevant = (gains > 0) & (gains == gains.max(axis=-1, keepdims=True, initial=0.0))
+    if not relevant.any(axis=-1).all():
+        raise DataError("no relevant candidate in ranking")
+    return relevant
 
 
 def reciprocal_rank(gains_in_order) -> np.ndarray:
     """1 / rank of the first relevant candidate."""
-    relevant = _relevant(gains_in_order)
-    if not relevant.any(axis=-1).all():
-        raise DataError("no relevant candidate in ranking")
-    return 1.0 / (np.argmax(relevant, axis=-1) + 1.0)
+    return 1.0 / (np.argmax(_relevant(gains_in_order), axis=-1) + 1.0)
 
 
 def recall_at_k(gains_in_order, k: int) -> np.ndarray:
@@ -107,12 +107,16 @@ def random_baseline(
     seed: int = 0,
     k: int = 1,
 ) -> dict:
-    """Monte Carlo estimate of a metric under uniformly random orderings.
+    """Monte Carlo estimate of a metric under uniformly random scores, one
+    draw per candidate and trial, read by every metric.
 
     relevance defaults to a single relevant candidate. It is the gain vector
-    for ndcg; mrr and recall count each positive entry as relevant. Returns
-    the estimate, its standard error (None for a single trial), and a closed
-    form when one is known (single-relevant MRR and R@k).
+    for ndcg; mrr and recall count each positive entry as relevant; accuracy
+    counts the pairs with distinct relevance, as `eval-rating` does. Every
+    metric refuses a profile without a relevant candidate: for accuracy, one
+    without two distinct values. Returns the estimate, its standard error
+    (None for a single trial), and a closed form when one is known (accuracy,
+    single-relevant MRR and R@k).
     """
     if trials < 1:
         raise DataError("trials must be >= 1")
@@ -128,24 +132,21 @@ def random_baseline(
     if not np.isfinite(rel).all():
         raise DataError(f"relevance profile values must be finite, got {rel.tolist()}")
 
-    single_relevant = int((rel > 0).sum()) == 1 and metric != "ndcg"
+    single_relevant = int((rel > 0).sum()) == 1
     closed_form = None
-
+    draws = rng.random((trials, n_candidates))
     if metric == "accuracy":
-        # Random continuous scores are tie-free almost surely: P(pos > neg) = 1/2.
-        scores = rng.random((trials, n_candidates))
-        pos = int(np.argmax(rel))
-        neg = [i for i in range(n_candidates) if i != pos]
-        if not neg:
-            raise DataError("accuracy baseline needs at least two candidates")
-        wins = (scores[:, [pos]] > scores[:, neg]).mean(axis=1)
-        values = wins
+        values, pairs = graded_pairwise_accuracy(draws, np.broadcast_to(rel, draws.shape))
+        if not pairs.any():
+            raise DataError(
+                f"accuracy baseline needs two distinct relevance values, got {rel.tolist()}"
+            )
+        # Continuous random scores are tie-free almost surely, so each pair
+        # is ordered correctly with probability 1/2.
         closed_form = 0.5
     else:
-        # Random permutation of the relevance profile per trial.
-        keys = rng.random((trials, n_candidates))
-        perm = np.argsort(keys, axis=1)
-        arranged = rel[perm]
+        # A uniformly random permutation of the profile per trial.
+        arranged = rel[np.argsort(draws, axis=1)]
         if metric == "mrr":
             values = reciprocal_rank(arranged > 0)
             if single_relevant:

@@ -2,7 +2,13 @@
 their shared ranking, evaluation, and checkpoint machinery."""
 
 from .checkpoint import load_checkpoint, save_checkpoint
-from .evaluate import evaluate_rated, evaluate_selection, summarize_runs
+from .evaluate import (
+    RankedCandidate,
+    evaluate_rated,
+    evaluate_selection,
+    rank_candidates,
+    summarize_runs,
+)
 from .linear import (
     LinearRanker,
     LinearRankerConfig,
@@ -17,7 +23,6 @@ from .neural import (
     forward_scores,
     train_neural,
 )
-from .ranking import RankedCandidate, rank_candidates
 
 __all__ = [
     "LinearRanker",

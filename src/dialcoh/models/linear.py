@@ -76,10 +76,24 @@ class LinearRanker:
         return out
 
 
+# The most features a candidate may have (a float64 row of 128 MiB): room
+# for joint features at k = 4 over a 42-label DA tagset (42**4 + 4**4).
+# Larger spaces exhaust memory while extracting, or exceed numpy's shapes.
+MAX_FEATURES = 2**24
+
+
 def feature_dim(config: LinearRankerConfig, vocabularies: Vocabularies) -> int:
+    """The length of a candidate's feature vector; a configuration above
+    MAX_FEATURES raises DataError before any feature array exists."""
     ent = len(ROLE_SYMBOLS) ** config.k
     da = len(vocabularies.da) ** config.k
-    return {"entity": ent, "da": da, "joint": ent + da}[config.features]
+    dim = {"entity": ent, "da": da, "joint": ent + da}[config.features]
+    if dim > MAX_FEATURES:
+        raise DataError(
+            f"k={config.k} gives {dim} {config.features} features per candidate, "
+            f"more than the {MAX_FEATURES} allowed"
+        )
+    return dim
 
 
 def extract_features(
@@ -106,6 +120,7 @@ def build_pair_features(
     vocabularies: Vocabularies,
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """One (positive, negative) feature pair per adversarial candidate."""
+    feature_dim(config, vocabularies)  # refuses a configuration too large to extract
     pairs = []
     for inst in instances:
         vectors = extract_features(

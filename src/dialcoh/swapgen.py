@@ -23,9 +23,10 @@ one record schema, parsed by `parse_record`::
                      "ratings": [int in 1..3, ...]?,
                      "mean_rating": number in [1, 3]?}]}
 
-Turns use the corpus turn format and invariants. `ratings` and
-`mean_rating` are validated whenever present; per-worker ratings are averaged
-on load and take precedence over a mean_rating. A dataset record adds
+A record holds at least one context turn and at least one candidate. Turns
+use the corpus turn format and invariants. `ratings` and `mean_rating` are
+validated whenever present; per-worker ratings are averaged on load and take
+precedence over a mean_rating. A dataset record adds
 `dialogue_id`, `point_index` and `positive_position` (the one original
 candidate). A rated record may add an `id` and needs a rating on every
 candidate. In a `rate` request `provenance` is optional and defaults to
@@ -308,25 +309,28 @@ def parse_record(
     obj, default_provenance=REQUIRED, cache: RecordCache | None = None
 ) -> tuple[tuple[Turn, ...], tuple[Candidate, ...]]:
     """The type-checked context and candidates of one record (see the module
-    docstring); a candidate without a provenance takes default_provenance,
-    which by default is required. cache is the file's RecordCache, or None
-    to parse every turn and candidate."""
+    docstring), each with at least one entry; a candidate without a
+    provenance takes default_provenance, which by default is required. cache
+    is the file's RecordCache, or None to parse every turn and candidate."""
     obj = expect_object(obj, "record")
     turns, candidates = (None, None) if cache is None else (cache.turns, cache.candidates)
     context = tuple(
         _interned(turns, t, _turn, f"context[{i}]")
         for i, t in enumerate(typed_field(obj, "context", list, "record"))
     )
-    return context, tuple(
+    if not context:
+        raise CorpusFormatError("record.context: expected at least one turn")
+    parsed = tuple(
         _interned(candidates, c, _candidate, f"candidates[{i}]", default_provenance, turns)
         for i, c in enumerate(typed_field(obj, "candidates", list, "record"))
     )
+    if not parsed:
+        raise CorpusFormatError("record.candidates: expected at least one candidate")
+    return context, parsed
 
 
 def instance_from_dict(obj, cache: RecordCache | None = None) -> RankingInstance:
     context, candidates = parse_record(obj, cache=cache)
-    if not context:
-        raise CorpusFormatError("record.context: expected at least one turn")
     position = typed_field(obj, "positive_position", int, "record")
     if not 0 <= position < len(candidates):
         raise CorpusFormatError(

@@ -8,7 +8,7 @@ from dialcoh.cli import main
 from dialcoh.corpus import save_corpus
 from dialcoh.swapgen import save_rated_testset
 
-from conftest import run_fresh_python, synthetic_corpus
+from conftest import _graded_pairwise_accuracy, run_fresh_python, synthetic_corpus
 from test_analysis import make_rated_instance
 import numpy as np
 
@@ -502,6 +502,32 @@ class TestBaseline:
             "closed_form": 0.37040816326530607, "estimate": 0.3333333333333333, "metric": "mrr",
             "n_candidates": 7, "seed": 2, "standard_error": None, "trials": 1,
         }
+
+    @pytest.mark.parametrize("metric, message", [
+        ("mrr", "no relevant candidate in ranking"),
+        ("recall", "no relevant candidate in ranking"),
+        ("ndcg", "nDCG requires at least one positive gain"),
+        ("accuracy", "accuracy baseline needs two distinct relevance values"),
+    ])
+    def test_profile_without_a_relevant_candidate_is_a_data_error(self, capsys, metric, message):
+        assert run("baseline", "--candidates", "3", "--trials", "10", "--metric", metric,
+                   "--ratings", "0,0,0") == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"data error: {message}")
+
+    def test_accuracy_counts_every_pair_with_distinct_relevance(self, capsys):
+        """The estimate is the mean accuracy `eval-rating` gives each trial's
+        draws against the profile."""
+        draws = np.random.default_rng(0).random((10, 3))
+        estimates = {}
+        for ratings in ("1,0,0", "1,1,0", "3,2,1"):
+            assert run("baseline", "--candidates", "3", "--trials", "10", "--metric", "accuracy",
+                       "--ratings", ratings) == 0
+            estimates[ratings] = json.loads(capsys.readouterr().out)["estimate"]
+            profile = [float(r) for r in ratings.split(",")]
+            assert estimates[ratings] == float(np.mean(
+                [_graded_pairwise_accuracy(row, profile)[0] for row in draws]))
+        assert estimates["1,1,0"] != estimates["1,0,0"]
 
     def test_invalid_metric_usage_error(self):
         assert run("baseline", "--candidates", "10", "--metric", "nope") == 1

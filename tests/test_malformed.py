@@ -10,6 +10,7 @@ import pytest
 
 from dialcoh.cli import main
 from dialcoh.corpus import derive_vocabularies, save_corpus, save_vocabularies
+from dialcoh.errors import DataError
 from dialcoh.models import LinearRanker, LinearRankerConfig, save_checkpoint
 from dialcoh.models.checkpoint import MAGIC
 from dialcoh.models.linear import feature_dim
@@ -66,6 +67,8 @@ RATE_CASES = {
     "string_candidate": lambda rec: {**rec, "candidates": ["turn", *rec["candidates"][1:]]},
     "rating_outside_scale": lambda rec: _candidate(rec, ratings=[7]),
     "unknown_provenance": lambda rec: _candidate(rec, provenance="bogus"),
+    "empty_context": lambda rec: {**rec, "context": []},
+    "no_candidates": lambda rec: {**rec, "candidates": []},
 }
 
 CASES = [("dataset", name, make) for name, make in DATASET_CASES.items()] + [
@@ -108,6 +111,19 @@ def _rated(rec):
     return {"context": rec["context"],
             "candidates": [{"ratings": [2], **c} if isinstance(c, dict) else c
                            for c in rec["candidates"]]}
+
+
+@pytest.mark.parametrize("checkpoint", ["model.ckpt", "neural.ckpt"])
+@pytest.mark.parametrize("field, message", [
+    ("context", "record.context: expected at least one turn"),
+    ("candidates", "record.candidates: expected at least one candidate"),
+])
+def test_empty_rated_record_names_its_line(setup, tmp_path, capsys, checkpoint, field, message):
+    root, record = setup
+    path = tmp_path / "rated.jsonl"
+    path.write_text(json.dumps({**_rated(record), field: []}) + "\n", encoding="utf-8")
+    assert run("eval-rating", "--checkpoint", root / checkpoint, "--data", path) == 2
+    assert capsys.readouterr().err == f"data error: line 1: {message}\n"
 
 
 def _with_bad_role(turn):
@@ -206,6 +222,33 @@ def test_linear_training_takes_one_seed(setup, tmp_path, capsys):
     root, record = setup
     assert run(*_train_args(root, record, tmp_path, "--model", "linear", "--seeds", "3,4")) == 2
     assert "one seed" in capsys.readouterr().err
+
+
+def test_repeated_training_seed_is_a_data_error(setup, tmp_path, capsys):
+    """A repeated seed would train twice and overwrite its own checkpoint."""
+    root, record = setup
+    argv = _train_args(root, record, tmp_path, "--model", "neural", "--seeds", "0,1,0",
+                       *TINY_NEURAL)
+    assert run(*argv) == 2
+    assert "repeats seed 0" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("k", [16, 33])
+def test_feature_space_too_large_is_a_data_error(setup, tmp_path, capsys, k):
+    root, record = setup
+    argv = _train_args(root, record, tmp_path, "--model", "linear", "--features", "entity",
+                       "--k", k)
+    assert run(*argv) == 2
+    err = capsys.readouterr().err
+    assert f"k={k} gives {4**k} entity features per candidate" in err
+
+
+def test_feature_cap_admits_k_12_and_refuses_k_13_entity_features():
+    vocabs = derive_vocabularies(synthetic_corpus(2, 4, seed=0))
+    assert feature_dim(LinearRankerConfig(features="entity", k=12), vocabs) == 4**12
+    with pytest.raises(DataError, match=f"k=13 gives {4**13} entity features"):
+        feature_dim(LinearRankerConfig(features="entity", k=13), vocabs)
 
 
 def test_non_numeric_word_vector_is_a_data_error(setup, tmp_path, capsys):

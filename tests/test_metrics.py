@@ -167,6 +167,17 @@ class TestLastAxis:
             stacked = metric(gains)
             assert stacked.shape == (rows,)
             assert [v.tobytes() for v in stacked] == [metric(row).tobytes() for row in gains]
+        # Few distinct scores too, so the tie rule decides orders and pairs.
+        scores = rng.choice([-1.0, 0.0, 0.5, 2.0], size=(rows, n))
+        order = pessimistic_order(scores, gains)
+        assert order.shape == (rows, n)
+        assert [r.tobytes() for r in order] == [
+            pessimistic_order(s, g).tobytes() for s, g in zip(scores, gains)]
+        accuracy, pairs = graded_pairwise_accuracy(scores, gains)
+        assert accuracy.shape == pairs.shape == (rows,)
+        one_by_one = [graded_pairwise_accuracy(s, g) for s, g in zip(scores, gains)]
+        assert [v.tobytes() for v in accuracy] == [a.tobytes() for a, _ in one_by_one]
+        assert [v.tobytes() for v in pairs] == [p.tobytes() for _, p in one_by_one]
 
 
 class TestDynamicRelevance:
@@ -349,7 +360,7 @@ class TestRankInvariance:
     def test_pessimistic_order_is_deterministic(self):
         scores = [0.5, 0.5, 0.5]
         relevance = [0.0, 1.0, 0.0]
-        assert pessimistic_order(scores, relevance) == [0, 2, 1]
+        assert pessimistic_order(scores, relevance).tolist() == [0, 2, 1]
 
 
 def test_pearson_basic():
