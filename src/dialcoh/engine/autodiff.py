@@ -4,11 +4,12 @@ The biGRU scorer's forward and backward passes are written out by hand over
 plain numpy arrays (`models/neural.py`, `engine/rnn.py`); nothing here
 records a graph. `Tensor` is what `forward_scores` returns: the scores, and,
 when the pass recorded, its `tape`, the callable that backpropagates a
-gradient of the scores into the parameters. A training step joins its
-passes' tapes into one Tensor, so that one backward runs them together. It
-stays a class of its own under this name because `benchmarks/bench_trace.py`
-times the training backward pass by wrapping `Tensor.backward` and counts
-rows from the result's `shape`.
+gradient of the scores and hands each parameter's gradient on as soon as it
+is final. A training step joins its passes' tapes into one Tensor, so that
+one backward runs them together and Adam updates each parameter inside it.
+It stays a class of its own under this name because
+`benchmarks/bench_trace.py` times the training backward pass by wrapping
+`Tensor.backward` and counts rows from the result's `shape`.
 """
 from __future__ import annotations
 
@@ -19,7 +20,7 @@ import numpy as np
 
 class Tensor:
     """Scores of forward passes, (batch,) in `data`, and when they recorded,
-    `tape`: tape(grad, grads) does what `backward` says."""
+    `tape`: tape(grad, apply) does what `backward` says."""
 
     __slots__ = ("data", "tape")
 
@@ -31,13 +32,15 @@ class Tensor:
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
 
-    def backward(self, grad: np.ndarray, grads: dict[str, np.ndarray]) -> None:
-        """Given grad = d loss / d data, add d loss / d parameter into
-        `grads`, which maps every parameter's name to an array of its shape
-        and is updated in place."""
+    def backward(self, grad: np.ndarray,
+                 apply: Callable[[str, np.ndarray], object]) -> None:
+        """Given grad = d loss / d data, call apply(name, d loss / d
+        parameter) once for every parameter the scorer reads, as soon as
+        that gradient is final; the parameter may be updated at once, since
+        nothing later in the pass reads it."""
         if self.tape is None:
             raise ValueError("backward() of a forward pass that did not record")
-        self.tape(grad, grads)
+        self.tape(grad, apply)
 
 
 def logistic(d: np.ndarray) -> np.ndarray:

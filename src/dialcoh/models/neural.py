@@ -21,8 +21,10 @@ each name's offset and shape. Sorted names put each GRU layer and
 direction's h, r and z arrays of one kind side by side, so the stacked
 "gru{layer}{f|b}.w", ".u" and ".b" that `run_gru` takes (gate rows h, r, z;
 see `engine/rnn.py`) are single spans of the buffer (`param_views`), and a
-loaded checkpoint's payload is the buffer itself. Gradients are a second
-buffer with the same layout and views, and Adam updates the buffers whole.
+loaded checkpoint's payload is the buffer itself. Adam's moments are two
+more buffers with that layout. No gradient buffer exists: the backward pass
+hands each parameter's gradient to Adam as soon as it is final, and Adam
+updates that parameter's views of the three buffers (`_batch_step`).
 
 Scoring is batch-invariant: a stream's score is bit-identical whichever
 other streams share its pass. `_buckets` plans every scoring block: it sorts
@@ -161,7 +163,7 @@ def param_views(
     flat: np.ndarray, layout: Mapping[str, tuple[int, tuple[int, ...]]]
 ) -> dict[str, np.ndarray]:
     """The arrays the scorer reads, as views of a buffer laid out by
-    param_layout (the parameters, or their gradients): each GRU layer and
+    param_layout (the parameters, or Adam's moments): each GRU layer and
     direction's stacked "w", "u" and "b" (gate rows h, r, z), each the span
     of its three gate arrays, and every other array under its checkpoint
     name."""
@@ -314,8 +316,8 @@ def forward_scores(
     """Score a block of streams; ids are (batch, length) arrays per channel.
     `lengths` gives each row's own length, non-increasing, its ids past it
     being padding (default: every row fills the block). Returns the (batch,)
-    scores; with `record`, their `backward` adds each parameter's gradient
-    into a dict that holds an array for every parameter. When scoring,
+    scores; with `record`, their `backward` hands each parameter's gradient
+    to a callable as soon as it is final (`_backward`). When scoring,
     `head_states` may give each row's layer-0 forward states over its first
     positions, (their count, hidden); that direction's scan then covers only
     the rest of each row."""
@@ -363,8 +365,8 @@ class _Pass:
     pool_backward: Callable
     head_backward: Callable
 
-    def __call__(self, d_scores: np.ndarray, grads: dict[str, np.ndarray]) -> None:
-        _backward([self], d_scores, grads)
+    def __call__(self, d_scores: np.ndarray, apply: Callable[[str, np.ndarray], object]) -> None:
+        _backward([self], d_scores, apply)
 
     def groups(self) -> list[tuple[slice, int]]:
         """Each run of rows of one length, and that length."""
@@ -374,9 +376,13 @@ class _Pass:
 
 
 def _backward(passes: Sequence[_Pass], d_scores: np.ndarray,
-              grads: dict[str, np.ndarray]) -> None:
-    """Add d loss / d parameter into `grads`, given d_scores, the gradient of
-    the passes' scores one pass after another.
+              apply: Callable[[str, np.ndarray], object]) -> None:
+    """Hand each parameter's d loss / d parameter to apply(name, gradient)
+    as soon as it is final, given d_scores, the gradient of the passes'
+    scores one pass after another: the head's first, then each GRU layer and
+    direction's from the top, then the embeddings'. Nothing after that point
+    reads the parameter, so apply may update it at once, and at most one
+    layer and direction's gradients are alive at a time.
 
     The passes run their BPTT layer by layer together, so that each W's
     r, z, h copy (`rzh_rows`) is made once. Every gradient with respect to
@@ -385,9 +391,10 @@ def _backward(passes: Sequence[_Pass], d_scores: np.ndarray,
     taken per length group, from the group's own rows over its own length.
     The step's (length, pass, rows) groups are listed once, stably sorted by
     length, and the head, each GRU layer and direction, and the embeddings
-    each walk that list, adding into `grads` group by group: each float32
-    sum, and so the trained weights, are then those of one pass per
+    each walk that list, adding into zeroed gradients group by group: each
+    float32 sum, and so the trained weights, are then those of one pass per
     length."""
+    params = passes[0].params
     heads, at = [], 0
     for p in passes:
         heads.append(p.head_backward(d_scores[at : at + len(p.lengths)]))
@@ -395,25 +402,43 @@ def _backward(passes: Sequence[_Pass], d_scores: np.ndarray,
     d_pooled, head_adds = zip(*heads)
     groups = sorted(((n, k, rows) for k, p in enumerate(passes) for rows, n in p.groups()),
                     key=lambda group: group[0])
+    grads = _zeros(params, [name for name in params if name.startswith("head.")])
     for _, k, rows in groups:
         head_adds[k](grads, rows)
+    _hand_on(grads, apply)
     d_x = [p.pool_backward(d) for p, d in zip(passes, d_pooled)]
     for layer in reversed(range(len(passes[0].bptts))):
         by_direction = []
         for half, direction in enumerate("fb"):
             key = f"gru{layer}{direction}"
-            w_rzh = rzh_rows(passes[0].params[f"{key}.w"])
+            w_rzh = rzh_rows(params[f"{key}.w"])
             walks = [p.bptts[layer][half](np.split(d, 2, axis=-1)[half], w_rzh)
                      for p, d in zip(passes, d_x)]
+            grads = _zeros(params, [f"{key}.{kind}" for kind in "wub"])
             # Each group's dW then takes the copy's buffer in turn.
             for _, k, rows in groups:
-                for kind, d in zip("wub", walks[k][1](rows, w_rzh)):
-                    grads[f"{key}.{kind}"] += d
+                for name, d in zip(grads, walks[k][1](rows, w_rzh)):
+                    grads[name] += d
             by_direction.append([dx for dx, _ in walks])
             del walks, w_rzh  # and with the walks, their pre-activation gradients
+            _hand_on(grads, apply)
         d_x = [f + b for f, b in zip(*by_direction)]
+    grads = _zeros(params, [name for name in params if name.startswith("emb_")])
     for n, k, rows in groups:
         passes[k].embed_backward(d_x[k], grads, rows=rows, steps=n)
+    _hand_on(grads, apply)
+
+
+def _zeros(params: Mapping[str, np.ndarray], names: Sequence[str]) -> dict[str, np.ndarray]:
+    """A zeroed gradient for each named parameter."""
+    return {name: np.zeros_like(params[name]) for name in names}
+
+
+def _hand_on(grads: dict[str, np.ndarray], apply: Callable[[str, np.ndarray], object]) -> None:
+    """apply(name, gradient) for each finished gradient, dropping each from
+    `grads` as it goes."""
+    for name in list(grads):
+        apply(name, grads.pop(name))
 
 
 def _continue_scan(
@@ -657,12 +682,14 @@ def train_neural(
     shuffle_rng = np.random.default_rng(np.random.SeedSequence([config.seed, 1]))
     state = AdamState(np.zeros_like(scorer.flat), np.zeros_like(scorer.flat))
     history = TrainHistory()
-    best = None  # the best epoch's weights, copied only before an epoch trains over them
+    best = None  # the best epoch's weights, one buffer refilled before an epoch trains over them
     since_best = 0
 
     for epoch in range(1, config.max_epochs + 1):
         if epoch > 1 and history.best_epoch == epoch - 1:
-            best = scorer.flat.copy()
+            if best is None:
+                best = np.empty_like(scorer.flat)
+            np.copyto(best, scorer.flat)
         order = shuffle_rng.permutation(len(pairs))
         loss_sum = 0.0
         for start in range(0, len(order), config.batch_size):
@@ -718,7 +745,10 @@ def _batch_step(
     gradient group by group in ascending length, so the gradient, and the
     trained weights, are bit for bit those of one pass per length. (Adam's
     first step amplifies any last-bit change in a gradient into different
-    trained weights.)"""
+    trained weights.) Adam updates each parameter as the backward finishes
+    its gradient, once per step at the step's count, so no array the size
+    of the model is allocated; Adam is elementwise, so the weights are
+    those of one update of the whole buffer."""
     groups: dict[int, list[int]] = {}
     for sid in dict.fromkeys(sid for pair in chunk for sid in pair):
         groups.setdefault(streams[sid].length, []).append(sid)
@@ -742,8 +772,13 @@ def _batch_step(
     d_scores = np.zeros_like(scores)
     np.add.at(d_scores, pos_idx, d_pos)
     np.add.at(d_scores, neg_idx, d_neg)
-    grad = np.zeros_like(scorer.flat)
+    state.step += 1
+    params, lr = scorer.params, scorer.config.lr
+    m, v = param_views(state.m, scorer.layout), param_views(state.v, scorer.layout)
+
+    def update(name: str, grad: np.ndarray) -> None:
+        adam_step(params[name], grad, m[name], v[name], state.step, lr)
+
     step = Tensor(scores, partial(_backward, [p.tape for p in passes]))
-    step.backward(d_scores, param_views(grad, scorer.layout))
-    adam_step(scorer.flat, grad, state, scorer.config.lr)
+    step.backward(d_scores, update)
     return loss

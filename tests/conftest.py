@@ -35,6 +35,7 @@ from dialcoh.models.linear import LinearRankerConfig
 from dialcoh.models.neural import (
     NeuralConfig,
     NeuralScorer,
+    _backward,
     _stack_streams,
     embed_channels,
     forward_scores,
@@ -346,10 +347,11 @@ def gru_gradients(bptt, g: np.ndarray, w: np.ndarray, lengths: Sequence[int]) ->
 def batch_step_reference(scorer: NeuralScorer, streams, chunk,
                          state: AdamState) -> tuple[float, np.ndarray]:
     """`_batch_step` as it was with one recording pass per exact stream
-    length, ascending, each pass's backward run on its own and adding into
-    the gradient in that order: the oracle whose loss, gradient and trained
-    weights the merged pass must equal bit for bit. Returns the loss and
-    the gradient."""
+    length, ascending, whose joint backward adds each parameter's gradient
+    pass after pass in that order, into a whole gradient buffer, from which
+    Adam then updates the whole parameter buffer: the oracle whose loss,
+    gradient and trained weights the merged pass must equal bit for bit.
+    Returns the loss and the gradient."""
     groups: dict[int, list[int]] = {}
     for sid in dict.fromkeys(sid for pair in chunk for sid in pair):
         groups.setdefault(streams[sid].length, []).append(sid)
@@ -369,12 +371,34 @@ def batch_step_reference(scorer: NeuralScorer, streams, chunk,
     d_scores = np.zeros_like(scores)
     np.add.at(d_scores, pos_idx, d_pos)
     np.add.at(d_scores, neg_idx, d_neg)
-    at = 0
-    for p in passes:
-        p.backward(d_scores[at : at + len(p.data)], grads)
-        at += len(p.data)
-    adam_step(scorer.flat, grad, state, scorer.config.lr)
+    _backward([p.tape for p in passes], d_scores, lambda name, g: np.copyto(grads[name], g))
+    state.step += 1
+    adam_step(scorer.flat, grad, state.m, state.v, state.step, scorer.config.lr)
     return loss, grad
+
+
+class AdamRecorder:
+    """Stands in for `neural.adam_step`: gathers the gradients a step hands
+    to Adam into one buffer per step count, laid out like the parameter
+    buffer `flat`, counts the updates of each element per step, and then
+    runs the update unless `update` is False."""
+
+    def __init__(self, flat: np.ndarray, update: bool = True):
+        self.flat, self.update = flat, update
+        self.grads: dict[int, np.ndarray] = {}
+        self.updates: dict[int, np.ndarray] = {}
+        self.calls = 0
+
+    def __call__(self, params, grads, m, v, step, lr) -> None:
+        if not np.shares_memory(params, self.flat):
+            raise ValueError("adam_step was handed an array outside the parameter buffer")
+        at = (params.ctypes.data - self.flat.ctypes.data) // self.flat.itemsize
+        span = slice(at, at + params.size)
+        self.grads.setdefault(step, np.zeros_like(self.flat))[span] = grads.reshape(-1)
+        self.updates.setdefault(step, np.zeros(self.flat.size, dtype=np.int64))[span] += 1
+        self.calls += 1
+        if self.update:
+            adam_step(params, grads, m, v, step, lr)
 
 
 @dataclass
@@ -465,8 +489,8 @@ def adam_reference(
     beta2: float = 0.999,
     eps: float = 1e-8,
 ) -> None:
-    """Bias-corrected Adam, in place, one named array at a time: the oracle
-    the blocked update over one flat buffer must equal bit for bit."""
+    """Bias-corrected Adam, in place, one named array at a time, with no
+    blocks: the oracle the blocked update must equal bit for bit."""
     state.step += 1
     c1 = 1.0 - beta1**state.step
     c2 = 1.0 - beta2**state.step
@@ -668,6 +692,19 @@ def _ndcg_from_scores(scores, gains) -> float:
     if not (in_order > 0).any():
         raise DataError("nDCG requires at least one positive gain")
     return _dcg(in_order) / _dcg(np.sort(in_order)[::-1])
+
+
+def ordered_pairs_reference(scores, gains) -> tuple[np.ndarray, np.ndarray]:
+    """`metrics.ordered_pairs` as one candidate at a time against all
+    others, O(n^2) per ranking: the oracle its merge-sort count must equal."""
+    scores = np.asarray(scores, dtype=np.float64)
+    gains = np.asarray(gains, dtype=np.float64)
+    correct, total = np.zeros((2, *scores.shape[:-1]), dtype=np.int64)
+    for i in range(scores.shape[-1]):
+        lower = gains[..., i, None] > gains
+        total += lower.sum(axis=-1)
+        correct += (lower & (scores[..., i, None] > scores)).sum(axis=-1)
+    return correct, total
 
 
 def _graded_pairwise_accuracy(scores, ratings) -> tuple[float, int]:

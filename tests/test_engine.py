@@ -273,10 +273,16 @@ def _adam(params: np.ndarray) -> AdamState:
     return AdamState(np.zeros_like(params), np.zeros_like(params))
 
 
+def _step(params: np.ndarray, grads: np.ndarray, state: AdamState, lr: float) -> None:
+    """One Adam step over a whole buffer, as the training step's oracle takes it."""
+    state.step += 1
+    adam_step(params, grads, state.m, state.v, state.step, lr)
+
+
 class TestAdam:
     def test_zero_grad_no_change(self):
         params = np.array([1.0, -2.0])
-        adam_step(params, np.zeros(2), _adam(params), lr=0.1)
+        _step(params, np.zeros(2), _adam(params), lr=0.1)
         np.testing.assert_allclose(params, [1.0, -2.0])
 
     def test_first_step_magnitude_is_lr(self):
@@ -284,14 +290,14 @@ class TestAdam:
         # is lr * sign(g) up to eps.
         for g in (3.0, -0.25, 1e-3):
             params = np.array([0.5])
-            adam_step(params, np.array([g]), _adam(params), lr=0.01)
+            _step(params, np.array([g]), _adam(params), lr=0.01)
             assert abs(abs(0.5 - params[0]) - 0.01) < 1e-6
 
     def test_outputs_stay_finite(self):
         params = np.array([1.0])
         state = _adam(params)
         for _ in range(5):
-            adam_step(params, np.array([1e4]), state, lr=0.5)
+            _step(params, np.array([1e4]), state, lr=0.5)
         assert np.isfinite(params).all()
 
     def test_deterministic(self):
@@ -300,25 +306,40 @@ class TestAdam:
             params = np.linspace(-1, 1, 5)
             state = _adam(params)
             for step in range(3):
-                adam_step(params, np.sin(params + step), state, lr=0.05)
+                _step(params, np.sin(params + step), state, lr=0.05)
             results.append(params.copy())
         np.testing.assert_array_equal(results[0], results[1])
 
+    def test_mismatched_shapes_rejected(self):
+        params = np.zeros((2, 3))
+        with pytest.raises(ValueError, match="shapes"):
+            adam_step(params, np.zeros(6), np.zeros_like(params), np.zeros_like(params), 1, 0.1)
+
     def test_blocked_update_equals_the_per_array_update_bitwise(self):
         """Over several steps, on a float32 buffer of three whole blocks and
-        a ragged tail, cut into arrays that straddle the block edges."""
+        a ragged tail, cut into arrays that straddle the block edges, one of
+        them a (400, 300) matrix: the blocked update of the whole buffer, and
+        the blocked update of each array in turn at the step's count, as
+        training runs it, both equal the unblocked per-array oracle."""
         rng = np.random.default_rng(3)
         size = 3 * BLOCK + 1234
         params = rng.standard_normal(size).astype(np.float32)
-        cuts = [0, 1000, BLOCK + 7, 2 * BLOCK, 3 * BLOCK + 5, size]
-        named = {f"a{i}": params[lo:hi].copy() for i, (lo, hi) in enumerate(zip(cuts, cuts[1:]))}
-        state, reference = _adam(params), AdamReference.for_params(named)
-        for _ in range(4):
+        cuts = [0, 1000, 121_000, 2 * BLOCK, 3 * BLOCK + 5, size]
+        shapes = {1: (400, 300)}
+        named = {f"a{i}": params[lo:hi].reshape(shapes.get(i, (-1,))).copy()
+                 for i, (lo, hi) in enumerate(zip(cuts, cuts[1:]))}
+        per_array = params.copy()
+        state, split, reference = _adam(params), _adam(params), AdamReference.for_params(named)
+        for step in range(1, 5):
             grads = rng.standard_normal(size).astype(np.float32)
-            adam_step(params, grads, state, lr=0.01)
-            adam_reference(named, {n: grads[lo:hi] for n, lo, hi in zip(named, cuts, cuts[1:])},
-                           reference, lr=0.01)
-            np.testing.assert_array_equal(params, np.concatenate(list(named.values())))
+            _step(params, grads, state, lr=0.01)
+            for (name, a), lo, hi in zip(named.items(), cuts, cuts[1:]):
+                adam_step(*(b[lo:hi].reshape(a.shape) for b in (per_array, grads, split.m,
+                                                               split.v)), step, lr=0.01)
+            adam_reference(named, {n: grads[lo:hi].reshape(a.shape) for (n, a), lo, hi
+                                   in zip(named.items(), cuts, cuts[1:])}, reference, lr=0.01)
+            expected = np.concatenate([a.reshape(-1) for a in named.values()])
+            assert params.tobytes() == per_array.tobytes() == expected.tobytes()
         assert state.step == reference.step == 4
 
 

@@ -6,13 +6,14 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from dialcoh.corpus import Dialogue, derive_vocabularies
-from dialcoh.engine import AdamState, adam_step
+from dialcoh.engine import AdamState
 from dialcoh.engine.rnn import MIN_ROWS
 from dialcoh.errors import ChecksumError, DataError, NumericError
 from dialcoh.linearize import TokenStream, encode_pairwise_inputs, linearize
@@ -37,6 +38,7 @@ from dialcoh.models.neural import BUCKET_ROWS, _batch_step, forward_scores, init
 from dialcoh.swapgen import Candidate, RankingInstance, build_selection_dataset
 
 from conftest import (
+    AdamRecorder,
     batch_step_reference,
     grad_check,
     gru_reference,
@@ -426,7 +428,7 @@ class TestForwardScore:
         scores = forward_scores({ch: np.zeros((1, 3), int) for ch in cfg.channels},
                                 scorer.params, cfg)
         with pytest.raises(ValueError, match="did not record"):
-            scores.backward(np.ones(1), {})
+            scores.backward(np.ones(1), lambda name, grad: None)
 
 
 class TestTrainNeural:
@@ -521,22 +523,68 @@ class TestTrainNeural:
                                    for ch in cfg.channels}) for n in lengths]
         order = [int(i) for i in rng.permutation(len(streams))]
         chunk = list(zip(order[:10], [*order[10:], order[10]]))  # no stream's gradient cancels
-        grads = []
-        monkeypatch.setattr(neural, "adam_step", lambda params, grad, state, lr: (
-            grads.append(grad.copy()), adam_step(params, grad, state, lr)))
+        # The gradients Adam is handed, one parameter at a time, gathered
+        # into one buffer per step.
+        recorder = AdamRecorder(merged.flat)
+        monkeypatch.setattr(neural, "adam_step", recorder)
         states = [AdamState(np.zeros_like(merged.flat), np.zeros_like(merged.flat))
                   for _ in range(2)]
-        for _ in range(2):
+        for step in (1, 2):
             loss = _batch_step(merged, streams, chunk, states[0])
             expected, expected_grad = batch_step_reference(oracle, streams, chunk, states[1])
             assert loss == expected
-            assert np.array_equal(grads.pop(), expected_grad)
+            assert (recorder.updates[step] == 1).all()
+            assert recorder.grads[step].tobytes() == expected_grad.tobytes()
             # Every parameter's gradient counts; head.b2's is the sum of the
             # score gradients, zero for a pairwise loss.
             assert all(np.count_nonzero(expected_grad[at : at + math.prod(shape)])
                        for name, (at, shape) in merged.layout.items() if name != "head.b2")
-            assert np.array_equal(merged.flat, oracle.flat)
+            assert merged.flat.tobytes() == oracle.flat.tobytes()
+        assert states[0].step == states[1].step == 2
         assert loss > 0.0 and np.isfinite(merged.flat).all()
+
+    def test_step_updates_every_parameter_once(self, vocabs, monkeypatch):
+        """Each step hands Adam one gradient per array the scorer reads, at
+        the step's count, and so updates every element of every array
+        `param_layout` names exactly once."""
+        cfg = small_config(channels=("word", "role", "da", "turn"), gru_layers=3)
+        scorer = NeuralScorer.initialize(cfg, vocabs)
+        rng = np.random.default_rng(4)
+        streams = [TokenStream(n, {ch: rng.integers(0, len(scorer.params[f"emb_{ch}"]), n)
+                                   for ch in cfg.channels}) for n in (5, 5, 3, 7, 2, 5)]
+        chunk = [(0, 1), (2, 3), (4, 5), (3, 0)]
+        recorder = AdamRecorder(scorer.flat)
+        monkeypatch.setattr(neural, "adam_step", recorder)
+        state = AdamState(np.zeros_like(scorer.flat), np.zeros_like(scorer.flat))
+        for step in (1, 2):
+            _batch_step(scorer, streams, chunk, state)
+            assert state.step == step and recorder.calls == step * len(scorer.params)
+            for name, (at, shape) in scorer.layout.items():
+                assert (recorder.updates[step][at : at + math.prod(shape)] == 1).all(), name
+        assert sorted(recorder.updates) == [1, 2]
+
+    def test_step_allocates_less_than_the_model(self, vocabs):
+        """One step's peak allocation, above the parameters and Adam's
+        moments allocated before it, stays below the size of the model: no
+        gradient of the whole model exists at once. Four GRU layers of 128
+        units make each layer and direction an eighth of the model or less,
+        and the embeddings, whose gradients are dense, a small share."""
+        cfg = NeuralConfig(channels=("da", "turn"), emb_dim_other=4, gru_layers=4,
+                           gru_hidden=128, head_hidden=8, seed=1)
+        scorer = NeuralScorer.initialize(cfg, vocabs)
+        rng = np.random.default_rng(6)
+        streams = [TokenStream(n, {ch: rng.integers(0, len(scorer.params[f"emb_{ch}"]), n)
+                                   for ch in cfg.channels}) for n in (6, 6, 5, 4, 4, 3, 6, 2)]
+        chunk = [(0, 1), (2, 3), (4, 5), (6, 7), (1, 2)]
+        state = AdamState(np.zeros_like(scorer.flat), np.zeros_like(scorer.flat))
+        _batch_step(scorer, streams, chunk, state)  # first-call allocations
+        tracemalloc.start()
+        try:
+            _batch_step(scorer, streams, chunk, state)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < scorer.flat.nbytes, (peak, scorer.flat.nbytes)
 
     def test_full_training_gradient_passes_grad_check(self, vocabs, monkeypatch):
         """The gradient `_batch_step` passes to Adam, in float64, against
@@ -566,12 +614,13 @@ class TestTrainNeural:
             scores = NeuralScorer(cfg, vocabs, arrays["flat"]).score_streams(streams)
             return np.maximum(0.0, cfg.margin - (scores[pos] - scores[neg])).mean()
 
-        captured = {}
-        monkeypatch.setattr(neural, "adam_step", lambda params, grads, state, lr: (
-            captured.update(flat=grads.copy())))
+        recorder = AdamRecorder(scorer.flat, update=False)
+        monkeypatch.setattr(neural, "adam_step", recorder)
         arrays = {"flat": scorer.flat}
         state = AdamState(np.zeros_like(scorer.flat), np.zeros_like(scorer.flat))
         value = _batch_step(scorer, streams, chunk, state)
+        assert (recorder.updates[1] == 1).all()
+        captured = {"flat": recorder.grads[1]}
         assert value == pytest.approx(loss(arrays), rel=1e-12)
         scores = scorer.score_streams(streams)
         excess = cfg.margin - (scores[pos] - scores[neg])
