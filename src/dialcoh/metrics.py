@@ -11,7 +11,6 @@ arithmetic means over instances, taken by the caller.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -34,62 +33,21 @@ def graded_pairwise_accuracy(scores, gains) -> tuple[np.ndarray, np.ndarray]:
     """Accuracy over candidate pairs with distinct gains, along the last
     axis: a pair is correct when the higher-gain candidate scores strictly
     higher, so a tie is an error. Returns (accuracy, number of evaluated
-    pairs) per ranking, accuracy 0.0 where there is no such pair. Counting
-    takes O(n log n) time per ranking of n candidates (`ordered_pairs`)."""
-    correct, total = ordered_pairs(scores, gains)
-    return correct / np.maximum(total, 1), total
-
-
-def ordered_pairs(scores, gains) -> tuple[np.ndarray, np.ndarray]:
-    """Per ranking along the last axis: the number of candidate pairs with
-    distinct gains whose higher-gain candidate scores strictly higher, and
-    the number of pairs with distinct gains.
-
-    A candidate is the higher one of as many pairs as there are lower gains
-    in its ranking, the rank of its gain from below. Put the candidates in
-    ascending score, and a tied score's candidates in descending gain; a
-    candidate's correct pairs are then the candidates before it whose gain
-    is lower. A bottom-up merge sort of the gain ranks in that order counts
-    them: at each level, every element of a right half counts the elements
-    of its sorted left half below it, by one binary search over all the
-    left halves of every ranking at once."""
+    pairs) per ranking, accuracy 0.0 where there is no such pair. One
+    candidate at a time meets all others, so memory stays linear in them."""
     scores = np.asarray(scores, dtype=np.float64)
     gains = np.asarray(gains, dtype=np.float64)
     if scores.shape != gains.shape:
         raise DataError("scores and gains must align")
-    if np.isnan(scores).any() or np.isnan(gains).any():
-        raise DataError("scores and gains must not be NaN")
-    lead, n = scores.shape[:-1], scores.shape[-1]
-    rows = math.prod(lead)
-    scores, gains = scores.reshape(rows, n), gains.reshape(rows, n)
-    by_gain = np.argsort(gains, axis=-1, kind="stable")
-    ascending = np.take_along_axis(gains, by_gain, axis=-1)
-    starts = np.ones((rows, n), dtype=bool)
-    starts[:, 1:] = ascending[:, 1:] != ascending[:, :-1]
-    below = np.maximum.accumulate(np.where(starts, np.arange(n), 0), axis=-1)
-    rank = np.empty((rows, n), dtype=np.int64)
-    np.put_along_axis(rank, by_gain, below, axis=-1)
-    # Pad to a power of two in front, with a rank above every real one: no
-    # candidate after the padding is below it.
-    width = 1 << (n - 1).bit_length() if n else 0
-    block = np.full((rows, width), n, dtype=np.int64)
-    block[:, width - n :] = np.take_along_axis(rank, np.lexsort((-gains, scores), axis=-1),
-                                               axis=-1)
-    correct = np.zeros(rows, dtype=np.int64)
-    half = 1
-    while half < width:
-        pairs = width // (2 * half)
-        halves = block.reshape(rows, pairs, 2, half)
-        # Ranks lie in [0, n]: offset each pair's by its index times n + 1,
-        # so that every left half and its right half's queries sit in a
-        # range of their own, in order, and one search serves them all.
-        pair = np.arange(rows * pairs).reshape(rows, pairs, 1)
-        at = np.searchsorted((halves[:, :, 0] + pair * (n + 1)).ravel(),
-                             (halves[:, :, 1] + pair * (n + 1)).ravel())
-        correct += (at.reshape(rows, pairs, half) - pair * half).sum(axis=(1, 2))
-        half *= 2
-        block = np.sort(block.reshape(rows, pairs, half), axis=-1).reshape(rows, width)
-    return correct.reshape(lead), below.sum(axis=-1).reshape(lead)
+    correct, total = np.zeros((2, *scores.shape[:-1]), dtype=np.int64)
+    floor = gains.min(axis=-1, initial=np.inf)
+    for i in range(scores.shape[-1]):
+        if not (gains[..., i] > floor).any():
+            continue  # no row has a candidate below candidate i
+        lower = gains[..., i, None] > gains
+        total += lower.sum(axis=-1)
+        correct += (lower & (scores[..., i, None] > scores)).sum(axis=-1)
+    return correct / np.maximum(total, 1), total
 
 
 def _relevant(gains_in_order) -> np.ndarray:

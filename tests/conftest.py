@@ -347,11 +347,17 @@ def gru_gradients(bptt, g: np.ndarray, w: np.ndarray, lengths: Sequence[int]) ->
 def batch_step_reference(scorer: NeuralScorer, streams, chunk,
                          state: AdamState) -> tuple[float, np.ndarray]:
     """`_batch_step` as it was with one recording pass per exact stream
-    length, ascending, whose joint backward adds each parameter's gradient
-    pass after pass in that order, into a whole gradient buffer, from which
-    Adam then updates the whole parameter buffer: the oracle whose loss,
-    gradient and trained weights the merged pass must equal bit for bit.
-    Returns the loss and the gradient."""
+    length, ascending, each pass's backward run on its own and adding into
+    a whole gradient buffer in that order, from which Adam then updates the
+    whole parameter buffer: the oracle whose loss, gradient and trained
+    weights the merged pass must equal bit for bit. Returns the loss and
+    the gradient.
+
+    A pass's backward hands on its own totals, so the embeddings' sums
+    associate differently here: a pass's `np.add.at` starts from zero, the
+    merged walk's from the sum of the shorter lengths. Their gradients are
+    checked close to those of one joint backward of all the passes, which
+    adds group by group as the merged walk does, and are taken from it."""
     groups: dict[int, list[int]] = {}
     for sid in dict.fromkeys(sid for pair in chunk for sid in pair):
         groups.setdefault(streams[sid].length, []).append(sid)
@@ -371,7 +377,19 @@ def batch_step_reference(scorer: NeuralScorer, streams, chunk,
     d_scores = np.zeros_like(scores)
     np.add.at(d_scores, pos_idx, d_pos)
     np.add.at(d_scores, neg_idx, d_neg)
-    _backward([p.tape for p in passes], d_scores, lambda name, g: np.copyto(grads[name], g))
+    def add(name: str, g: np.ndarray) -> None:
+        grads[name] += g
+
+    at = 0
+    for p in passes:
+        p.backward(d_scores[at : at + len(p.data)], add)
+        at += len(p.data)
+    joint = {}
+    _backward([p.tape for p in passes], d_scores, joint.__setitem__)
+    for name in (name for name in grads if name.startswith("emb_")):
+        np.testing.assert_allclose(grads[name], joint[name], rtol=1e-4,
+                                   atol=1e-6 * np.abs(joint[name]).max())
+        np.copyto(grads[name], joint[name])
     state.step += 1
     adam_step(scorer.flat, grad, state.m, state.v, state.step, scorer.config.lr)
     return loss, grad
@@ -692,19 +710,6 @@ def _ndcg_from_scores(scores, gains) -> float:
     if not (in_order > 0).any():
         raise DataError("nDCG requires at least one positive gain")
     return _dcg(in_order) / _dcg(np.sort(in_order)[::-1])
-
-
-def ordered_pairs_reference(scores, gains) -> tuple[np.ndarray, np.ndarray]:
-    """`metrics.ordered_pairs` as one candidate at a time against all
-    others, O(n^2) per ranking: the oracle its merge-sort count must equal."""
-    scores = np.asarray(scores, dtype=np.float64)
-    gains = np.asarray(gains, dtype=np.float64)
-    correct, total = np.zeros((2, *scores.shape[:-1]), dtype=np.int64)
-    for i in range(scores.shape[-1]):
-        lower = gains[..., i, None] > gains
-        total += lower.sum(axis=-1)
-        correct += (lower & (scores[..., i, None] > scores)).sum(axis=-1)
-    return correct, total
 
 
 def _graded_pairwise_accuracy(scores, ratings) -> tuple[float, int]:

@@ -310,10 +310,11 @@ class TestAdam:
             results.append(params.copy())
         np.testing.assert_array_equal(results[0], results[1])
 
-    def test_mismatched_shapes_rejected(self):
-        params = np.zeros((2, 3))
-        with pytest.raises(ValueError, match="shapes"):
-            adam_step(params, np.zeros(6), np.zeros_like(params), np.zeros_like(params), 1, 0.1)
+    def test_non_contiguous_array_rejected(self):
+        """A flat copy of a strided view would take the update in its place."""
+        params = np.zeros((4, 6))[:, :3]
+        with pytest.raises(ValueError, match="copy"):
+            adam_step(params, np.ones((4, 3)), np.zeros((4, 3)), np.zeros((4, 3)), 1, 0.1)
 
     def test_blocked_update_equals_the_per_array_update_bitwise(self):
         """Over several steps, on a float32 buffer of three whole blocks and

@@ -15,7 +15,6 @@ from dialcoh.metrics import (
     harmonic,
     leave_one_out_correlation,
     ndcg,
-    ordered_pairs,
     pearson,
     pessimistic_order,
     quadratic_weighted_kappa,
@@ -24,7 +23,7 @@ from dialcoh.metrics import (
     reciprocal_rank,
 )
 
-from conftest import FixedScorer, evaluate_reference, ordered_pairs_reference, seg, turn
+from conftest import FixedScorer, evaluate_reference, seg, turn
 
 
 def ranked_gains(scores, gains) -> list[float]:
@@ -179,48 +178,6 @@ class TestLastAxis:
         one_by_one = [graded_pairwise_accuracy(s, g) for s, g in zip(scores, gains)]
         assert [v.tobytes() for v in accuracy] == [a.tobytes() for a, _ in one_by_one]
         assert [v.tobytes() for v in pairs] == [p.tobytes() for _, p in one_by_one]
-
-
-class TestOrderedPairs:
-    """The merge-sort count of `ordered_pairs` against the all-pairs loop."""
-
-    @given(
-        rows=st.lists(
-            st.lists(st.tuples(st.sampled_from([-1.0, 0.0, 0.5, 2.0, np.inf]),
-                               st.sampled_from([0.0, 1.0, 1.5, 3.0, -np.inf])),
-                     min_size=0, max_size=40),
-            min_size=1, max_size=6,
-        ),
-        n=st.integers(0, 40),
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_counts_equal_the_all_pairs_loop(self, rows, n):
-        # Rows cut to one length n, so that they stack; few distinct scores
-        # and gains, so that both tie often.
-        rows = [r for r in rows if len(r) >= n]
-        scores = np.array([[s for s, _ in r[:n]] for r in rows]).reshape(len(rows), n)
-        gains = np.array([[g for _, g in r[:n]] for r in rows]).reshape(len(rows), n)
-        correct, total = ordered_pairs(scores, gains)
-        expected_correct, expected_total = ordered_pairs_reference(scores, gains)
-        assert correct.tolist() == expected_correct.tolist()
-        assert total.tolist() == expected_total.tolist()
-        accuracy, pairs = graded_pairwise_accuracy(scores, gains)
-        expected = expected_correct / np.maximum(expected_total, 1)
-        assert accuracy.tobytes() == expected.tobytes() and pairs.tolist() == total.tolist()
-
-    def test_leading_axes_are_kept(self):
-        rng = np.random.default_rng(2)
-        scores, gains = rng.integers(0, 3, (2, 3, 9)) * 1.0, rng.integers(0, 4, (2, 3, 9))
-        correct, total = ordered_pairs(scores, gains)
-        assert correct.shape == total.shape == (2, 3)
-        expected = ordered_pairs_reference(scores, gains)
-        assert correct.tolist() == expected[0].tolist() and total.tolist() == expected[1].tolist()
-
-    def test_nan_rejected(self):
-        with pytest.raises(DataError, match="NaN"):
-            ordered_pairs([0.1, np.nan], [1.0, 0.0])
-        with pytest.raises(DataError, match="NaN"):
-            graded_pairwise_accuracy([0.1, 0.2], [np.nan, 0.0])
 
 
 class TestDynamicRelevance:
