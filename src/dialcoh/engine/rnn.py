@@ -55,9 +55,9 @@ Each row starts from its initial state in `h0`, zero by default. A scan
 that starts from the state another scan reached gives a row the bits of
 one scan over both runs of inputs, because each product gives a row the
 same bits whichever rows share it (from MIN_ROWS rows up); scoring scans
-each context's forward direction once and continues every candidate's row
-from its context's last state (`models/neural.py`). A recorded scan
-treats h0 as a constant.
+each context's forward direction once, then every candidate's tail from its
+context's last state, both in the buckets that plan its other scans
+(`models/neural.py`). A recorded scan treats h0 as a constant.
 """
 from __future__ import annotations
 

@@ -51,17 +51,17 @@ those of one pass per length.
 
 Every candidate of a context starts with the context's positions, and the
 layer-0 forward states over them depend on nothing after them, so
-`score_candidates` linearizes each context once and runs that direction
-over up to BUCKET_ROWS contexts at a time as the rows of one masked scan,
-then scores those contexts' candidates; the context states held at once
-are thus no larger than a bucket's. In each bucket a candidate's row
-copies its context's states and continues the scan over its own positions
-from the context's last state (`run_gru`'s h0). The backward direction
-starts at the candidate's end, and layer 1 reads it, so both run per
-candidate.
-Scores keep their bits, because each row's products give it the bits it
-gets in any other block. Streams with no shared context are the same
-algorithm with a context of no positions.
+`score_candidates` linearizes each context once and scores up to
+BUCKET_ROWS contexts' candidates at a time; the states held at once are
+thus those of a bounded run of contexts. `score_streams` runs that direction
+in two scans, each in `_buckets`' buckets like any scoring block: one over
+the contexts, then one over each candidate's tail, its positions past the
+context, from the context's last state (`run_gru`'s h0). Each bucket's rows
+then copy their context's and tail's states in place of that direction's
+scan. The backward direction starts at the candidate's end, and layer 1
+reads it, so both run per candidate. Scores keep their bits, because each
+row's products give it the bits it gets in any other block. Streams with no
+shared context are the same algorithm with a context of no positions.
 """
 from __future__ import annotations
 
@@ -311,16 +311,16 @@ def forward_scores(
     config: NeuralConfig,
     lengths: np.ndarray | None = None,
     record: bool = False,
-    head_states: Sequence[np.ndarray] | None = None,
+    layer0: Sequence[tuple[np.ndarray, np.ndarray]] | None = None,
 ) -> Tensor:
     """Score a block of streams; ids are (batch, length) arrays per channel.
     `lengths` gives each row's own length, non-increasing, its ids past it
     being padding (default: every row fills the block). Returns the (batch,)
     scores; with `record`, their `backward` hands each parameter's gradient
     to a callable as soon as it is final (`_backward`). When scoring,
-    `head_states` may give each row's layer-0 forward states over its first
-    positions, (their count, hidden); that direction's scan then covers only
-    the rest of each row."""
+    `layer0` may give each row's layer-0 forward states, already scanned, as
+    two (count, hidden) arrays: over its head and over the rest of the row.
+    That direction then copies them into its output in place of a scan."""
     batch, steps = next(iter(ids_by_channel.values())).shape
     if lengths is None:
         lengths = np.full(batch, steps)
@@ -332,8 +332,11 @@ def forward_scores(
         for direction in "fb":
             key = f"gru{layer}{direction}"
             weights = params[f"{key}.w"], params[f"{key}.u"], params[f"{key}.b"]
-            if head_states is not None and key == "gru0f":
-                out = _continue_scan(x, weights, lengths, head_states)
+            if layer0 is not None and key == "gru0f":
+                out = np.zeros((batch, steps, config.gru_hidden), dtype=x.dtype)
+                for row, (head, tail) in enumerate(layer0):
+                    out[row, : len(head)] = head
+                    out[row, len(head) : len(head) + len(tail)] = tail
             else:
                 out = run_gru(x, *weights, reverse=direction == "b", lengths=lengths,
                               record=record)
@@ -441,37 +444,6 @@ def _hand_on(grads: dict[str, np.ndarray], apply: Callable[[str, np.ndarray], ob
         apply(name, grads.pop(name))
 
 
-def _continue_scan(
-    x: np.ndarray,
-    weights: tuple[np.ndarray, np.ndarray, np.ndarray],
-    lengths: np.ndarray,
-    head_states: Sequence[np.ndarray],
-) -> np.ndarray:
-    """The forward scan of x's rows given each row's states over its first
-    positions: one masked scan runs the rest of every row, left-aligned and
-    longest first, from the row's last head state, and each row's result is
-    its head states followed by its own."""
-    batch, steps, _ = x.shape
-    starts = np.array([len(h) for h in head_states])
-    tails = lengths - starts
-    if (tails < 0).any():
-        raise ValueError("a row is shorter than its head states")
-    order = np.argsort(-tails, kind="stable")
-    hid = weights[1].shape[1]
-    x_tail = np.zeros((batch, tails.max(), x.shape[2]), dtype=x.dtype)
-    h0 = np.zeros((batch, hid), dtype=x.dtype)
-    for row, i in enumerate(order):
-        x_tail[row, : tails[i]] = x[i, starts[i] : lengths[i]]
-        if starts[i]:
-            h0[row] = head_states[i][-1]
-    tail = run_gru(x_tail, *weights, lengths=tails[order], h0=h0)
-    out = np.zeros((batch, steps, hid), dtype=x.dtype)
-    for row, i in enumerate(order):
-        out[i, : starts[i]] = head_states[i]
-        out[i, starts[i] : lengths[i]] = tail[row, : tails[i]]
-    return out
-
-
 def pairwise_hinge(
     s_pos: np.ndarray, s_neg: np.ndarray, margin: float = 0.5
 ) -> tuple[float, np.ndarray, np.ndarray]:
@@ -523,7 +495,8 @@ def _candidate_streams(
 # Rows a scoring bucket holds at most. Products give a row the same bits at
 # any row count from MIN_ROWS up to this, which tests/test_models.py checks.
 # score_candidates also takes at most this many contexts at a time, so the
-# context states it holds are no larger than a bucket's layer-0 states.
+# layer-0 states it holds are those of this many contexts and their
+# candidates' tails.
 BUCKET_ROWS = 64
 
 
@@ -574,33 +547,49 @@ class NeuralScorer:
         """Evaluation-mode scores in input order, each independent of the
         other streams. When `head_of` is given, stream i must start with the
         positions of heads[head_of[i]] (ValueError otherwise; by default no
-        stream shares any). Each head's layer-0 forward states come from one
-        scan (`_head_states`); then the streams run in the buckets that
-        `_buckets` plans, each row's layer-0 forward scan continuing from
-        its head's last state."""
+        stream shares any). Layer 0's forward states come from two scans
+        (`_forward_states`): one over the heads, then one over each stream's
+        tail, its positions past its head, from the head's last state; a
+        stream without a head is all tail. The streams then run in the
+        buckets that `_buckets` plans, each row taking those states
+        (`forward_scores`)."""
         cfg = self.config
-        if head_of is not None:
-            _check_heads(streams, heads, head_of, cfg.channels)
-        states = self._head_states(heads)
         none = np.zeros((0, cfg.gru_hidden), dtype=self.flat.dtype)
+        tails, starts, h0 = streams, [none] * len(streams), ()
+        if head_of is not None:
+            tails = _tails(streams, heads, head_of, cfg.channels)
+            states = self._forward_states(heads)
+            starts = [states[k] for k in head_of]
+            h0 = [s[-1] if len(s) else 0.0 for s in starts]
+        ends = self._forward_states(tails, h0)
         out = np.zeros(len(streams), dtype=np.float64)
         for bucket, ids, lengths in _buckets(streams, cfg.channels):
-            own = [none if head_of is None else states[head_of[i]] for i in bucket]
-            own += [none] * (len(lengths) - len(bucket))
-            scores = forward_scores(ids, self.params, cfg, lengths, head_states=own)
+            own = [(starts[i], ends[i]) for i in bucket]
+            own += [(none, none)] * (len(lengths) - len(bucket))
+            scores = forward_scores(ids, self.params, cfg, lengths, layer0=own)
             out[bucket] = scores.data[: len(bucket)]
         return out
 
-    def _head_states(self, heads: Sequence[TokenStream]) -> list[np.ndarray]:
-        """The layer-0 forward states of each head, (its length, hidden),
-        each its own array, from one masked scan per bucket of heads
-        (`_buckets`)."""
+    def _forward_states(
+        self, streams: Sequence[TokenStream], h0: Sequence[np.ndarray | float] = ()
+    ) -> list[np.ndarray]:
+        """The layer-0 forward states of each stream, (its length, hidden),
+        each its own array, row i starting from h0[i] (default zero): one
+        masked scan per bucket (`_buckets`) of the streams that have
+        positions."""
         cfg, p = self.config, self.params
-        states: list[np.ndarray] = [None] * len(heads)
-        for bucket, ids, lengths in _buckets(heads, cfg.channels):
+        states = [np.zeros((0, cfg.gru_hidden), dtype=self.flat.dtype)] * len(streams)
+        scanned = [i for i, s in enumerate(streams) if s.length]
+        for bucket, ids, lengths in _buckets([streams[i] for i in scanned], cfg.channels):
+            rows = [scanned[j] for j in bucket]
             x, _ = embed_channels(ids, p, cfg.channels)
-            out = run_gru(x, p["gru0f.w"], p["gru0f.u"], p["gru0f.b"], lengths=lengths)
-            for row, i in enumerate(bucket):
+            start = np.zeros((len(lengths), cfg.gru_hidden), dtype=x.dtype)
+            if len(h0):
+                for row, i in enumerate(rows):
+                    start[row] = h0[i]
+            out = run_gru(x, p["gru0f.w"], p["gru0f.u"], p["gru0f.b"], lengths=lengths,
+                          h0=start)
+            for row, i in enumerate(rows):
                 states[i] = out[row, : lengths[row]].copy()
         return states
 
@@ -622,25 +611,32 @@ class NeuralScorer:
         return out
 
 
-def _check_heads(
+def _tails(
     streams: Sequence[TokenStream],
     heads: Sequence[TokenStream],
     head_of: Sequence[int],
     channels: tuple[str, ...],
-) -> None:
-    """Raise ValueError unless each stream i starts with heads[head_of[i]]
-    in every channel."""
+) -> list[TokenStream]:
+    """Each stream i's positions past its head, heads[head_of[i]]; a
+    ValueError unless head_of names a head of `heads` for every stream and
+    each stream starts with its head in every channel."""
     if len(head_of) != len(streams):
         raise ValueError(f"head_of names {len(head_of)} heads for {len(streams)} streams")
+    tails = []
     for i, (stream, k) in enumerate(zip(streams, head_of)):
+        if not 0 <= k < len(heads):
+            raise ValueError(f"stream {i} names heads[{k}], but there are {len(heads)} heads")
         head = heads[k]
         for ch in channels:
             if ch not in stream.ids or ch not in head.ids:
                 raise DataError(f"stream is missing the {ch!r} channel")
-        if head.length > stream.length or not all(
-            np.array_equal(stream.ids[ch][: head.length], head.ids[ch]) for ch in channels
+        n = head.length
+        if n > stream.length or not all(
+            np.array_equal(stream.ids[ch][:n], head.ids[ch]) for ch in channels
         ):
             raise ValueError(f"stream {i} does not start with heads[{k}]")
+        tails.append(TokenStream(stream.length - n, {ch: stream.ids[ch][n:] for ch in channels}))
+    return tails
 
 
 @dataclass

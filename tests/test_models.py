@@ -288,25 +288,29 @@ class TestForwardScore:
 
     def test_context_states_are_held_a_bucket_of_contexts_at_a_time(self, vocabs, dataset,
                                                                     monkeypatch):
-        """score_candidates takes at most BUCKET_ROWS contexts at a time, and
-        each context's states are an array of their own, not a view that
-        keeps its scan's padded block alive."""
+        """score_candidates takes at most BUCKET_ROWS contexts at a time: each
+        run of them gets one scan of its contexts, then one of its
+        candidates' tails from the contexts' last states. Each context's and
+        each tail's states are an array of their own, not a view that keeps
+        its scan's padded block alive."""
         monkeypatch.setattr(neural, "BUCKET_ROWS", MIN_ROWS + 1)
         scorer = NeuralScorer.initialize(small_config(seed=2), vocabs)
-        held = []
-        head_states = NeuralScorer._head_states
+        calls = []
+        forward_states = NeuralScorer._forward_states
 
-        def recorded(self, heads):
-            held.append(states := head_states(self, heads))
+        def recorded(self, streams, h0=()):
+            calls.append((len(h0) > 0, states := forward_states(self, streams, h0)))
             return states
 
-        monkeypatch.setattr(NeuralScorer, "_head_states", recorded)
+        monkeypatch.setattr(NeuralScorer, "_forward_states", recorded)
         pairs = [(inst.context, [c.turn for c in inst.candidates]) for inst in dataset]
         scorer.score_candidates(pairs)
-        assert [len(states) for states in held] == [
+        contexts = [len(states) for continued, states in calls if not continued]
+        assert contexts == [
             min(MIN_ROWS + 1, len(pairs) - at) for at in range(0, len(pairs), MIN_ROWS + 1)
         ]
-        assert all(s.base is None for states in held for s in states)
+        assert [continued for continued, _ in calls] == [False, True] * len(contexts)
+        assert all(s.base is None for _, states in calls for s in states)
 
     def test_heads_in_several_buckets_score_as_each_stream_alone(self, vocabs, dataset,
                                                                 monkeypatch):
@@ -342,6 +346,27 @@ class TestForwardScore:
             scorer.score_streams([heads[0]], [stream], [0])  # the head is the longer
         with pytest.raises(ValueError, match="names 2 heads for 1 streams"):
             scorer.score_streams([stream], heads, [0, 1])
+        for some, head_of in (([], [0]), (heads[:1], [1]), (heads[:1], [-1])):
+            with pytest.raises(ValueError, match=rf"stream 0 names heads\[{head_of[0]}\]"):
+                scorer.score_streams([stream], some, head_of)
+
+    def test_streams_equal_to_their_heads_score_as_without_heads(self, vocabs, dataset):
+        """A stream may be its own head, and its tail then has no positions.
+        Its score keeps the bits of the stream scored without heads, in a
+        bucket of only such streams (MIN_ROWS or more, so no padding row)
+        and mixed with streams that run past their heads."""
+        scorer = NeuralScorer.initialize(small_config(seed=6), vocabs)
+        heads = [linearize(inst.context, scorer.encoding) for inst in dataset[:6]]
+        own = list(range(len(heads)))
+        assert np.array_equal(scorer.score_streams(heads, heads, own),
+                              scorer.score_streams(heads))
+        mixed, head_of = [], []
+        for k, (inst, head) in enumerate(zip(dataset, heads)):
+            mixed += [head, encode_pairwise_inputs(inst.context, inst.candidates[0].turn,
+                                                   scorer.encoding, head)]
+            head_of += [k, k]
+        assert np.array_equal(scorer.score_streams(mixed, heads, head_of),
+                              scorer.score_streams(mixed))
 
     @pytest.mark.parametrize("shape", ["[U_r; U_z]", "U_h"])
     def test_weight_major_recurrent_product_equals_row_major(self, shape):
@@ -362,9 +387,10 @@ class TestForwardScore:
         the suite runs them at the BLAS thread count it was started with:
         run them, with the engine's float32 bitwise tests and the scoring
         and training contracts built on them (batch composition, shared
-        contexts, heads in several buckets, the merged training pass), again
-        in a fresh interpreter at one OpenBLAS thread. The digest pins are
-        left out: they name one BLAS kernel, not a property."""
+        contexts, heads in several buckets, streams equal to their heads, the
+        merged training pass), again in a fresh interpreter at one OpenBLAS
+        thread. The digest pins are left out: they name one BLAS kernel, not
+        a property."""
         here = Path(__file__).resolve().parent
         tests = [f"test_models.py::TestForwardScore::{name}" for name in (
             "test_products_are_row_invariant_from_four_rows",
@@ -372,6 +398,7 @@ class TestForwardScore:
             "test_batch_composition_invariance",
             "test_shared_context_scores_equal_each_stream_scored_alone",
             "test_heads_in_several_buckets_score_as_each_stream_alone",
+            "test_streams_equal_to_their_heads_score_as_without_heads",
         )] + [
             "test_models.py::TestTrainNeural::"
             "test_merged_pass_step_equals_one_pass_per_length_bitwise",
